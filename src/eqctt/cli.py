@@ -15,7 +15,7 @@ import sys
 import click
 
 from . import cof as coflogic
-from .config import CONFIG
+from .config import CONFIG, Config
 from .parser import SyntaxError_, parse_cof, parse_module
 from .printer import print_term
 from .semantics import quote
@@ -39,55 +39,22 @@ def _emit(report: dict, human: str | None = None) -> None:
                    json.dumps(report, sort_keys=True, indent=2))
 
 
-def _positive(name):
-    def cb(ctx, param, value):
-        if value is None:
-            return value
-        if value < 1:
-            raise click.UsageError(f"{name} must be >= 1")
-        return value
-    return cb
-
-
 @click.group()
 @click.option("--json", "json_output", is_flag=True, envvar="EQCTT_JSON",
               help="machine-readable output")
-@click.option("--kmax", type=int, envvar="EQCTT_KMAX",
-              callback=_positive("--kmax"),
-              help="permutation bound for stuck comps (default 4)")
-@click.option("--dim", type=int, envvar="EQCTT_DIM",
-              callback=_positive("--dim"),
-              help="cubelab truncation dimension (default 3)")
-@click.option("--budget", type=int, envvar="EQCTT_BUDGET",
-              callback=_positive("--budget"),
+@click.option("--kmax", type=click.IntRange(min=1), default=Config.k_max,
+              envvar="EQCTT_KMAX", show_default=True,
+              help="permutation bound for stuck comps")
+@click.option("--dim", type=click.IntRange(min=1), default=Config.dim,
+              envvar="EQCTT_DIM", show_default=True,
+              help="cubelab truncation dimension")
+@click.option("--budget", type=click.IntRange(min=1), default=Config.budget,
+              envvar="EQCTT_BUDGET", show_default=True,
               help="combinatorial search node cap")
 def main(json_output, kmax, dim, budget):
     """eqctt: equivariant cartesian cubical type checker and cube lab."""
-    CONFIG.json_output = bool(json_output)
-    if kmax is not None:
-        CONFIG.k_max = kmax
-    if dim is not None:
-        CONFIG.dim = dim
-    if budget is not None:
-        CONFIG.budget = budget
-    CONFIG.validate()
-
-
-def load_config(flags: dict | None = None, env: dict | None = None):
-    """Resolve configuration: flags override environment over defaults."""
-    from .config import Config
-    env = env or {}
-    flags = flags or {}
-    cfg = Config()
-    for attr, envkey, flag in (("k_max", "EQCTT_KMAX", "kmax"),
-                               ("dim", "EQCTT_DIM", "dim"),
-                               ("budget", "EQCTT_BUDGET", "budget")):
-        if envkey in env:
-            setattr(cfg, attr, int(env[envkey]))
-        if flags.get(flag) is not None:
-            setattr(cfg, attr, int(flags[flag]))
-    cfg.validate()
-    return cfg
+    CONFIG.json_output = json_output
+    CONFIG.k_max, CONFIG.dim, CONFIG.budget = kmax, dim, budget
 
 
 def _read(path: str) -> str:
@@ -177,6 +144,15 @@ def cof_entails(hyp, goal):
 # ---------------------------------------------------------------------------
 # cubelab objects
 
+def _usage_on_value_error(fn, *args):
+    """Call a cubelab constructor, reporting a ValueError (an object it
+    does not apply to) as a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        raise click.UsageError(str(e))
+
+
 _OBJ_RE = re.compile(r"\s*(I[0-9]+|Delta[0-9]+|1|T\(|horn|\(|\)|\*|/S[0-9]+)")
 
 
@@ -212,7 +188,7 @@ def parse_lab_object(expr: str, D: int) -> FinPresheaf:
             if peek() != ")":
                 raise click.UsageError("expected ')'")
             advance()
-            return triangulate(inner)
+            return _usage_on_value_error(triangulate, inner)
         elif tok == "(":
             X = obj()
             if peek() != ")":
@@ -222,14 +198,14 @@ def parse_lab_object(expr: str, D: int) -> FinPresheaf:
             raise click.UsageError(f"unexpected {tok!r}")
         if peek() and peek().startswith("/S"):
             k = int(advance()[2:])
-            X = quotient_by_group(X, full_symmetric(k))
+            X = _usage_on_value_error(quotient_by_group, X, full_symmetric(k))
         return X
 
     def obj() -> FinPresheaf:
         X = atom()
         while peek() == "*":
             advance()
-            X = product(X, atom())
+            X = _usage_on_value_error(product, X, atom())
         return X
 
     out = obj()
@@ -308,13 +284,14 @@ def lab_ez(dom, cod, table):
 @click.argument("obj")
 @click.argument("group")
 def lab_quotient(obj, group):
-    """Quotient a representable by a symmetric group, e.g. I2 S2."""
+    """Quotient a representable I<n> by its axis permutations S<n>."""
     D = CONFIG.dim
     m = re.fullmatch(r"S([0-9]+)", group)
     if not m:
         raise click.UsageError("group must be S<k>")
     X = parse_lab_object(obj, D)
-    Q = quotient_by_group(X, full_symmetric(int(m.group(1))))
+    Q = _usage_on_value_error(quotient_by_group, X,
+                              full_symmetric(int(m.group(1))))
     _emit({"operation": "quotient", "inputs": {"obj": obj, "group": group},
            "bounds": {"D": D},
            "cell-counts": Q.level_sizes()},
@@ -326,10 +303,7 @@ def lab_quotient(obj, group):
 def lab_triangulate(obj):
     """Triangulate a cubical set; reports level sizes and nondegeneracies."""
     D = CONFIG.dim
-    X = parse_lab_object(obj, D)
-    if X.site != "cube":
-        raise click.UsageError("triangulate expects a cubical object")
-    T = triangulate(X)
+    T = _usage_on_value_error(triangulate, parse_lab_object(obj, D))
     nd = [len(nondegenerate(T, d)) for d in range(D + 1)]
     _emit({"operation": "triangulate", "inputs": {"obj": obj},
            "bounds": {"D": D},
@@ -426,10 +400,7 @@ def lab_open_box(n, k, zeta, sub):
          "v0": lambda a, b: sub_vertex(a, b, 0),
          "v1": lambda a, b: sub_vertex(a, b, 1)}[sub](n, D)
     spec = OpenBoxSpec.make(n, k, C, z)
-    try:
-        dom, amb = build_open_box(spec, D)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    dom, amb = _usage_on_value_error(build_open_box, spec, D)
     inj = all(set(dom.levels[d]) <= set(amb.levels[d]) for d in range(D + 1))
     _emit({"operation": "open-box",
            "inputs": {"n": n, "k": k, "zeta": list(z.table), "sub": sub},

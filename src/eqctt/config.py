@@ -12,13 +12,5 @@ class Config:
     budget: int = 500_000  # node cap for combinatorial searches
     json_output: bool = False
 
-    def validate(self) -> None:
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-
 
 CONFIG = Config()

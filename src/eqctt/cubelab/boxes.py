@@ -18,10 +18,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Hashable
 
+from . import cubes
 from .cubes import (CubeMap, compose, enumerate_hom, full_symmetric,
                     perm_cube_map)
 from .presheaf import (BudgetExceeded, FinPresheaf, build_presheaf, product,
-                       representable_cube, terminal_cube, SITES)
+                       representable_cube, terminal_cube)
 
 Cell = Hashable
 
@@ -31,14 +32,13 @@ Cell = Hashable
 
 def close_cells(X: FinPresheaf, seed: dict[int, set]) -> dict[int, frozenset]:
     """Close a family of cell sets under the whole presheaf action."""
-    s = SITES[X.site]
     cells = {d: set(seed.get(d, set())) for d in range(X.D + 1)}
     changed = True
     while changed:
         changed = False
         for b in range(X.D + 1):
             for a in range(X.D + 1):
-                for f in s.maps(a, b):
+                for f in X.site.maps(a, b):
                     for c in list(cells[b]):
                         img = X.act(f, c)
                         if img not in cells[a]:
@@ -126,7 +126,7 @@ def build_open_box(spec: OpenBoxSpec, D: int) -> tuple[FinPresheaf, FinPresheaf]
         cells = {(a, compose(spec.zeta, a)) for a in In.levels[d]}
         cells |= {(c, b) for c in C[d] for b in Ik.levels[d]}
         levels[d] = tuple(sorted(cells))
-    dom = build_presheaf("cube", D, levels,
+    dom = build_presheaf(cubes, D, levels,
                          lambda f, c: amb.act(f, c))
     for d in range(D + 1):
         assert set(dom.levels[d]) <= set(amb.levels[d])
@@ -165,10 +165,9 @@ def presheaf_map_to_terminal(X: FinPresheaf) -> PresheafMap:
 
 def is_natural(A: FinPresheaf, B: FinPresheaf,
                components: dict[int, dict[Cell, Cell]]) -> bool:
-    s = SITES[A.site]
     for a in range(A.D + 1):
         for b in range(A.D + 1):
-            for f in s.maps(a, b):
+            for f in A.site.maps(a, b):
                 for c in A.levels[b]:
                     if components[a][A.act(f, c)] != B.act(f, components[b][c]):
                         return False
@@ -184,14 +183,13 @@ def enumerate_natural_maps(A: FinPresheaf, B: FinPresheaf,
     ``seed`` pins images of some cells; ``constraint(d, cell, image)`` can
     reject candidate images (used to force commuting squares).
     """
-    s = SITES[A.site]
     cells = [(d, c) for d in range(A.D + 1) for c in A.levels[d]]
     assign: dict[tuple[int, Cell], Cell] = {}
     if seed:
         for d, table in seed.items():
             for c, v in table.items():
                 assign[(d, c)] = v
-    maps_between = {(a, b): s.maps(a, b)
+    maps_between = {(a, b): A.site.maps(a, b)
                     for a in range(A.D + 1) for b in range(A.D + 1)}
     out: list[PresheafMap] = []
     nodes = 0

@@ -1,7 +1,10 @@
 """Dimension-truncated finite presheaves with materialized action tables.
 
-A ``FinPresheaf`` over a registered site stores, for every site morphism
-between levels <= D, the induced function on cells.  Cells are arbitrary
+A ``FinPresheaf`` over a site stores, for every site morphism between levels
+<= D, the induced function on cells.  A site is the module of its category,
+``cubes`` or ``simplicial``, which provides ``maps(a, b)`` (morphisms
+dom=a -> cod=b), ``identity(n)``, ``compose(g, f)`` and ``split_epis(d)``
+(the non-invertible split epis out of level d).  Cells are arbitrary
 hashable, sortable values.  All checks here are bounded certificates: they
 are exhaustive for the truncation D but say nothing beyond it.
 """
@@ -10,42 +13,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable, Hashable
 
+from . import cubes
 from .cubes import (CubeMap, GroupAction, compose as cube_compose,
-                    cube_identity, enumerate_hom, find_section, is_iso,
-                    perm_cube_map)
+                    enumerate_hom, perm_cube_map)
 
 Cell = Hashable
 
 
-@dataclass(frozen=True)
-class Site:
-    name: str
-    maps: Callable[[int, int], list]        # morphisms dom=a -> cod=b
-    identity: Callable[[int], object]
-    compose: Callable[[object, object], object]
-    split_epis: Callable[[int], list]       # non-invertible split epis from dim d
-
-
-def _cube_split_epis(d: int) -> list[CubeMap]:
-    out = []
-    for d2 in range(d):
-        for e in enumerate_hom(d, d2):
-            if find_section(e) is not None:
-                out.append(e)
-    return out
-
-
-SITES: dict[str, Site] = {}
-
-SITES["cube"] = Site("cube", enumerate_hom, cube_identity, cube_compose,
-                     _cube_split_epis)
-
-
 @dataclass(eq=False)
 class FinPresheaf:
-    site: str
+    site: ModuleType
     D: int
     levels: dict[int, tuple[Cell, ...]]
     action: dict  # site map -> {cell at cod level -> cell at dom level}
@@ -57,26 +37,25 @@ class FinPresheaf:
         return [len(self.levels[d]) for d in range(self.D + 1)]
 
 
-def build_presheaf(site: str, D: int, levels: dict[int, tuple[Cell, ...]],
+def build_presheaf(site: ModuleType, D: int,
+                   levels: dict[int, tuple[Cell, ...]],
                    fn: Callable[[object, Cell], Cell]) -> FinPresheaf:
     """Materialize the action of every site map between levels <= D."""
-    s = SITES[site]
     action = {}
     for a in range(D + 1):
         for b in range(D + 1):
-            for f in s.maps(a, b):
+            for f in site.maps(a, b):
                 action[f] = {c: fn(f, c) for c in levels[b]}
-    X = FinPresheaf(site, D, levels, action)
-    for f, table in X.action.items():
-        for out in table.values():
-            if out not in set(levels[f.dom]):
-                raise ValueError(f"action of {f!r} leaves the level sets")
-    return X
+    level_sets = {d: set(levels[d]) for d in range(D + 1)}
+    for f, table in action.items():
+        if not level_sets[f.dom].issuperset(table.values()):
+            raise ValueError(f"action of {f!r} leaves the level sets")
+    return FinPresheaf(site, D, levels, action)
 
 
 def check_functorial(X: FinPresheaf) -> bool:
     """Identity and composition laws, exhaustively over the truncation."""
-    s = SITES[X.site]
+    s = X.site
     for n in range(X.D + 1):
         ident = s.identity(n)
         for c in X.levels[n]:
@@ -99,7 +78,7 @@ def check_functorial(X: FinPresheaf) -> bool:
 
 def representable_cube(n: int, D: int) -> FinPresheaf:
     levels = {d: tuple(sorted(enumerate_hom(d, n))) for d in range(D + 1)}
-    return build_presheaf("cube", D, levels,
+    return build_presheaf(cubes, D, levels,
                           lambda f, c: cube_compose(c, f))
 
 
@@ -135,12 +114,21 @@ def quotient_by_group(X: FinPresheaf, group: GroupAction,
     induced action.
     """
     if level_action is None:
+        if X.site is not cubes or not all(
+                isinstance(c, CubeMap) and c.cod == group.n
+                for cells in X.levels.values() for c in cells):
+            raise ValueError(f"S{group.n} permutes axes only of a cubical "
+                             f"set whose cells are maps into I^{group.n}")
         level_action = symmetric_level_action(X)
-    s = SITES[X.site]
+    for d in range(X.D + 1):
+        level = set(X.levels[d])
+        if any(level_action(p, d, c) not in level
+               for p in group.perms for c in X.levels[d]):
+            raise ValueError(f"group action does not permute level {d}")
     # equivariance of the level action w.r.t. the cubical action
     for a in range(X.D + 1):
         for b in range(X.D + 1):
-            for f in s.maps(a, b):
+            for f in X.site.maps(a, b):
                 for p in group.perms:
                     for c in X.levels[b]:
                         if X.act(f, level_action(p, b, c)) != \
@@ -179,9 +167,8 @@ def quotient_by_group(X: FinPresheaf, group: GroupAction,
 
 def nondegenerate(X: FinPresheaf, d: int) -> tuple[Cell, ...]:
     """Cells at level d not in the image of any non-invertible split epi."""
-    s = SITES[X.site]
     degenerate: set[Cell] = set()
-    for e in s.split_epis(d):
+    for e in X.site.split_epis(d):
         degenerate.update(X.action[e].values())
     return tuple(c for c in X.levels[d] if c not in degenerate)
 
@@ -212,10 +199,9 @@ def iso_search(X: FinPresheaf, Y: FinPresheaf,
                 False,
                 reason=f"level-size mismatch at dimension {d}: "
                        f"{len(X.levels[d])} vs {len(Y.levels[d])}")
-    s = SITES[X.site]
-    down_maps = {b: [f for a in range(b) for f in s.maps(a, b)]
+    down_maps = {b: [f for a in range(b) for f in X.site.maps(a, b)]
                  for b in range(X.D + 1)}
-    endo_maps = {b: s.maps(b, b) for b in range(X.D + 1)}
+    endo_maps = {b: X.site.maps(b, b) for b in range(X.D + 1)}
     phi: dict[int, dict[Cell, Cell]] = {}
     nodes = 0
 

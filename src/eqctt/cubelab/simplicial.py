@@ -9,10 +9,12 @@ f(i) >= j (top if there is none).
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
+from . import cubes
 from .cubes import CubeMap, make_cube_map
-from .presheaf import SITES, FinPresheaf, Site, build_presheaf
+from .presheaf import FinPresheaf, build_presheaf
 
 
 @dataclass(frozen=True, order=True)
@@ -48,24 +50,27 @@ def enumerate_monotone(m: int, n: int) -> list[SimplexMap]:
     return out
 
 
-def _simplex_split_epis(d: int) -> list[SimplexMap]:
-    # every epimorphism of the simplex category is split
-    out = []
-    for d2 in range(d):
-        for e in enumerate_monotone(d, d2):
-            if set(e.table) == set(range(d2 + 1)):
-                out.append(e)
-    return out
+def split_epis(d: int) -> list[SimplexMap]:
+    """The surjective monotone maps out of [d] to a lower dimension (every
+    epimorphism of the simplex category is split).  The table of a
+    surjection [d] -> [d2] holds each of 0..d2 once plus d - d2 repeats."""
+    return [SimplexMap(d, d2, tuple(sorted((*range(d2 + 1), *extra))))
+            for d2 in range(d)
+            for extra in itertools.combinations_with_replacement(
+                range(d2 + 1), d - d2)]
 
 
-SITES["simplex"] = Site("simplex", enumerate_monotone, simplex_identity,
-                        simplex_compose, _simplex_split_epis)
+# This module is the simplex site of ``presheaf.FinPresheaf`` (see ``cubes``).
+maps = enumerate_monotone
+identity = simplex_identity
+compose = simplex_compose
+SIMPLEX = sys.modules[__name__]
 
 
 def delta(n: int, D: int) -> FinPresheaf:
     """The standard n-simplex, truncated at dimension D."""
     levels = {d: tuple(sorted(enumerate_monotone(d, n))) for d in range(D + 1)}
-    return build_presheaf("simplex", D, levels,
+    return build_presheaf(SIMPLEX, D, levels,
                           lambda f, c: simplex_compose(c, f))
 
 
@@ -87,7 +92,7 @@ def dualize_simplex_map(f: SimplexMap) -> CubeMap:
 def triangulate(X: FinPresheaf) -> FinPresheaf:
     """Restriction along the simplex-to-cube functor: level d is X's level d,
     and a monotone map acts as its dualized cube map."""
-    if X.site != "cube":
+    if X.site is not cubes:
         raise ValueError("triangulate expects a cubical set")
-    return build_presheaf("simplex", X.D, dict(X.levels),
+    return build_presheaf(SIMPLEX, X.D, dict(X.levels),
                           lambda f, c: X.act(dualize_simplex_map(f), c))

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from eqctt import config
-from eqctt.cli import load_config, main
+from eqctt.cli import main
 
 
 @pytest.fixture(autouse=True)
@@ -20,22 +20,38 @@ def run(*args, **kw):
     return CliRunner().invoke(main, list(args), **kw)
 
 
-def test_load_config_defaults():
-    cfg = load_config()
-    assert cfg.k_max == 4
-    assert cfg.dim == 3
+NO_ENV = {"EQCTT_KMAX": None, "EQCTT_DIM": None, "EQCTT_BUDGET": None}
 
 
-def test_load_config_flag_overrides_env():
-    cfg = load_config({"kmax": 2}, {"EQCTT_KMAX": "3"})
-    assert cfg.k_max == 2
-    cfg = load_config({}, {"EQCTT_KMAX": "3"})
-    assert cfg.k_max == 3
+def test_config_defaults():
+    r = run("cof", "entails", "tt", "tt", env=NO_ENV)
+    assert r.exit_code == 0
+    assert config.CONFIG.k_max == 4
+    assert config.CONFIG.dim == 3
 
 
-def test_load_config_rejects_invalid():
-    with pytest.raises(ValueError):
-        load_config({"kmax": 0})
+def test_config_flag_overrides_env():
+    r = run("--kmax", "2", "cof", "entails", "tt", "tt",
+            env={"EQCTT_KMAX": "3"})
+    assert r.exit_code == 0
+    assert config.CONFIG.k_max == 2
+    r = run("cof", "entails", "tt", "tt", env={"EQCTT_KMAX": "3"})
+    assert r.exit_code == 0
+    assert config.CONFIG.k_max == 3
+
+
+def test_config_rejects_invalid():
+    r = run("--kmax", "0", "cof", "entails", "tt", "tt")
+    assert r.exit_code == 2
+    r = run("cof", "entails", "tt", "tt", env={"EQCTT_KMAX": "0"})
+    assert r.exit_code == 2
+
+
+def test_config_not_carried_between_invocations():
+    assert run("--kmax", "6", "cof", "entails", "tt", "tt",
+               env=NO_ENV).exit_code == 0
+    assert run("cof", "entails", "tt", "tt", env=NO_ENV).exit_code == 0
+    assert config.CONFIG.k_max == 4
 
 
 def test_kmax_zero_is_usage_error():
@@ -162,6 +178,17 @@ def test_lab_quotient():
     r = run("--json", "lab", "quotient", "I2", "S2")
     rep = json.loads(r.output)
     assert rep["cell-counts"] == [3, 6, 10, 15]
+
+
+@pytest.mark.parametrize("args", [
+    ("quotient", "I1*I1", "S2"), ("quotient", "I2", "S3"),
+    ("quotient", "I2", "S1"), ("quotient", "1", "S1"),
+    ("quotient", "Delta1", "S1"), ("triangulate", "(I1*I1)/S2")], ids=" ".join)
+def test_lab_quotient_needs_matching_representable(args):
+    # S<n> permutes axes only of cells that are maps into I^n
+    r = run("lab", *args)
+    assert r.exit_code == 2
+    assert "I^" in r.output
 
 
 def test_lab_budget_exceeded_exit3():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from eqctt.cubelab import cubes, simplicial
 from eqctt.cubelab.cubes import (CubeMap, automorphisms, compose,
                                  cube_identity, degeneracy, enumerate_hom,
                                  ez_factor, face, find_section,
@@ -77,6 +78,35 @@ def test_automorphisms_match_bruteforce():
         fast = {perm_cube_map(p) for p in automorphisms(n).perms}
         slow = set(invertible_endos(n))
         assert fast == slow
+
+
+def test_is_iso_matches_bruteforce():
+    endos = {n: set(invertible_endos(n)) for n in range(4)}
+    for m in range(4):
+        for n in range(4):
+            for f in enumerate_hom(m, n):
+                assert is_iso(f) == (f in endos[f.dom]), f
+
+
+def test_find_section_matches_bruteforce():
+    # the closed form returns the first section in hom-set order
+    for m in range(4):
+        for n in range(4):
+            ident = cube_identity(n)
+            for e in enumerate_hom(m, n):
+                first = next((s for s in enumerate_hom(n, m)
+                              if compose(e, s) == ident), None)
+                assert find_section(e) == first, e
+
+
+@pytest.mark.parametrize("site", [cubes, simplicial], ids=["cube", "simplex"])
+def test_split_epis_match_bruteforce(site):
+    # non-invertible split epis: maps to a lower level with a section
+    for d in range(4):
+        slow = {e for d2 in range(d) for e in site.maps(d, d2)
+                if any(site.compose(e, s) == site.identity(d2)
+                       for s in site.maps(d2, d))}
+        assert set(site.split_epis(d)) == slow, d
 
 
 def test_ez_identity():
