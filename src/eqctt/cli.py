@@ -215,14 +215,22 @@ def parse_lab_object(expr: str, D: int) -> FinPresheaf:
 
 
 def _parse_table_entry(tok: str, dom: int) -> int:
-    if tok == "b":
-        return 0
-    if tok == "t":
-        return dom + 1
-    v = int(tok)
-    if not 1 <= v <= dom:
-        raise click.UsageError(f"table entry {tok} out of range")
-    return v
+    entries = {"b": 0, "t": dom + 1, **{str(j): j for j in range(1, dom + 1)}}
+    if tok not in entries:
+        raise click.UsageError(
+            f"table entry {tok!r} is not b, t or an axis 1..{dom}")
+    return entries[tok]
+
+
+def _within_budget(report: dict, search, *args, **kwargs):
+    """Run a bounded search; if it exceeds the budget, emit ``report`` as
+    budget-exceeded and exit 3."""
+    try:
+        return search(*args, **kwargs)
+    except BudgetExceeded as e:
+        _emit({**report, "result": "budget-exceeded", "detail": str(e)},
+              human=f"budget exceeded: {e}")
+        sys.exit(3)
 
 
 @main.group()
@@ -235,7 +243,7 @@ def lab():
 @click.argument("n", type=int)
 def hom_count(m, n):
     """|Hom(I^m, I^n)|."""
-    count = len(enumerate_hom(m, n))
+    count = len(_usage_on_value_error(enumerate_hom, m, n))
     _emit({"operation": "hom-count", "inputs": {"m": m, "n": n},
            "result": count}, human=str(count))
 
@@ -320,13 +328,9 @@ def lab_iso(lhs, rhs):
     D = CONFIG.dim
     X = parse_lab_object(lhs, D)
     Y = parse_lab_object(rhs, D)
-    try:
-        r = iso_search(X, Y, budget=CONFIG.budget)
-    except BudgetExceeded as e:
-        _emit({"operation": "iso", "inputs": {"lhs": lhs, "rhs": rhs},
-               "bounds": {"D": D}, "result": "budget-exceeded",
-               "detail": str(e)}, human=f"budget exceeded: {e}")
-        sys.exit(3)
+    r = _within_budget(
+        {"operation": "iso", "inputs": {"lhs": lhs, "rhs": rhs},
+         "bounds": {"D": D}}, iso_search, X, Y, budget=CONFIG.budget)
     report = {"operation": "iso", "inputs": {"lhs": lhs, "rhs": rhs},
               "bounds": {"D": D},
               "cell-counts": X.level_sizes(),
@@ -347,8 +351,8 @@ def lab_iso(lhs, rhs):
 @click.option("--map", "map_expr", required=True,
               help="a map expression X->1 (unique map to the terminal) "
                    "or id(X)")
-@click.option("--nmax", type=int, required=True)
-@click.option("--kmax", type=int, required=True)
+@click.option("--nmax", type=click.IntRange(min=0), required=True)
+@click.option("--kmax", type=click.IntRange(min=1), required=True)
 def lab_lift(map_expr, nmax, kmax):
     """Bounded equivariant-lifting certificate for a map."""
     D = CONFIG.dim
@@ -364,15 +368,10 @@ def lab_lift(map_expr, nmax, kmax):
             raise click.UsageError("map must be 'X->1' or 'id(X)'")
         X = parse_lab_object(m.group(1), D)
         f = presheaf_map_to_terminal(X)
-    try:
-        rep = check_equivariant_lifting(f, nmax, kmax, D,
-                                        budget=CONFIG.budget)
-    except BudgetExceeded as e:
-        _emit({"operation": "lift-check", "inputs": {"map": map_expr},
-               "bounds": {"n_max": nmax, "k_max": kmax, "D": D},
-               "result": "budget-exceeded", "detail": str(e)},
-              human=f"budget exceeded: {e}")
-        sys.exit(3)
+    rep = _within_budget(
+        {"operation": "lift-check", "inputs": {"map": map_expr},
+         "bounds": {"n_max": nmax, "k_max": kmax, "D": D}},
+        check_equivariant_lifting, f, nmax, kmax, D, budget=CONFIG.budget)
     out = rep.to_json()
     out["operation"] = "lift-check"
     out["inputs"] = {"map": map_expr}

@@ -7,6 +7,8 @@ with an automorphism sigma of I^k such that the subobject pulls back along
 alpha and xi = sigma . zeta . alpha; it induces alpha x sigma^{-1} between
 the boxes, and chosen lifts must commute with these.
 
+I^n x I^k is the representable I^(n+k), so by Yoneda a bottom or a lift is
+one cell at level n+k, and a top is one cell of X per generator of the box.
 Everything here is a bounded certificate at truncation D: lifting is decided
 exhaustively, and uniformity is a finite constraint-satisfaction search over
 per-square lift choices.
@@ -14,15 +16,16 @@ per-square lift choices.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from typing import Hashable
 
 from . import cubes
-from .cubes import (CubeMap, compose, enumerate_hom, full_symmetric,
-                    perm_cube_map)
-from .presheaf import (BudgetExceeded, FinPresheaf, build_presheaf, product,
-                       representable_cube, terminal_cube)
+from .cubes import (CubeMap, compose, cube_identity, enumerate_hom,
+                    full_symmetric, make_cube_map, perm_cube_map)
+from .presheaf import (BudgetExceeded, FinPresheaf, build_presheaf,
+                       nondegenerate, product, representable_cube,
+                       terminal_cube)
 
 Cell = Hashable
 
@@ -31,36 +34,23 @@ Cell = Hashable
 # subpresheaves of a representable
 
 def close_cells(X: FinPresheaf, seed: dict[int, set]) -> dict[int, frozenset]:
-    """Close a family of cell sets under the whole presheaf action."""
-    cells = {d: set(seed.get(d, set())) for d in range(X.D + 1)}
-    changed = True
-    while changed:
-        changed = False
-        for b in range(X.D + 1):
-            for a in range(X.D + 1):
-                for f in X.site.maps(a, b):
-                    for c in list(cells[b]):
-                        img = X.act(f, c)
-                        if img not in cells[a]:
-                            cells[a].add(img)
-                            changed = True
-    return {d: frozenset(cells[d]) for d in range(X.D + 1)}
+    """Close a family of cell sets under the whole presheaf action: by
+    functoriality the images of the seed cells are already closed."""
+    return {a: frozenset(X.act(f, c) for b, cells in seed.items()
+                         for f in X.site.maps(a, b) for c in cells)
+            for a in range(X.D + 1)}
 
 
 def enumerate_subpresheaves(X: FinPresheaf) -> list[dict[int, frozenset]]:
-    """All subpresheaves of X, as closures of sets of nondegenerate cells."""
-    from .presheaf import nondegenerate
-    nondeg = [(d, c) for d in range(X.D + 1) for c in nondegenerate(X, d)]
-    seen = {}
-    for bits in itertools.product((False, True), repeat=len(nondeg)):
-        seed: dict[int, set] = {}
-        for (d, c), take in zip(nondeg, bits):
-            if take:
-                seed.setdefault(d, set()).add(c)
-        sub = close_cells(X, seed)
-        key = tuple(sorted((d, tuple(sorted(v))) for d, v in sub.items()))
-        seen.setdefault(key, sub)
-    return [seen[k] for k in sorted(seen)]
+    """All subpresheaves of X: the unions of principal subpresheaves of
+    nondegenerate cells, since every cell is a degeneracy of one."""
+    subs = {(frozenset(),) * (X.D + 1)}
+    for d in range(X.D + 1):
+        for c in nondegenerate(X, d):
+            p = close_cells(X, {d: {c}})
+            subs |= {tuple(s[a] | p[a] for a in range(X.D + 1)) for s in subs}
+    return sorted((dict(enumerate(s)) for s in subs), key=lambda sub: tuple(
+        (d, tuple(sorted(cells))) for d, cells in sub.items()))
 
 
 def vertex_cell(n: int, endpoint: int) -> CubeMap:
@@ -71,8 +61,8 @@ def vertex_cell(n: int, endpoint: int) -> CubeMap:
 
 def sub_vertex(n: int, D: int, endpoint: int) -> dict[int, frozenset]:
     """The subpresheaf of I^n generated by the all-0 or all-1 vertex."""
-    X = representable_cube(n, D)
-    return close_cells(X, {0: {vertex_cell(n, endpoint)}})
+    return close_cells(representable_cube(n, D),
+                       {0: {vertex_cell(n, endpoint)}})
 
 
 def sub_empty(n: int, D: int) -> dict[int, frozenset]:
@@ -80,8 +70,7 @@ def sub_empty(n: int, D: int) -> dict[int, frozenset]:
 
 
 def sub_full(n: int, D: int) -> dict[int, frozenset]:
-    X = representable_cube(n, D)
-    return {d: frozenset(X.levels[d]) for d in range(D + 1)}
+    return {d: frozenset(enumerate_hom(d, n)) for d in range(D + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +93,6 @@ class OpenBoxSpec:
         frozen = tuple((d, tuple(sorted(C[d]))) for d in sorted(C))
         return OpenBoxSpec(n, k, frozen, zeta)
 
-    def C_sets(self) -> dict[int, frozenset]:
-        return {d: frozenset(cs) for d, cs in self.C}
-
 
 def build_open_box(spec: OpenBoxSpec, D: int) -> tuple[FinPresheaf, FinPresheaf]:
     """The inclusion of the open box into I^n x I^k, as (domain, ambient).
@@ -120,17 +106,13 @@ def build_open_box(spec: OpenBoxSpec, D: int) -> tuple[FinPresheaf, FinPresheaf]
     In = representable_cube(spec.n, D)
     Ik = representable_cube(spec.k, D)
     amb = product(In, Ik)
-    C = spec.C_sets()
+    C = dict(spec.C)
     levels = {}
     for d in range(D + 1):
         cells = {(a, compose(spec.zeta, a)) for a in In.levels[d]}
         cells |= {(c, b) for c in C[d] for b in Ik.levels[d]}
         levels[d] = tuple(sorted(cells))
-    dom = build_presheaf(cubes, D, levels,
-                         lambda f, c: amb.act(f, c))
-    for d in range(D + 1):
-        assert set(dom.levels[d]) <= set(amb.levels[d])
-    return dom, amb
+    return build_presheaf(cubes, D, levels, amb.act), amb
 
 
 def horn_box_domain(D: int) -> FinPresheaf:
@@ -139,8 +121,7 @@ def horn_box_domain(D: int) -> FinPresheaf:
     spec = OpenBoxSpec.make(
         1, 1, sub_vertex(1, D, 0),
         CubeMap(1, 1, (0, 0, 2)))  # constant 0 map I^1 -> I^1
-    dom, _amb = build_open_box(spec, D)
-    return dom
+    return build_open_box(spec, D)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -165,38 +146,28 @@ def presheaf_map_to_terminal(X: FinPresheaf) -> PresheafMap:
 
 def is_natural(A: FinPresheaf, B: FinPresheaf,
                components: dict[int, dict[Cell, Cell]]) -> bool:
-    for a in range(A.D + 1):
-        for b in range(A.D + 1):
-            for f in A.site.maps(a, b):
-                for c in A.levels[b]:
-                    if components[a][A.act(f, c)] != B.act(f, components[b][c]):
-                        return False
-    return True
+    return all(components[a][A.act(f, c)] == B.act(f, components[b][c])
+               for a in range(A.D + 1) for b in range(A.D + 1)
+               for f in A.site.maps(a, b) for c in A.levels[b])
 
 
 def enumerate_natural_maps(A: FinPresheaf, B: FinPresheaf,
                            seed: dict[int, dict[Cell, Cell]] | None = None,
-                           constraint=None,
                            budget: int = 500_000) -> list[PresheafMap]:
     """All natural transformations A -> B by levelwise backtracking.
 
-    ``seed`` pins images of some cells; ``constraint(d, cell, image)`` can
-    reject candidate images (used to force commuting squares).
+    ``seed`` pins images of some cells.  The lifting check finds maps out of
+    representables by Yoneda instead; tests keep this search as its oracle.
     """
     cells = [(d, c) for d in range(A.D + 1) for c in A.levels[d]]
-    assign: dict[tuple[int, Cell], Cell] = {}
-    if seed:
-        for d, table in seed.items():
-            for c, v in table.items():
-                assign[(d, c)] = v
+    assign: dict[tuple[int, Cell], Cell] = {
+        (d, c): v for d, t in (seed or {}).items() for c, v in t.items()}
     maps_between = {(a, b): A.site.maps(a, b)
                     for a in range(A.D + 1) for b in range(A.D + 1)}
     out: list[PresheafMap] = []
     nodes = 0
 
     def ok(d: int, c: Cell, y: Cell) -> bool:
-        if constraint is not None and not constraint(d, c, y):
-            return False
         # naturality against everything already assigned
         for a in range(A.D + 1):
             for f in maps_between[(a, d)]:
@@ -237,22 +208,94 @@ def enumerate_natural_maps(A: FinPresheaf, B: FinPresheaf,
 
 
 # ---------------------------------------------------------------------------
-# equivariant lifting
+# equivariant lifting, by Yoneda
+
+def _pair(u: CubeMap, v: CubeMap) -> CubeMap:
+    """The map <u, v> : I^a -> I^n x I^k = I^(n+k)."""
+    return make_cube_map(u.dom, u.cod + v.cod, u.table[1:-1] + v.table[1:-1])
+
+
+def _product(u: CubeMap, v: CubeMap) -> CubeMap:
+    """u x v = <u . p1, v . p2> : I^(a+b) -> I^(n+k), for u : I^a -> I^n
+    and v : I^b -> I^k."""
+    a, b = u.dom, v.dom
+    p1 = make_cube_map(a + b, a, tuple(range(1, a + 1)))
+    p2 = make_cube_map(a + b, b, tuple(range(a + 1, a + b + 1)))
+    return _pair(compose(u, p1), compose(v, p2))
+
+
+def _nondegenerate(c: CubeMap) -> bool:
+    """A cell I^d -> I^n is nondegenerate iff its table hits every axis."""
+    return set(range(1, c.dom + 1)) <= set(c.table)
+
 
 @dataclass
-class Square:
-    """A commuting square from a box inclusion into f: top on the domain,
-    bottom on the ambient cube product."""
+class Box:
+    """An open box as cells of I^(n+k): ``cells`` lists each box cell in
+    sorted order as (cell, i, h) with cell = gens[i] . h, and ``relations[i]``
+    holds each (h, j, h2) with gens[i] . h = gens[j] . h2 nondegenerate and
+    j < i.  Every cell is e . t with e nondegenerate and t a split epi, and
+    generators are monos, so agreeing at e means agreeing at e . t."""
     spec: OpenBoxSpec
-    top: PresheafMap
-    bot: PresheafMap
+    gens: list[CubeMap]
+    cells: list[tuple[CubeMap, int, CubeMap]]
+    relations: list[list[tuple[CubeMap, int, CubeMap]]]
 
-    def key(self):
-        return (self.spec,
-                tuple(sorted((d, c, v) for d, t in self.top.components.items()
-                             for c, v in t.items())),
-                tuple(sorted((d, c, v) for d, t in self.bot.components.items()
-                             for c, v in t.items())))
+    @staticmethod
+    def make(spec: OpenBoxSpec, D: int) -> "Box":
+        """Generators: the graph (id, zeta) of zeta, and c x id for each
+        nondegenerate c in C, higher cells first so that relations pin the
+        images of their faces."""
+        gens = [_pair(cube_identity(spec.n), spec.zeta)]
+        for _, cells in reversed(spec.C):
+            gens += [_product(c, cube_identity(spec.k)) for c in cells
+                     if _nondegenerate(c)]
+        first: dict[CubeMap, tuple[int, CubeMap]] = {}
+        relations: list[list] = [[] for _ in gens]
+        for i, g in enumerate(gens):
+            for d in range(D + 1):
+                for h in enumerate_hom(d, g.dom):
+                    e = compose(g, h)
+                    if e not in first:
+                        first[e] = (i, h)
+                    elif _nondegenerate(e):
+                        relations[i].append((h, *first[e]))
+        return Box(spec, gens,
+                   [(e, i, h) for e, (i, h) in sorted(first.items())],
+                   relations)
+
+    def tops(self, X: FinPresheaf, spend) -> list[tuple]:
+        """The natural maps from the box to X, as generator images that agree
+        on every relation, in the order ``enumerate_natural_maps`` finds
+        them.  ``spend(count)`` is charged for every candidate image."""
+        tops = [()]
+        for g, relations in zip(self.gens, self.relations):
+            spend(len(tops) * len(X.levels[g.dom]))
+            tops = [top + (x,) for top in tops for x in X.levels[g.dom]
+                    if all(X.act(h, x) == X.act(h2, top[j])
+                           for h, j, h2 in relations)]
+        return _search_order(X, tops, lambda top: [
+            (h, top[i]) for _, i, h in self.cells])
+
+    def top_map(self, X: FinPresheaf, top: tuple) -> dict[int, dict]:
+        """The components of a top on the cells of ``build_open_box``'s
+        domain, which are the pairs of projections to I^n and I^k."""
+        n, k = self.spec.n, self.spec.k
+        components: dict[int, dict] = {d: {} for d in range(X.D + 1)}
+        for e, i, h in self.cells:
+            pair = (make_cube_map(e.dom, n, e.table[1:n + 1]),
+                    make_cube_map(e.dom, k, e.table[n + 1:-1]))
+            components[e.dom][pair] = X.act(h, top[i])
+        return components
+
+
+def _search_order(P: FinPresheaf, maps: list, images) -> list:
+    """``maps`` into P in the order ``enumerate_natural_maps`` finds them:
+    by the positions of the cells P.act(h, x), (h, x) in ``images(map)``."""
+    position = [{c: i for i, c in enumerate(P.levels[d])}
+                for d in range(P.D + 1)]
+    return maps if len(maps) < 2 else sorted(maps, key=lambda m: tuple(
+        position[h.dom][P.act(h, x)] for h, x in images(m)))
 
 
 @dataclass
@@ -264,7 +307,6 @@ class LiftReport:
     squares: int = 0
     refutation: dict | None = None
     detail: str = ""
-    choice_sizes: list[int] = field(default_factory=list)
 
     def to_json(self) -> dict:
         out = {"passed": self.passed, "D": self.D, "bounds": self.bounds,
@@ -275,168 +317,130 @@ class LiftReport:
         return out
 
 
-def _describe_square(sq: Square) -> dict:
-    return {
-        "n": sq.spec.n, "k": sq.spec.k,
-        "zeta": list(sq.spec.zeta.table),
-        "C_sizes": [len(cs) for _, cs in sq.spec.C],
-        "top": {str(d): {str(c): str(v) for c, v in t.items()}
-                for d, t in sq.top.components.items()},
-    }
-
-
 def check_equivariant_lifting(f: PresheafMap, n_max: int, k_max: int,
                               D: int, budget: int = 500_000) -> LiftReport:
-    """Search for lifts against every open box within bounds, then for a
-    uniform equivariant choice of lifts.
-
-    Reports distinguish 'no lift exists' (with a refuting square) from
-    'lifts exist but no uniform equivariant choice found within budget'.
-    """
+    """Find the lifts against every open box within bounds, then a uniform
+    equivariant choice of lifts.  A square is a top and a bottom y in Y at
+    level n+k; its lifts are the cells x of X at level n+k with f(x) = y
+    that restrict to the top.  Reports distinguish 'no lift exists' (with a
+    refuting square) from 'lifts exist but no uniform equivariant choice
+    exists within the bounds'.  ``budget`` caps the top candidates and the
+    uniformity nodes of the whole check together."""
     X, Y = f.src, f.dst
-    bounds = {"n_max": n_max, "k_max": k_max}
-    report = LiftReport(False, D, bounds)
+    report = LiftReport(False, D, {"n_max": n_max, "k_max": k_max})
+    nodes = 0
 
-    specs: list[OpenBoxSpec] = []
-    for n in range(n_max + 1):
-        In = representable_cube(n, D)
-        subs = enumerate_subpresheaves(In)
-        for k in range(1, k_max + 1):
-            if n + k > D:
-                continue
+    def spend(count: int = 1) -> None:
+        nonlocal nodes
+        nodes += count
+        if nodes > budget:
+            raise BudgetExceeded(f"lift check exceeded budget {budget}")
+
+    # a box needs n + k <= D with k >= 1, so n <= D - 1
+    n_top = min(n_max, D - 1)
+    boxes: list[Box] = []
+    for n in range(n_top + 1):
+        subs = enumerate_subpresheaves(representable_cube(n, D))
+        for k in range(1, min(k_max, D - n) + 1):
             for zeta in enumerate_hom(n, k):
-                for C in subs:
-                    specs.append(OpenBoxSpec.make(n, k, C, zeta))
-    report.boxes = len(specs)
+                boxes += [Box.make(OpenBoxSpec.make(n, k, C, zeta), D)
+                          for C in subs]
+    report.boxes = len(boxes)
 
-    built = {spec: build_open_box(spec, D) for spec in specs}
-
-    # enumerate commuting squares and their lift sets
-    squares: dict[tuple, tuple[Square, list[PresheafMap]]] = {}
-    for spec in specs:
-        dom, amb = built[spec]
-        tops = enumerate_natural_maps(dom, X, budget=budget)
-        for top in tops:
-            bot_seed = {d: {c: f(d, top(d, c)) for c in dom.levels[d]}
-                        for d in range(D + 1)}
-            bots = enumerate_natural_maps(amb, Y, seed=bot_seed, budget=budget)
-            for bot in bots:
-                sq = Square(spec, top, bot)
-                lift_seed = {d: dict(top.components[d]) for d in range(D + 1)}
-
-                def lift_constraint(d, c, y, _bot=bot):
-                    return f(d, y) == _bot(d, c)
-
-                lifts = enumerate_natural_maps(
-                    amb, X, seed=lift_seed, constraint=lift_constraint,
-                    budget=budget)
-                if not lifts:
-                    report.refutation = _describe_square(sq)
+    # squares (box number b, top, y) and their lifts, in the order the
+    # searches found them; x lifts the square square_of[b, x]
+    squares: dict[tuple, list[Cell]] = {}
+    square_of: dict[tuple[int, Cell], tuple] = {}
+    for b, box in enumerate(boxes):
+        N = box.spec.n + box.spec.k
+        lifts: dict[tuple, list[Cell]] = {}
+        for x in X.levels[N]:
+            key = square_of[b, x] = (
+                b, tuple(X.act(g, x) for g in box.gens), f(N, x))
+            lifts.setdefault(key, []).append(x)
+        bottoms: dict[tuple, list[Cell]] = {}
+        for y in Y.levels[N]:
+            bottoms.setdefault(tuple(Y.act(g, y) for g in box.gens),
+                               []).append(y)
+        for top in box.tops(X, spend):
+            below = tuple(f(g.dom, x) for g, x in zip(box.gens, top))
+            for y in _search_order(Y, bottoms.get(below, []), lambda y: [
+                    (e, y) for d in range(D + 1) for e in enumerate_hom(d, N)]):
+                if (b, top, y) not in lifts:
+                    spec = box.spec
+                    report.refutation = {
+                        "n": spec.n, "k": spec.k,
+                        "zeta": list(spec.zeta.table),
+                        "C_sizes": [len(cs) for _, cs in spec.C],
+                        "top": {str(d): {str(c): str(v) for c, v in t.items()}
+                                for d, t in box.top_map(X, top).items()}}
                     report.detail = "no lift exists for this open box"
                     report.squares = len(squares) + 1
                     return report
-                squares[sq.key()] = (sq, lifts)
+                squares[b, top, y] = lifts[b, top, y]
     report.squares = len(squares)
-    report.choice_sizes = [len(l) for _, l in squares.values()]
 
-    # uniformity constraints from box morphisms (alpha, sigma)
-    constraints = []  # (small_key, big_key, cellwise composition map)
-    for spec in specs:
-        C = spec.C_sets()
-        dom, amb = built[spec]
-        for m in range(n_max + 1):
+    # box morphisms (alpha, sigma) into each box, as the number of their
+    # domain box and the cube map alpha x sigma^{-1} : I^(m+k) -> I^(n+k)
+    @cache
+    def pullback(C: tuple, alpha: CubeMap) -> dict[int, frozenset]:
+        cells = {c for _, cs in C for c in cs}
+        return {d: frozenset(c for c in enumerate_hom(d, alpha.dom)
+                             if compose(alpha, c) in cells)
+                for d in range(D + 1)}
+
+    number = {box.spec: b for b, box in enumerate(boxes)}
+    morphisms: list[list[tuple[int, CubeMap]]] = [[] for _ in boxes]
+    for b, box in enumerate(boxes):
+        spec, k = box.spec, box.spec.k
+        for m in range(min(n_top, D - k) + 1):
             for alpha in enumerate_hom(m, spec.n):
-                Im = representable_cube(m, D)
-                D_sub = {d: frozenset(c for c in Im.levels[d]
-                                      if compose(alpha, c) in C[d])
-                         for d in range(D + 1)}
-                for perm in full_symmetric(spec.k).perms:
-                    sigma = perm_cube_map(perm)
-                    inv = perm_cube_map(tuple(
-                        sorted(range(1, spec.k + 1), key=lambda j: perm[j - 1])))
-                    xi = compose(sigma, compose(spec.zeta, alpha))
-                    small = OpenBoxSpec.make(m, spec.k, D_sub, xi)
-                    if small not in built:
-                        continue
-                    # the induced map alpha x sigma^{-1} on ambient cells
-                    def g(cell, _a=alpha, _s=inv):
-                        return (compose(_a, cell[0]), compose(_s, cell[1]))
-                    constraints.append((small, spec, g))
+                for p in full_symmetric(k).perms:
+                    inverse = perm_cube_map(tuple(
+                        sorted(range(1, k + 1), key=lambda j: p[j - 1])))
+                    xi = compose(perm_cube_map(p), compose(spec.zeta, alpha))
+                    morphisms[b].append((
+                        number[OpenBoxSpec.make(m, k, pullback(spec.C, alpha),
+                                                xi)],
+                        _product(alpha, inverse)))
 
-    # the CSP: pick one lift per square so every constraint commutes
+    # the CSP: one lift per square, such that a lift x of a square forces
+    # the lift X.act(G, x) on its pullback along every box morphism G
+    def forced_by(key: tuple, x: Cell) -> dict | None:
+        spend()
+        forced = {key: x}
+        for small, G in morphisms[key[0]]:
+            x2 = X.act(G, x)
+            skey = square_of[small, x2]
+            if choice.get(skey, forced.setdefault(skey, x2)) != x2:
+                return None
+        return forced
+
     keys = list(squares)
-    choice: dict[tuple, PresheafMap] = {}
-
-    def composed_square(small: OpenBoxSpec, big_sq: Square, g) -> tuple | None:
-        dom_s, amb_s = built[small]
-        top_c = {d: {c: big_sq.top(d, g(c)) for c in dom_s.levels[d]}
-                 for d in range(D + 1)}
-        bot_c = {d: {c: big_sq.bot(d, g(c)) for c in amb_s.levels[d]}
-                 for d in range(D + 1)}
-        sq = Square(small, PresheafMap(dom_s, X, top_c),
-                    PresheafMap(amb_s, Y, bot_c))
-        return sq.key() if sq.key() in squares else None
-
-    # propagate: assignments on big squares force assignments on pulled-back ones
-    def solve(i: int, nodes: list[int]) -> bool:
-        if i == len(keys):
-            return True
-        key = keys[i]
-        if key in choice:
-            return solve(i + 1, nodes)
-        sq, lifts = squares[key]
-        for lift in lifts:
-            nodes[0] += 1
-            if nodes[0] > budget:
-                raise BudgetExceeded(f"uniformity search exceeded {budget}")
-            forced: dict[tuple, PresheafMap] = {}
-            ok = True
-            for small, big, g in constraints:
-                if big != sq.spec:
-                    continue
-                skey = composed_square(small, sq, g)
-                if skey is None:
-                    continue
-                dom_s, amb_s = built[small]
-                comp_map = {d: {c: lift(d, g(c)) for c in amb_s.levels[d]}
-                            for d in range(D + 1)}
-                forced_lift = PresheafMap(amb_s, X, comp_map)
-                prev = choice.get(skey, forced.get(skey))
-                if prev is not None and prev.components != comp_map:
-                    ok = False
-                    break
-                if any(l.components == comp_map for l in squares[skey][1]):
-                    forced[skey] = forced_lift
-                else:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            choice[key] = lift
-            added = []
-            for skey, flift in forced.items():
-                if skey not in choice:
-                    choice[skey] = flift
-                    added.append(skey)
-                elif choice[skey].components != flift.components:
-                    ok = False
-                    break
-            if ok and solve(i + 1, nodes):
-                return True
-            for skey in added:
+    choice: dict[tuple, Cell] = {}
+    stack: list[tuple] = []  # (key index, untried lifts, squares it set)
+    i = 0
+    while i < len(keys):
+        if keys[i] in choice:
+            i += 1
+            continue
+        stack.append((i, iter(squares[keys[i]]), []))
+        while stack:  # the next untried lift of the latest choice
+            i, untried, assigned = stack[-1]
+            for skey in assigned:
                 del choice[skey]
-            del choice[key]
-        return False
-
-    try:
-        if solve(0, [0]):
-            report.passed = True
-            report.detail = (f"uniform equivariant lifts chosen for "
-                             f"{len(squares)} squares against {len(specs)} boxes")
+            forced = next(filter(None, (forced_by(keys[i], x)
+                                        for x in untried)), None)
+            if forced is not None:
+                assigned[:] = [s for s in forced if s not in choice]
+                choice.update(forced)
+                break
+            stack.pop()
+        else:
+            report.detail = ("lifts exist but no uniform equivariant choice "
+                             "exists within the bounds")
             return report
-        report.detail = ("lifts exist but no uniform equivariant choice "
-                         "found within budget")
-        return report
-    except BudgetExceeded:
-        report.detail = "combinatorial budget exceeded"
-        raise
+    report.passed = True
+    report.detail = (f"uniform equivariant lifts chosen for {len(squares)} "
+                     f"squares against {len(boxes)} boxes")
+    return report

@@ -108,9 +108,6 @@ class GroupAction:
                 assert tuple(p[q[j - 1] - 1] for j in range(1, self.n + 1)) \
                     in self.perms
 
-    def cube_maps(self) -> list[CubeMap]:
-        return [perm_cube_map(p) for p in self.perms]
-
 
 def full_symmetric(n: int) -> GroupAction:
     return GroupAction(n, tuple(itertools.permutations(range(1, n + 1))))

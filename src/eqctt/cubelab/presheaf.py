@@ -258,11 +258,8 @@ def iso_search(X: FinPresheaf, Y: FinPresheaf,
 
         return place(0)
 
-    try:
-        if assign_level(0):
-            return IsoResult(True, witness=phi, nodes=nodes)
-    except BudgetExceeded:
-        raise
+    if assign_level(0):
+        return IsoResult(True, witness=phi, nodes=nodes)
     return IsoResult(False, reason="exhausted all level bijections",
                      nodes=nodes)
 

@@ -1,14 +1,16 @@
 import pytest
 
-from eqctt.cubelab.boxes import (OpenBoxSpec, PresheafMap, build_open_box,
-                                 check_equivariant_lifting,
+from eqctt.cubelab.boxes import (Box, OpenBoxSpec, PresheafMap,
+                                 build_open_box, check_equivariant_lifting,
                                  enumerate_natural_maps,
                                  enumerate_subpresheaves, horn_box_domain,
                                  presheaf_map_to_terminal, sub_empty,
                                  sub_full, sub_vertex)
-from eqctt.cubelab.cubes import CubeMap, make_cube_map
+from eqctt.cubelab.cubes import (CubeMap, compose, enumerate_hom,
+                                 full_symmetric, make_cube_map, perm_cube_map)
 from eqctt.cubelab.presheaf import (check_functorial, iso_search,
-                                    representable_cube, terminal_cube)
+                                    quotient_by_group, representable_cube,
+                                    terminal_cube)
 
 
 def test_subpresheaves_of_interval():
@@ -99,3 +101,174 @@ def test_interval_to_terminal_is_refuted_by_connection_square():
     assert not rep.passed
     assert rep.refutation is not None
     assert rep.refutation["n"] == 1 and rep.refutation["k"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the cell-based check against the natural-map search it replaced
+
+def _identity(X):
+    return PresheafMap(X, X, {d: {c: c for c in X.levels[d]}
+                              for d in range(X.D + 1)})
+
+
+ORACLE_MAPS = {
+    "I1->1": lambda D: presheaf_map_to_terminal(representable_cube(1, D)),
+    "horn->1": lambda D: presheaf_map_to_terminal(horn_box_domain(D)),
+    "id(I1)": lambda D: _identity(representable_cube(1, D)),
+}
+
+
+def _specs(n_max, k_max, D):
+    return [OpenBoxSpec.make(n, k, C, zeta)
+            for n in range(n_max + 1)
+            for C in enumerate_subpresheaves(representable_cube(n, D))
+            for k in range(1, k_max + 1) if n + k <= D
+            for zeta in enumerate_hom(n, k)]
+
+
+def _generic_cell(n, k):
+    """The cell of I^n x I^k at level n+k that is the identity of I^(n+k):
+    the pair of its projections."""
+    return (make_cube_map(n + k, n, tuple(range(1, n + 1))),
+            make_cube_map(n + k, k, tuple(range(n + 1, n + k + 1))))
+
+
+def _no_budget(count=1):
+    pass
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+def test_yoneda_squares_match_natural_map_search(name):
+    D = 2
+    f = ORACLE_MAPS[name](D)
+    X, Y = f.src, f.dst
+    for spec in _specs(1, 1, D):
+        box = Box.make(spec, D)
+        dom, amb = build_open_box(spec, D)
+        tops = box.tops(X, _no_budget)
+        # the tops, built from generator images, are the natural maps from
+        # the box domain, in the order the search finds them
+        assert [box.top_map(X, top) for top in tops] == \
+            [m.components for m in enumerate_natural_maps(dom, X)]
+        N, generic = spec.n + spec.k, _generic_cell(spec.n, spec.k)
+        for top in tops:
+            top_map = box.top_map(X, top)
+            below = {d: {c: f(d, x) for c, x in t.items()}
+                     for d, t in top_map.items()}
+            bottoms = [b(N, generic) for b in
+                       enumerate_natural_maps(amb, Y, seed=below)]
+            assert set(bottoms) == {
+                y for y in Y.levels[N]
+                if all(Y.act(g, y) == f(g.dom, x)
+                       for g, x in zip(box.gens, top))}
+            searched = [m(N, generic) for m in
+                        enumerate_natural_maps(amb, X, seed=top_map)]
+            for y in bottoms:
+                # a lift is a cell x at level n+k over y restricting to top
+                lifts = {x for x in X.levels[N] if f(N, x) == y
+                         and tuple(X.act(g, x) for g in box.gens) == top}
+                assert lifts == {x for x in searched if f(N, x) == y}
+
+
+def test_interval_refutation_rechecked_by_search():
+    # criterion 8a's refuting square, found again by the natural-map search,
+    # has no lift by that search either
+    D = 3
+    X = representable_cube(1, D)
+    f = presheaf_map_to_terminal(X)
+    ref = check_equivariant_lifting(f, n_max=1, k_max=1, D=D).refutation
+    matches = []
+    for spec in _specs(1, 1, D):
+        if (spec.n, spec.k, list(spec.zeta.table),
+                [len(cs) for _, cs in spec.C]) != \
+                (ref["n"], ref["k"], ref["zeta"], ref["C_sizes"]):
+            continue
+        dom, amb = build_open_box(spec, D)
+        matches += [(amb, top) for top in enumerate_natural_maps(dom, X)
+                    if {str(d): {str(c): str(v) for c, v in t.items()}
+                        for d, t in top.components.items()} == ref["top"]]
+    assert len(matches) == 1
+    amb, top = matches[0]
+    below = {d: {c: f(d, x) for c, x in t.items()}
+             for d, t in top.components.items()}
+    assert len(enumerate_natural_maps(amb, f.dst, seed=below)) == 1
+    assert enumerate_natural_maps(amb, X, seed=top.components) == []
+
+
+def _subpresheaves_by_fixpoint(X):
+    """Every subpresheaf, by closing under the action until nothing changes,
+    starting from each set reachable by adding one cell at a time."""
+    def close(cells):
+        while True:
+            more = {(a, X.act(f, c)) for b, c in cells
+                    for a in range(X.D + 1) for f in X.site.maps(a, b)}
+            if more <= cells:
+                return frozenset(cells)
+            cells = cells | more
+
+    found, todo = {frozenset()}, [frozenset()]
+    while todo:
+        sub = todo.pop()
+        for d in range(X.D + 1):
+            for c in X.levels[d]:
+                bigger = close(sub | {(d, c)})
+                if bigger not in found:
+                    found.add(bigger)
+                    todo.append(bigger)
+    return found
+
+
+@pytest.mark.parametrize("n, D", [(n, D) for n in range(3)
+                                  for D in range(1, 3)])
+def test_subpresheaves_match_fixpoint_closure(n, D):
+    X = representable_cube(n, D)
+    subs = enumerate_subpresheaves(X)
+    as_sets = [frozenset((d, c) for d, cells in sub.items() for c in cells)
+               for sub in subs]
+    assert len(set(as_sets)) == len(subs)
+    assert set(as_sets) == _subpresheaves_by_fixpoint(X)
+    assert all(sorted(sub) == list(range(D + 1)) for sub in subs)
+
+
+@pytest.mark.parametrize("name", ["1->1", "id(I1)"])
+def test_sigma2_acts_on_boxes_with_n1(name):
+    # at k = 2 a nontrivial sigma in Sigma_2 acts on the boxes, also on those
+    # with n = 1; a box is (n, k, C, zeta) with C a subobject of I^n and
+    # zeta one of the (n+2)^k maps I^n -> I^k
+    D, n_max, k_max = 3, 1, 2
+    boxes = [(n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)
+             if n + k <= D for _ in range(
+                 len(_subpresheaves_by_fixpoint(representable_cube(n, D)))
+                 * (n + 2) ** k)]
+    assert len(boxes) == 72
+    # by Yoneda a square into id(I1) is its bottom, one of the n+k+2 cells
+    # of I1 at level n+k; into 1 -> 1 there is one square per box
+    if name == "1->1":
+        f, squares = presheaf_map_to_terminal(terminal_cube(D)), len(boxes)
+    else:
+        f = _identity(representable_cube(1, D))
+        squares = sum(n + k + 2 for n, k in boxes)
+    rep = check_equivariant_lifting(f, n_max=n_max, k_max=k_max, D=D)
+    assert rep.passed, rep.detail
+    assert (rep.boxes, rep.squares) == (len(boxes), squares)
+
+
+def test_quotient_map_has_lifts_but_no_equivariant_choice():
+    # f : I^2 -> I^2/Sigma_2.  Against the box (n=0, k=2, C empty, zeta the
+    # vertex (0,0)) the square whose bottom is the orbit of the identity
+    # 2-cell has the lifts id and swap; the box morphism (id, swap) maps that
+    # square to itself and the chosen lift x to x . swap, so no lift is fixed
+    D = 2
+    X = representable_cube(2, D)
+    group = full_symmetric(2)
+    Q = quotient_by_group(X, group)
+    orbit = {c: min(compose(perm_cube_map(p), c) for p in group.perms)
+             for d in range(D + 1) for c in X.levels[d]}
+    f = PresheafMap(X, Q, {d: {c: orbit[c] for c in X.levels[d]}
+                           for d in range(D + 1)})
+    rep = check_equivariant_lifting(f, n_max=0, k_max=2, D=D)
+    assert not rep.passed and rep.refutation is None
+    assert rep.detail == ("lifts exist but no uniform equivariant choice "
+                          "exists within the bounds")
+    # without Sigma_2 acting (k = 1) a uniform choice exists
+    assert check_equivariant_lifting(f, n_max=0, k_max=1, D=D).passed

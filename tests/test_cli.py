@@ -195,3 +195,41 @@ def test_lab_budget_exceeded_exit3():
     r = run("--budget", "1", "lab", "iso", "--lhs", "T(I2/S2)",
             "--rhs", "Delta2")
     assert r.exit_code == 3
+
+
+def test_lab_lift_budget_exceeded_exit3():
+    # one budget caps the whole check: top candidates and uniformity nodes
+    r = run("--json", "--budget", "5", "--dim", "2", "lab", "lift-check",
+            "--map", "1->1", "--nmax", "1", "--kmax", "1")
+    assert r.exit_code == 3
+    assert json.loads(r.output)["result"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize("bounds", [("--nmax", "-1", "--kmax", "1"),
+                                    ("--nmax", "0", "--kmax", "0")],
+                         ids=" ".join)
+def test_lab_lift_check_rejects_empty_bounds(bounds):
+    # no box has n < 0 or k < 1, so these bounds would pass vacuously
+    r = run("--json", "--dim", "2", "lab", "lift-check", "--map", "1->1",
+            *bounds)
+    assert r.exit_code == 2
+
+
+def test_lab_lift_check_nmax_beyond_dim():
+    # a box needs n + k <= D with k >= 1, so --nmax above D - 1 adds nothing
+    reports = [json.loads(run("--json", "--dim", "2", "lab", "lift-check",
+                              "--map", "1->1", "--nmax", nmax,
+                              "--kmax", "1").output)
+               for nmax in ("1", "3")]
+    for key in ("boxes", "squares", "passed"):
+        assert reports[0][key] == reports[1][key]
+
+
+@pytest.mark.parametrize("args", [("hom-count", "17", "1"),
+                                  ("ez-factor", "--dom", "2", "--cod", "1",
+                                   "--table", "x")], ids=" ".join)
+def test_lab_value_errors_are_usage_errors(args):
+    r = run("lab", *args)
+    assert r.exit_code == 2
+    assert "Traceback" not in r.output
+    assert "Error:" in r.output
