@@ -73,7 +73,7 @@ def _check_file(path: str):
     except SyntaxError_ as e:
         report = {"file": path, "decls": [
             {"name": "<parse>", "status": "error",
-             "diagnostics": [{"code": "SyntaxError", "message": e.message,
+             "diagnostics": [{"code": e.code, "message": e.message,
                               "line": e.pos[0], "col": e.pos[1]}]}]}
         return None, report
     mod = check_module(decls)
@@ -239,8 +239,8 @@ def lab():
 
 
 @lab.command("hom-count")
-@click.argument("m", type=int)
-@click.argument("n", type=int)
+@click.argument("m", type=click.IntRange(min=0))
+@click.argument("n", type=click.IntRange(min=0))
 def hom_count(m, n):
     """|Hom(I^m, I^n)|."""
     count = len(_usage_on_value_error(enumerate_hom, m, n))
@@ -249,11 +249,9 @@ def hom_count(m, n):
 
 
 @lab.command("automorphisms")
-@click.argument("n", type=int)
+@click.argument("n", type=click.IntRange(min=1))
 def lab_automorphisms(n):
     """The automorphism group of I^n."""
-    if n < 1:
-        raise click.UsageError("n must be >= 1")
     g = automorphisms(n)
     _emit({"operation": "automorphisms", "inputs": {"n": n},
            "result": len(g.perms),
@@ -263,8 +261,8 @@ def lab_automorphisms(n):
 
 
 @lab.command("ez-factor")
-@click.option("--dom", type=int, required=True)
-@click.option("--cod", type=int, required=True)
+@click.option("--dom", type=click.IntRange(min=0), required=True)
+@click.option("--cod", type=click.IntRange(min=0), required=True)
 @click.option("--table", required=True,
               help="comma-separated middles of the bipointed table "
                    "<cod> -> <dom>; entries b, t or an axis number")
@@ -337,8 +335,8 @@ def lab_iso(lhs, rhs):
               "result": "isomorphic" if r.found else "not-isomorphic"}
     if r.found:
         report["witness"] = {
-            str(d): {str(c): str(v) for c, v in sorted(
-                ((str(c), v) for c, v in r.witness[d].items()))}
+            str(d): {str(X.levels[d][x]): str(Y.levels[d][y])
+                     for x, y in enumerate(r.witness[d])}
             for d in r.witness}
         human = f"isomorphic (levels {X.level_sizes()})"
     else:
@@ -360,7 +358,7 @@ def lab_lift(map_expr, nmax, kmax):
     if m:
         X = parse_lab_object(m.group(1), D)
         from .cubelab.boxes import PresheafMap
-        f = PresheafMap(X, X, {d: {c: c for c in X.levels[d]}
+        f = PresheafMap(X, X, {d: {c: c for c in X.cells(d)}
                                for d in range(D + 1)})
     else:
         m = re.fullmatch(r"\s*(.+?)\s*->\s*1\s*", map_expr)
@@ -379,11 +377,11 @@ def lab_lift(map_expr, nmax, kmax):
 
 
 @lab.command("open-box")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=0), required=True)
+@click.option("--k", type=click.IntRange(min=1), required=True)
 @click.option("--zeta", required=True,
               help="middles of the table <k> -> <n> (b, t or axis number), "
-                   "comma separated; empty for k=0")
+                   "comma separated")
 @click.option("--sub", default="empty",
               type=click.Choice(["empty", "full", "v0", "v1"]),
               help="the subobject C of I^n")

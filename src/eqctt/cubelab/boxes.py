@@ -18,16 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Hashable
 
 from . import cubes
 from .cubes import (CubeMap, compose, cube_identity, enumerate_hom,
                     full_symmetric, make_cube_map, perm_cube_map)
-from .presheaf import (BudgetExceeded, FinPresheaf, build_presheaf,
-                       nondegenerate, product, representable_cube,
-                       terminal_cube)
-
-Cell = Hashable
+from .presheaf import (BudgetExceeded, Cell, FinPresheaf, build_presheaf,
+                       label_table, nondegenerate, product,
+                       representable_cube, terminal_cube)
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +38,16 @@ def close_cells(X: FinPresheaf, seed: dict[int, set]) -> dict[int, frozenset]:
             for a in range(X.D + 1)}
 
 
-def enumerate_subpresheaves(X: FinPresheaf) -> list[dict[int, frozenset]]:
+def enumerate_subpresheaves(X: FinPresheaf, spend=lambda count: None
+                            ) -> list[dict[int, frozenset]]:
     """All subpresheaves of X: the unions of principal subpresheaves of
-    nondegenerate cells, since every cell is a degeneracy of one."""
+    nondegenerate cells, since every cell is a degeneracy of one.
+    ``spend(count)`` is charged for the unions of each step."""
     subs = {(frozenset(),) * (X.D + 1)}
     for d in range(X.D + 1):
         for c in nondegenerate(X, d):
             p = close_cells(X, {d: {c}})
+            spend(len(subs))
             subs |= {tuple(s[a] | p[a] for a in range(X.D + 1)) for s in subs}
     return sorted((dict(enumerate(s)) for s in subs), key=lambda sub: tuple(
         (d, tuple(sorted(cells))) for d, cells in sub.items()))
@@ -61,8 +61,8 @@ def vertex_cell(n: int, endpoint: int) -> CubeMap:
 
 def sub_vertex(n: int, D: int, endpoint: int) -> dict[int, frozenset]:
     """The subpresheaf of I^n generated by the all-0 or all-1 vertex."""
-    return close_cells(representable_cube(n, D),
-                       {0: {vertex_cell(n, endpoint)}})
+    In = representable_cube(n, D)
+    return close_cells(In, {0: {In.levels[0].index(vertex_cell(n, endpoint))}})
 
 
 def sub_empty(n: int, D: int) -> dict[int, frozenset]:
@@ -70,7 +70,8 @@ def sub_empty(n: int, D: int) -> dict[int, frozenset]:
 
 
 def sub_full(n: int, D: int) -> dict[int, frozenset]:
-    return {d: frozenset(enumerate_hom(d, n)) for d in range(D + 1)}
+    return {d: frozenset(range(len(enumerate_hom(d, n))))
+            for d in range(D + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +79,8 @@ def sub_full(n: int, D: int) -> dict[int, frozenset]:
 
 @dataclass(frozen=True)
 class OpenBoxSpec:
-    """n, k, a subobject C of I^n (cell sets per level), and zeta: I^n -> I^k."""
+    """n, k, a subobject C of I^n (the cells of I^n in it, per level), and
+    zeta: I^n -> I^k."""
     n: int
     k: int
     C: tuple[tuple[int, tuple[Cell, ...]], ...]  # frozen per-level cell sets
@@ -97,9 +99,9 @@ class OpenBoxSpec:
 def build_open_box(spec: OpenBoxSpec, D: int) -> tuple[FinPresheaf, FinPresheaf]:
     """The inclusion of the open box into I^n x I^k, as (domain, ambient).
 
-    Domain cells at level d: pairs (a, zeta . a) for a in (I^n)_d, plus pairs
-    (c, b) with c in C_d.  The inclusion is the identity on cells, hence
-    levelwise injective.
+    Domain labels at level d: pairs (a, zeta . a) for a in (I^n)_d, plus
+    pairs (c, b) with c in C_d.  The inclusion is the identity on labels,
+    hence levelwise injective.
     """
     if spec.n + spec.k > D:
         raise ValueError("n + k exceeds the truncation bound")
@@ -110,9 +112,10 @@ def build_open_box(spec: OpenBoxSpec, D: int) -> tuple[FinPresheaf, FinPresheaf]
     levels = {}
     for d in range(D + 1):
         cells = {(a, compose(spec.zeta, a)) for a in In.levels[d]}
-        cells |= {(c, b) for c in C[d] for b in Ik.levels[d]}
+        cells |= {(In.levels[d][c], b) for c in C[d] for b in Ik.levels[d]}
         levels[d] = tuple(sorted(cells))
-    return build_presheaf(cubes, D, levels, amb.act), amb
+    return build_presheaf(cubes, D, levels, label_table(
+        levels, lambda f, c: (compose(c[0], f), compose(c[1], f)))), amb
 
 
 def horn_box_domain(D: int) -> FinPresheaf:
@@ -139,8 +142,7 @@ class PresheafMap:
 
 def presheaf_map_to_terminal(X: FinPresheaf) -> PresheafMap:
     T = terminal_cube(X.D)
-    comp = {d: {c: T.levels[d][0] for c in X.levels[d]}
-            for d in range(X.D + 1)}
+    comp = {d: {c: 0 for c in X.cells(d)} for d in range(X.D + 1)}
     return PresheafMap(X, T, comp)
 
 
@@ -148,7 +150,7 @@ def is_natural(A: FinPresheaf, B: FinPresheaf,
                components: dict[int, dict[Cell, Cell]]) -> bool:
     return all(components[a][A.act(f, c)] == B.act(f, components[b][c])
                for a in range(A.D + 1) for b in range(A.D + 1)
-               for f in A.site.maps(a, b) for c in A.levels[b])
+               for f in A.site.maps(a, b) for c in A.cells(b))
 
 
 def enumerate_natural_maps(A: FinPresheaf, B: FinPresheaf,
@@ -159,7 +161,7 @@ def enumerate_natural_maps(A: FinPresheaf, B: FinPresheaf,
     ``seed`` pins images of some cells.  The lifting check finds maps out of
     representables by Yoneda instead; tests keep this search as its oracle.
     """
-    cells = [(d, c) for d in range(A.D + 1) for c in A.levels[d]]
+    cells = [(d, c) for d in range(A.D + 1) for c in A.cells(d)]
     assign: dict[tuple[int, Cell], Cell] = {
         (d, c): v for d, t in (seed or {}).items() for c, v in t.items()}
     maps_between = {(a, b): A.site.maps(a, b)
@@ -194,7 +196,7 @@ def enumerate_natural_maps(A: FinPresheaf, B: FinPresheaf,
             if ok(d, c, assign[(d, c)]):
                 place(i + 1)
             return
-        for y in B.levels[d]:
+        for y in B.cells(d):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"natural-map search exceeded {budget}")
@@ -247,9 +249,10 @@ class Box:
         nondegenerate c in C, higher cells first so that relations pin the
         images of their faces."""
         gens = [_pair(cube_identity(spec.n), spec.zeta)]
-        for _, cells in reversed(spec.C):
-            gens += [_product(c, cube_identity(spec.k)) for c in cells
-                     if _nondegenerate(c)]
+        for d, cells in reversed(spec.C):
+            level = enumerate_hom(d, spec.n)
+            gens += [_product(level[c], cube_identity(spec.k)) for c in cells
+                     if _nondegenerate(level[c])]
         first: dict[CubeMap, tuple[int, CubeMap]] = {}
         relations: list[list] = [[] for _ in gens]
         for i, g in enumerate(gens):
@@ -271,7 +274,7 @@ class Box:
         tops = [()]
         for g, relations in zip(self.gens, self.relations):
             spend(len(tops) * len(X.levels[g.dom]))
-            tops = [top + (x,) for top in tops for x in X.levels[g.dom]
+            tops = [top + (x,) for top in tops for x in X.cells(g.dom)
                     if all(X.act(h, x) == X.act(h2, top[j])
                            for h, j, h2 in relations)]
         return _search_order(X, tops, lambda top: [
@@ -279,23 +282,20 @@ class Box:
 
     def top_map(self, X: FinPresheaf, top: tuple) -> dict[int, dict]:
         """The components of a top on the cells of ``build_open_box``'s
-        domain, which are the pairs of projections to I^n and I^k."""
-        n, k = self.spec.n, self.spec.k
+        domain.  Its label (a, b) at level d is the cell <a, b> of I^(n+k),
+        so the j-th box cell at level d, in sorted order, is its cell j."""
         components: dict[int, dict] = {d: {} for d in range(X.D + 1)}
         for e, i, h in self.cells:
-            pair = (make_cube_map(e.dom, n, e.table[1:n + 1]),
-                    make_cube_map(e.dom, k, e.table[n + 1:-1]))
-            components[e.dom][pair] = X.act(h, top[i])
+            level = components[e.dom]
+            level[len(level)] = X.act(h, top[i])
         return components
 
 
 def _search_order(P: FinPresheaf, maps: list, images) -> list:
     """``maps`` into P in the order ``enumerate_natural_maps`` finds them:
-    by the positions of the cells P.act(h, x), (h, x) in ``images(map)``."""
-    position = [{c: i for i, c in enumerate(P.levels[d])}
-                for d in range(P.D + 1)]
+    by the cells P.act(h, x), (h, x) in ``images(map)``."""
     return maps if len(maps) < 2 else sorted(maps, key=lambda m: tuple(
-        position[h.dom][P.act(h, x)] for h, x in images(m)))
+        P.act(h, x) for h, x in images(m)))
 
 
 @dataclass
@@ -324,8 +324,8 @@ def check_equivariant_lifting(f: PresheafMap, n_max: int, k_max: int,
     level n+k; its lifts are the cells x of X at level n+k with f(x) = y
     that restrict to the top.  Reports distinguish 'no lift exists' (with a
     refuting square) from 'lifts exist but no uniform equivariant choice
-    exists within the bounds'.  ``budget`` caps the top candidates and the
-    uniformity nodes of the whole check together."""
+    exists within the bounds'.  ``budget`` caps the subobject unions, the
+    top candidates and the uniformity nodes of the whole check together."""
     X, Y = f.src, f.dst
     report = LiftReport(False, D, {"n_max": n_max, "k_max": k_max})
     nodes = 0
@@ -340,7 +340,7 @@ def check_equivariant_lifting(f: PresheafMap, n_max: int, k_max: int,
     n_top = min(n_max, D - 1)
     boxes: list[Box] = []
     for n in range(n_top + 1):
-        subs = enumerate_subpresheaves(representable_cube(n, D))
+        subs = enumerate_subpresheaves(representable_cube(n, D), spend)
         for k in range(1, min(k_max, D - n) + 1):
             for zeta in enumerate_hom(n, k):
                 boxes += [Box.make(OpenBoxSpec.make(n, k, C, zeta), D)
@@ -354,12 +354,12 @@ def check_equivariant_lifting(f: PresheafMap, n_max: int, k_max: int,
     for b, box in enumerate(boxes):
         N = box.spec.n + box.spec.k
         lifts: dict[tuple, list[Cell]] = {}
-        for x in X.levels[N]:
+        for x in X.cells(N):
             key = square_of[b, x] = (
                 b, tuple(X.act(g, x) for g in box.gens), f(N, x))
             lifts.setdefault(key, []).append(x)
         bottoms: dict[tuple, list[Cell]] = {}
-        for y in Y.levels[N]:
+        for y in Y.cells(N):
             bottoms.setdefault(tuple(Y.act(g, y) for g in box.gens),
                                []).append(y)
         for top in box.tops(X, spend):
@@ -368,11 +368,14 @@ def check_equivariant_lifting(f: PresheafMap, n_max: int, k_max: int,
                     (e, y) for d in range(D + 1) for e in enumerate_hom(d, N)]):
                 if (b, top, y) not in lifts:
                     spec = box.spec
+                    dom = build_open_box(spec, D)[0]
                     report.refutation = {
                         "n": spec.n, "k": spec.k,
                         "zeta": list(spec.zeta.table),
                         "C_sizes": [len(cs) for _, cs in spec.C],
-                        "top": {str(d): {str(c): str(v) for c, v in t.items()}
+                        "top": {str(d): {str(dom.levels[d][c]):
+                                         str(X.levels[d][x])
+                                         for c, x in t.items()}
                                 for d, t in box.top_map(X, top).items()}}
                     report.detail = "no lift exists for this open box"
                     report.squares = len(squares) + 1
@@ -384,10 +387,11 @@ def check_equivariant_lifting(f: PresheafMap, n_max: int, k_max: int,
     # domain box and the cube map alpha x sigma^{-1} : I^(m+k) -> I^(n+k)
     @cache
     def pullback(C: tuple, alpha: CubeMap) -> dict[int, frozenset]:
-        cells = {c for _, cs in C for c in cs}
-        return {d: frozenset(c for c in enumerate_hom(d, alpha.dom)
-                             if compose(alpha, c) in cells)
-                for d in range(D + 1)}
+        labels = {d: {enumerate_hom(d, alpha.cod)[c] for c in cs}
+                  for d, cs in C}
+        return {d: frozenset(c for c, a in enumerate(enumerate_hom(
+            d, alpha.dom)) if compose(alpha, a) in labels[d])
+            for d in range(D + 1)}
 
     number = {box.spec: b for b, box in enumerate(boxes)}
     morphisms: list[list[tuple[int, CubeMap]]] = [[] for _ in boxes]

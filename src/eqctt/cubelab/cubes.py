@@ -55,7 +55,8 @@ def compose(g: CubeMap, f: CubeMap) -> CubeMap:
 
 
 def enumerate_hom(m: int, n: int, bound: int = 16) -> list[CubeMap]:
-    """All bipointed functions <n> -> <m>; there are (m+2)^n of them."""
+    """All bipointed functions <n> -> <m>, in sorted order; there are
+    (m+2)^n of them."""
     if m > bound or n > bound:
         raise ValueError(f"hom enumeration bound {bound} exceeded")
     out = []
@@ -99,14 +100,15 @@ class GroupAction:
     perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        """Closure under identity, inverses and composition."""
+        perms = frozenset(self.perms)
         ident = tuple(range(1, self.n + 1))
-        assert ident in self.perms
-        for p in self.perms:
-            inv = tuple(sorted(range(1, self.n + 1), key=lambda j: p[j - 1]))
-            assert inv in self.perms
-            for q in self.perms:
-                assert tuple(p[q[j - 1] - 1] for j in range(1, self.n + 1)) \
-                    in self.perms
+        if ident not in perms or any(
+                tuple(sorted(ident, key=lambda j: p[j - 1])) not in perms
+                or any(tuple(p[i - 1] for i in q) not in perms
+                       for q in self.perms)
+                for p in self.perms):
+            raise ValueError("the permutations are not a group")
 
 
 def full_symmetric(n: int) -> GroupAction:

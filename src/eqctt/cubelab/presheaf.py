@@ -4,14 +4,19 @@ A ``FinPresheaf`` over a site stores, for every site morphism between levels
 <= D, the induced function on cells.  A site is the module of its category,
 ``cubes`` or ``simplicial``, which provides ``maps(a, b)`` (morphisms
 dom=a -> cod=b), ``identity(n)``, ``compose(g, f)`` and ``split_epis(d)``
-(the non-invertible split epis out of level d).  Cells are arbitrary
-hashable, sortable values.  All checks here are bounded certificates: they
-are exhaustive for the truncation D but say nothing beyond it.
+(the non-invertible split epis out of level d).
+
+A cell at level d is its position in ``levels[d]``, the sorted tuple of that
+level's labels (hashable, sortable values such as cube maps or pairs of
+them), and ``action[f]`` is a tuple of positions.  Position order is label
+order, so every "least" or "sorted" choice reads the same on either.  Labels
+are used to build representables, to find orbits and to print reports.  All
+checks here are bounded certificates: they are exhaustive for the truncation
+D but say nothing beyond it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from types import ModuleType
 from typing import Callable, Hashable
@@ -20,56 +25,73 @@ from . import cubes
 from .cubes import (CubeMap, GroupAction, compose as cube_compose,
                     enumerate_hom, perm_cube_map)
 
-Cell = Hashable
+Label = Hashable
+Cell = int
+Table = tuple[Cell, ...]  # the action of one site map, by cell
 
 
 @dataclass(eq=False)
 class FinPresheaf:
     site: ModuleType
     D: int
-    levels: dict[int, tuple[Cell, ...]]
-    action: dict  # site map -> {cell at cod level -> cell at dom level}
+    levels: dict[int, tuple[Label, ...]]
+    action: dict  # site map f -> Table from level f.cod to level f.dom
 
     def act(self, f, cell: Cell) -> Cell:
         return self.action[f][cell]
+
+    def cells(self, d: int) -> range:
+        return range(len(self.levels[d]))
 
     def level_sizes(self) -> list[int]:
         return [len(self.levels[d]) for d in range(self.D + 1)]
 
 
 def build_presheaf(site: ModuleType, D: int,
-                   levels: dict[int, tuple[Cell, ...]],
-                   fn: Callable[[object, Cell], Cell]) -> FinPresheaf:
-    """Materialize the action of every site map between levels <= D."""
+                   levels: dict[int, tuple[Label, ...]],
+                   table: Callable[[object], Table]) -> FinPresheaf:
+    """Materialize the action of every site map f between levels <= D as
+    ``table(f)``, checking that it sends level f.cod into level f.dom."""
     action = {}
     for a in range(D + 1):
         for b in range(D + 1):
             for f in site.maps(a, b):
-                action[f] = {c: fn(f, c) for c in levels[b]}
-    level_sets = {d: set(levels[d]) for d in range(D + 1)}
-    for f, table in action.items():
-        if not level_sets[f.dom].issuperset(table.values()):
-            raise ValueError(f"action of {f!r} leaves the level sets")
+                t = action[f] = table(f)
+                if len(t) != len(levels[b]) or t and not (
+                        0 <= min(t) and max(t) < len(levels[a])):
+                    raise ValueError(f"action of {f!r} leaves the level sets")
     return FinPresheaf(site, D, levels, action)
+
+
+def label_table(levels: dict[int, tuple[Label, ...]],
+                fn: Callable[[object, Label], Label]) -> Callable:
+    """``table`` for ``build_presheaf`` from an action on labels: the
+    position of ``fn(f, c)`` for each label c at level f.cod (-1 for a label
+    outside level f.dom, which ``build_presheaf`` rejects)."""
+    index = _positions(levels)
+    return lambda f: tuple(index[f.dom].get(fn(f, c), -1)
+                           for c in levels[f.cod])
+
+
+def _positions(levels: dict[int, tuple[Label, ...]]) -> dict[int, dict]:
+    return {d: {c: i for i, c in enumerate(cells)}
+            for d, cells in levels.items()}
 
 
 def check_functorial(X: FinPresheaf) -> bool:
     """Identity and composition laws, exhaustively over the truncation."""
     s = X.site
     for n in range(X.D + 1):
-        ident = s.identity(n)
-        for c in X.levels[n]:
-            if X.act(ident, c) != c:
-                return False
+        if X.action[s.identity(n)] != tuple(X.cells(n)):
+            return False
     for a in range(X.D + 1):
         for b in range(X.D + 1):
             for c_dim in range(X.D + 1):
                 for f in s.maps(a, b):
                     for g in s.maps(b, c_dim):
-                        gf = s.compose(g, f)
-                        for cell in X.levels[c_dim]:
-                            if X.act(gf, cell) != X.act(f, X.act(g, cell)):
-                                return False
+                        gf, ft = X.action[s.compose(g, f)], X.action[f]
+                        if gf != tuple(ft[x] for x in X.action[g]):
+                            return False
     return True
 
 
@@ -77,9 +99,9 @@ def check_functorial(X: FinPresheaf) -> bool:
 # standard objects
 
 def representable_cube(n: int, D: int) -> FinPresheaf:
-    levels = {d: tuple(sorted(enumerate_hom(d, n))) for d in range(D + 1)}
-    return build_presheaf(cubes, D, levels,
-                          lambda f, c: cube_compose(c, f))
+    levels = {d: tuple(enumerate_hom(d, n)) for d in range(D + 1)}
+    return build_presheaf(cubes, D, levels, label_table(
+        levels, lambda f, c: cube_compose(c, f)))
 
 
 def terminal_cube(D: int) -> FinPresheaf:
@@ -87,12 +109,17 @@ def terminal_cube(D: int) -> FinPresheaf:
 
 
 def product(X: FinPresheaf, Y: FinPresheaf) -> FinPresheaf:
+    """Cell (i, j) at level d is i * |Y_d| + j, the position of the label
+    pair in sorted order."""
     if X.site != Y.site or X.D != Y.D:
         raise ValueError("product requires matching site and truncation")
-    levels = {d: tuple(sorted(itertools.product(X.levels[d], Y.levels[d])))
+    levels = {d: tuple((x, y) for x in X.levels[d] for y in Y.levels[d])
               for d in range(X.D + 1)}
-    return build_presheaf(X.site, X.D, levels,
-                          lambda f, c: (X.act(f, c[0]), Y.act(f, c[1])))
+
+    def table(f) -> Table:
+        width = len(Y.levels[f.dom])
+        return tuple(x * width + y for x in X.action[f] for y in Y.action[f])
+    return build_presheaf(X.site, X.D, levels, table)
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +127,19 @@ def product(X: FinPresheaf, Y: FinPresheaf) -> FinPresheaf:
 
 def symmetric_level_action(X: FinPresheaf):
     """Postcomposition action of axis permutations on a representable."""
-    def act(perm: tuple[int, ...], d: int, cell: Cell) -> Cell:
+    def act(perm: tuple[int, ...], d: int, cell: Label) -> Label:
         return cube_compose(perm_cube_map(perm), cell)
     return act
 
 
 def quotient_by_group(X: FinPresheaf, group: GroupAction,
                       level_action=None) -> FinPresheaf:
-    """Levelwise orbit sets with the induced action.
+    """Levelwise orbit sets with the induced action; an orbit is labelled
+    by its least member.
 
-    ``level_action(perm, d, cell)`` must permute each level compatibly with
-    the presheaf action; this is verified, as is well-definedness of the
-    induced action.
+    ``level_action(perm, d, label)`` must permute each level's labels
+    compatibly with the presheaf action; this is verified, as is
+    well-definedness of the induced action.
     """
     if level_action is None:
         if X.site is not cubes or not all(
@@ -120,44 +148,36 @@ def quotient_by_group(X: FinPresheaf, group: GroupAction,
             raise ValueError(f"S{group.n} permutes axes only of a cubical "
                              f"set whose cells are maps into I^{group.n}")
         level_action = symmetric_level_action(X)
-    for d in range(X.D + 1):
-        level = set(X.levels[d])
-        if any(level_action(p, d, c) not in level
-               for p in group.perms for c in X.levels[d]):
+    index = _positions(X.levels)
+    perm = {d: [tuple(index[d].get(level_action(p, d, c), -1)
+                      for c in X.levels[d]) for p in group.perms]
+            for d in range(X.D + 1)}
+    for d, tables in perm.items():
+        if any(-1 in t for t in tables):
             raise ValueError(f"group action does not permute level {d}")
-    # equivariance of the level action w.r.t. the cubical action
     for a in range(X.D + 1):
         for b in range(X.D + 1):
             for f in X.site.maps(a, b):
-                for p in group.perms:
-                    for c in X.levels[b]:
-                        if X.act(f, level_action(p, b, c)) != \
-                                level_action(p, a, X.act(f, c)):
-                            raise ValueError(
-                                "group action is not equivariant for the "
-                                f"presheaf action at {f!r}")
-    orbit_rep: dict[tuple[int, Cell], Cell] = {}
-    levels: dict[int, tuple[Cell, ...]] = {}
-    for d in range(X.D + 1):
-        assigned: dict[Cell, Cell] = {}
-        for c in sorted(X.levels[d]):
-            if c in assigned:
-                continue
-            orbit = sorted({level_action(p, d, c) for p in group.perms})
-            rep = orbit[0]
-            for m in orbit:
-                assigned[m] = rep
-        for c, rep in assigned.items():
-            orbit_rep[(d, c)] = rep
-        levels[d] = tuple(sorted(set(assigned.values())))
+                ft = X.action[f]
+                for pa, pb in zip(perm[a], perm[b]):
+                    if any(ft[pb[c]] != pa[ft[c]] for c in X.cells(b)):
+                        raise ValueError(
+                            "group action is not equivariant for the "
+                            f"presheaf action at {f!r}")
+    orbit: dict[int, list[Cell]] = {}  # cell of X -> cell of the quotient
+    levels: dict[int, tuple[Label, ...]] = {}
+    for d, tables in perm.items():
+        rep = [min(t[c] for t in tables) for c in X.cells(d)]
+        number = {r: i for i, r in enumerate(sorted(set(rep)))}
+        orbit[d] = [number[r] for r in rep]
+        levels[d] = tuple(X.levels[d][r] for r in number)
 
-    def induced(f, rep_cell):
-        members = [c for c in X.levels[f.cod]
-                   if orbit_rep[(f.cod, c)] == rep_cell]
-        images = {orbit_rep[(f.dom, X.act(f, m))] for m in members}
-        if len(images) != 1:
-            raise ValueError("induced action is not well-defined")
-        return images.pop()
+    def induced(f) -> Table:
+        image: dict[Cell, Cell] = {}  # per orbit, checked on every member
+        for q, fc in zip(orbit[f.cod], X.action[f]):
+            if image.setdefault(q, orbit[f.dom][fc]) != orbit[f.dom][fc]:
+                raise ValueError("induced action is not well-defined")
+        return tuple(image[q] for q in range(len(image)))
 
     return build_presheaf(X.site, X.D, levels, induced)
 
@@ -169,8 +189,8 @@ def nondegenerate(X: FinPresheaf, d: int) -> tuple[Cell, ...]:
     """Cells at level d not in the image of any non-invertible split epi."""
     degenerate: set[Cell] = set()
     for e in X.site.split_epis(d):
-        degenerate.update(X.action[e].values())
-    return tuple(c for c in X.levels[d] if c not in degenerate)
+        degenerate.update(X.action[e])
+    return tuple(c for c in X.cells(d) if c not in degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +199,7 @@ def nondegenerate(X: FinPresheaf, d: int) -> tuple[Cell, ...]:
 @dataclass
 class IsoResult:
     found: bool
-    witness: dict[int, dict[Cell, Cell]] | None = None
+    witness: dict[int, Table] | None = None  # level -> X's cell -> Y's
     reason: str = ""
     nodes: int = 0
 
@@ -199,60 +219,58 @@ def iso_search(X: FinPresheaf, Y: FinPresheaf,
                 False,
                 reason=f"level-size mismatch at dimension {d}: "
                        f"{len(X.levels[d])} vs {len(Y.levels[d])}")
-    down_maps = {b: [f for a in range(b) for f in X.site.maps(a, b)]
-                 for b in range(X.D + 1)}
-    endo_maps = {b: X.site.maps(b, b) for b in range(X.D + 1)}
-    phi: dict[int, dict[Cell, Cell]] = {}
+    # per level b: (a, X's table, Y's table) of each map into b from a < b,
+    # the two tables of each endo of b, and Y's cells by their restrictions
+    down = {b: [(a, X.action[f], Y.action[f])
+                for a in range(b) for f in X.site.maps(a, b)]
+            for b in range(X.D + 1)}
+    endo = {b: [(X.action[f], Y.action[f]) for f in X.site.maps(b, b)]
+            for b in range(X.D + 1)}
+    y_by_sig: dict[int, dict[tuple, list[Cell]]] = {b: {} for b in down}
+    for b, by_sig in y_by_sig.items():
+        for y in Y.cells(b):
+            by_sig.setdefault(tuple(t[y] for _, _, t in down[b]), []).append(y)
+    phi: dict[int, Table] = {}
     nodes = 0
 
     def assign_level(b: int) -> bool:
         nonlocal nodes
         if b > X.D:
             return True
-        inv_lower = {}  # X cell -> Y cell at lower levels
-        for d in range(b):
-            inv_lower.update(phi[d])
-        xs = list(X.levels[b])
-        y_by_sig: dict = {}
-        for y in Y.levels[b]:
-            y_by_sig.setdefault(
-                tuple(Y.act(f, y) for f in down_maps[b]), []).append(y)
-
-        cur: dict[Cell, Cell] = {}
+        cur: list[Cell] = []  # the images of X's cells 0, 1, ... at level b
         used: set[Cell] = set()
 
         def consistent(x: Cell, y: Cell) -> bool:
-            for f in endo_maps[b]:
-                fx = X.act(f, x)
-                if fx in cur and cur[fx] != Y.act(f, y):
+            for xt, yt in endo[b]:
+                fx = xt[x]
+                if fx < len(cur) and cur[fx] != yt[y]:
                     return False
-                for x2, y2 in cur.items():
-                    if X.act(f, x2) == x and Y.act(f, y2) != y:
+                for x2, y2 in enumerate(cur):
+                    if xt[x2] == x and yt[y2] != y:
                         return False
             return True
 
-        def place(i: int) -> bool:
+        def place(x: int) -> bool:
             nonlocal nodes
-            if i == len(xs):
-                phi[b] = dict(cur)
+            if x == len(X.levels[b]):
+                phi[b] = tuple(cur)
                 if assign_level(b + 1):
                     return True
                 del phi[b]
                 return False
-            x = xs[i]
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(
                     f"iso search exceeded budget {budget}")
-            want_sig = tuple(inv_lower[X.act(f, x)] for f in down_maps[b])
-            for y in y_by_sig.get(want_sig, []):
+            want_sig = tuple(phi[a][xt[x]] for a, xt, _ in down[b])
+            for y in y_by_sig[b].get(want_sig, []):
                 if y in used or not consistent(x, y):
                     continue
-                cur[x] = y
+                cur.append(y)
                 used.add(y)
-                if place(i + 1):
+                if place(x + 1):
                     return True
-                del cur[x]
+                cur.pop()
                 used.discard(y)
             return False
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import cubes
 from .cubes import CubeMap, make_cube_map
-from .presheaf import FinPresheaf, build_presheaf
+from .presheaf import FinPresheaf, build_presheaf, label_table
 
 
 @dataclass(frozen=True, order=True)
@@ -70,8 +70,8 @@ SIMPLEX = sys.modules[__name__]
 def delta(n: int, D: int) -> FinPresheaf:
     """The standard n-simplex, truncated at dimension D."""
     levels = {d: tuple(sorted(enumerate_monotone(d, n))) for d in range(D + 1)}
-    return build_presheaf(SIMPLEX, D, levels,
-                          lambda f, c: simplex_compose(c, f))
+    return build_presheaf(SIMPLEX, D, levels, label_table(
+        levels, lambda f, c: simplex_compose(c, f)))
 
 
 def dualize_simplex_map(f: SimplexMap) -> CubeMap:
@@ -95,4 +95,4 @@ def triangulate(X: FinPresheaf) -> FinPresheaf:
     if X.site is not cubes:
         raise ValueError("triangulate expects a cubical set")
     return build_presheaf(SIMPLEX, X.D, dict(X.levels),
-                          lambda f, c: X.act(dualize_simplex_map(f), c))
+                          lambda f: X.action[dualize_simplex_map(f)])

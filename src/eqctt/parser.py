@@ -32,10 +32,21 @@ from .syntax import (Branch, CAnd, CEq, COr, Comp, Def, Fst, I0, I1, IVar,
 
 
 class SyntaxError_(Exception):
+    code = "SyntaxError"
+
     def __init__(self, message: str, pos: tuple[int, int]):
         super().__init__(f"{pos[0]}:{pos[1]}: {message}")
         self.message = message
         self.pos = pos
+
+
+class DepthLimit(SyntaxError_):
+    """Terms nested deeper than ``MAX_DEPTH``, a little short of where the
+    recursion of the parser, checker or evaluator would overflow."""
+    code = "DepthLimit"
+
+
+MAX_DEPTH = 160
 
 
 @dataclass
@@ -90,6 +101,21 @@ class Parser:
     def __init__(self, src: str):
         self.toks = tokenize(src)
         self.i = 0
+        self.depth = 0
+
+    def deeper(self, levels: int) -> None:
+        """Move ``levels`` down the term being built (up, if negative).  A
+        failed parse is abandoned, so only a success moves back up."""
+        self.depth += levels
+        if self.depth > MAX_DEPTH:
+            raise DepthLimit(f"terms nest deeper than {MAX_DEPTH} levels",
+                             self.peek().pos)
+
+    def nested(self, parse):
+        self.deeper(1)
+        out = parse()
+        self.deeper(-1)
+        return out
 
     # -- token plumbing ----------------------------------------------------
 
@@ -156,7 +182,7 @@ class Parser:
             return BOT
         if t.text == "(":
             self.next()
-            c = self.parse_cof()
+            c = self.nested(self.parse_cof)
             self.expect_sym(")")
             return c
         l = self.parse_interval()
@@ -167,16 +193,20 @@ class Parser:
     # -- terms ---------------------------------------------------------------
 
     def parse_term(self) -> Term:
+        self.deeper(1)  # as ``nested`` would, with one stack frame less
         t = self.peek()
         if t.kind == "lam":
-            return self.parse_lambda()
-        if t.text == "<":
-            return self.parse_plam()
-        if t.kind == "let":
-            return self.parse_let()
-        if t.kind == "comp":
-            return self.parse_comp()
-        return self.parse_arrow()
+            out = self.parse_lambda()
+        elif t.text == "<":
+            out = self.parse_plam()
+        elif t.kind == "let":
+            out = self.parse_let()
+        elif t.kind == "comp":
+            out = self.parse_comp()
+        else:
+            out = self.parse_arrow()
+        self.deeper(-1)
+        return out
 
     def parse_lambda(self) -> Term:
         pos = self.expect("lam").pos
@@ -291,27 +321,23 @@ class Parser:
             self.expect_sym(")")
             if self.peek().kind == "arrow":
                 self.next()
-                body = self.parse_arrow_or_term()
+                body = self.parse_term()
                 for x in reversed(names):
                     body = Pi(x, dom, body).at(pos)
                 return body
             self.expect_sym("*")
-            body = self.parse_sigma()
+            body = self.nested(self.parse_sigma)
             for x in reversed(names):
                 body = Sigma(x, dom, body).at(pos)
             if self.peek().kind == "arrow":
                 self.next()
-                return Pi("_", body, self.parse_arrow_or_term()).at(pos)
+                return Pi("_", body, self.parse_term()).at(pos)
             return body
         t = self.parse_sigma()
         if self.peek().kind == "arrow":
             pos = self.next().pos
-            return Pi("_", t, self.parse_arrow_or_term()).at(pos)
+            return Pi("_", t, self.parse_term()).at(pos)
         return t
-
-    def parse_arrow_or_term(self) -> Term:
-        # the codomain of an arrow may again be any term form
-        return self.parse_term()
 
     def parse_sigma(self) -> Term:
         if self._binder_group_ahead():
@@ -319,11 +345,12 @@ class Parser:
         t = self.parse_spine()
         if self.at_sym("*"):
             pos = self.next().pos
-            return Sigma("_", t, self.parse_sigma()).at(pos)
+            return Sigma("_", t, self.nested(self.parse_sigma)).at(pos)
         return t
 
     def parse_spine(self) -> Term:
         t = self.parse_atom()
+        base = self.depth
         while True:
             nxt = self.peek()
             if nxt.text == "@" and nxt.kind == "sym":
@@ -341,7 +368,9 @@ class Parser:
             elif self._starts_atom(nxt):
                 t = App(t, self.parse_atom()).at(nxt.pos)
             else:
+                self.depth = base
                 return t
+            self.deeper(1)  # each eliminator nests t one level deeper
 
     def _starts_atom(self, t: Token) -> bool:
         return (t.kind in ("ident", "Path")
@@ -362,8 +391,8 @@ class Parser:
             self.expect_sym(".")
             line = self.parse_term()
             self.expect_sym(")")
-            left = self.parse_atom()
-            right = self.parse_atom()
+            left = self.nested(self.parse_atom)
+            right = self.nested(self.parse_atom)
             return PathT(i, line, left, right).at(t.pos)
         if t.text == "(":
             self.next()

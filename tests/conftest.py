@@ -25,3 +25,9 @@ def checked_comps():
     mod = check_module(parse_module((CORPUS / "comps.ectt").read_text()))
     assert mod.report.ok
     return mod
+
+
+def cell(X, d: int, label) -> int:
+    """The cell of the finite presheaf X at level d that carries ``label``:
+    its position in the level's sorted labels."""
+    return X.levels[d].index(label)

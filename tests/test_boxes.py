@@ -1,4 +1,5 @@
 import pytest
+from conftest import cell
 
 from eqctt.cubelab.boxes import (Box, OpenBoxSpec, PresheafMap,
                                  build_open_box, check_equivariant_lifting,
@@ -16,6 +17,13 @@ from eqctt.cubelab.presheaf import (check_functorial, iso_search,
 def test_subpresheaves_of_interval():
     subs = enumerate_subpresheaves(representable_cube(1, 3))
     assert len(subs) == 5  # empty, v0, v1, both endpoints, everything
+
+
+def test_subobject_enumeration_is_charged():
+    # one unit per union of each step, which the lift check's budget covers
+    charged = []
+    subs = enumerate_subpresheaves(representable_cube(2, 3), charged.append)
+    assert (len(subs), sum(charged)) == (73, 306)
 
 
 def test_endpoint_inclusion_box():
@@ -60,7 +68,7 @@ def test_natural_maps_by_yoneda():
 
 def test_identity_map_passes_lifting():
     X = representable_cube(1, 2)
-    ident = PresheafMap(X, X, {d: {c: c for c in X.levels[d]}
+    ident = PresheafMap(X, X, {d: {c: c for c in X.cells(d)}
                                for d in range(3)})
     rep = check_equivariant_lifting(ident, n_max=0, k_max=1, D=2)
     assert rep.passed
@@ -68,7 +76,7 @@ def test_identity_map_passes_lifting():
 
 def test_terminal_identity_passes_uniformity_k2():
     T = terminal_cube(2)
-    ident = PresheafMap(T, T, {d: {c: c for c in T.levels[d]}
+    ident = PresheafMap(T, T, {d: {c: c for c in T.cells(d)}
                                for d in range(3)})
     rep = check_equivariant_lifting(ident, n_max=0, k_max=2, D=2)
     assert rep.passed
@@ -107,7 +115,7 @@ def test_interval_to_terminal_is_refuted_by_connection_square():
 # the cell-based check against the natural-map search it replaced
 
 def _identity(X):
-    return PresheafMap(X, X, {d: {c: c for c in X.levels[d]}
+    return PresheafMap(X, X, {d: {c: c for c in X.cells(d)}
                               for d in range(X.D + 1)})
 
 
@@ -133,6 +141,13 @@ def _generic_cell(n, k):
             make_cube_map(n + k, k, tuple(range(n + 1, n + k + 1))))
 
 
+def _in_ambient(dom, amb, components):
+    """Components on the cells of a box domain, keyed instead by the cells
+    of the ambient I^n x I^k with the same labels."""
+    return {d: {cell(amb, d, dom.levels[d][c]): x for c, x in t.items()}
+            for d, t in components.items()}
+
+
 def _no_budget(count=1):
     pass
 
@@ -150,22 +165,23 @@ def test_yoneda_squares_match_natural_map_search(name):
         # the box domain, in the order the search finds them
         assert [box.top_map(X, top) for top in tops] == \
             [m.components for m in enumerate_natural_maps(dom, X)]
-        N, generic = spec.n + spec.k, _generic_cell(spec.n, spec.k)
+        N = spec.n + spec.k
+        generic = cell(amb, N, _generic_cell(spec.n, spec.k))
         for top in tops:
-            top_map = box.top_map(X, top)
+            top_map = _in_ambient(dom, amb, box.top_map(X, top))
             below = {d: {c: f(d, x) for c, x in t.items()}
                      for d, t in top_map.items()}
             bottoms = [b(N, generic) for b in
                        enumerate_natural_maps(amb, Y, seed=below)]
             assert set(bottoms) == {
-                y for y in Y.levels[N]
+                y for y in Y.cells(N)
                 if all(Y.act(g, y) == f(g.dom, x)
                        for g, x in zip(box.gens, top))}
             searched = [m(N, generic) for m in
                         enumerate_natural_maps(amb, X, seed=top_map)]
             for y in bottoms:
                 # a lift is a cell x at level n+k over y restricting to top
-                lifts = {x for x in X.levels[N] if f(N, x) == y
+                lifts = {x for x in X.cells(N) if f(N, x) == y
                          and tuple(X.act(g, x) for g in box.gens) == top}
                 assert lifts == {x for x in searched if f(N, x) == y}
 
@@ -184,15 +200,16 @@ def test_interval_refutation_rechecked_by_search():
                 (ref["n"], ref["k"], ref["zeta"], ref["C_sizes"]):
             continue
         dom, amb = build_open_box(spec, D)
-        matches += [(amb, top) for top in enumerate_natural_maps(dom, X)
-                    if {str(d): {str(c): str(v) for c, v in t.items()}
+        matches += [(amb, _in_ambient(dom, amb, top.components))
+                    for top in enumerate_natural_maps(dom, X)
+                    if {str(d): {str(dom.levels[d][c]): str(X.levels[d][x])
+                                 for c, x in t.items()}
                         for d, t in top.components.items()} == ref["top"]]
     assert len(matches) == 1
     amb, top = matches[0]
-    below = {d: {c: f(d, x) for c, x in t.items()}
-             for d, t in top.components.items()}
+    below = {d: {c: f(d, x) for c, x in t.items()} for d, t in top.items()}
     assert len(enumerate_natural_maps(amb, f.dst, seed=below)) == 1
-    assert enumerate_natural_maps(amb, X, seed=top.components) == []
+    assert enumerate_natural_maps(amb, X, seed=top) == []
 
 
 def _subpresheaves_by_fixpoint(X):
@@ -210,7 +227,7 @@ def _subpresheaves_by_fixpoint(X):
     while todo:
         sub = todo.pop()
         for d in range(X.D + 1):
-            for c in X.levels[d]:
+            for c in X.cells(d):
                 bigger = close(sub | {(d, c)})
                 if bigger not in found:
                     found.add(bigger)
@@ -262,10 +279,9 @@ def test_quotient_map_has_lifts_but_no_equivariant_choice():
     X = representable_cube(2, D)
     group = full_symmetric(2)
     Q = quotient_by_group(X, group)
-    orbit = {c: min(compose(perm_cube_map(p), c) for p in group.perms)
-             for d in range(D + 1) for c in X.levels[d]}
-    f = PresheafMap(X, Q, {d: {c: orbit[c] for c in X.levels[d]}
-                           for d in range(D + 1)})
+    f = PresheafMap(X, Q, {d: {c: cell(Q, d, min(
+        compose(perm_cube_map(p), label) for p in group.perms))
+        for c, label in enumerate(X.levels[d])} for d in range(D + 1)})
     rep = check_equivariant_lifting(f, n_max=0, k_max=2, D=D)
     assert not rep.passed and rep.refutation is None
     assert rep.detail == ("lifts exist but no uniform equivariant choice "

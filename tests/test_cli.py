@@ -233,3 +233,45 @@ def test_lab_value_errors_are_usage_errors(args):
     assert r.exit_code == 2
     assert "Traceback" not in r.output
     assert "Error:" in r.output
+
+
+@pytest.mark.parametrize("args", [
+    ("hom-count", "--", "-1", "2"), ("hom-count", "1", "-2"),
+    ("ez-factor", "--dom", "-1", "--cod", "0", "--table", ""),
+    ("ez-factor", "--dom", "0", "--cod", "-1", "--table", ""),
+    ("open-box", "--n", "1", "--k", "0", "--zeta", ""),
+    ("open-box", "--n", "-1", "--k", "1", "--zeta", "b"),
+    ("automorphisms", "0")], ids=" ".join)
+def test_lab_dimensions_out_of_range_are_usage_errors(args):
+    r = run("lab", *args)
+    assert r.exit_code == 2
+    assert "Traceback" not in r.output
+    assert "Error:" in r.output
+
+
+def test_lab_lift_budget_covers_subobjects():
+    # the subobjects of I^2 cost 306 units; tops and lifts come after
+    r = run("--dim", "3", "--budget", "100", "lab", "lift-check",
+            "--map", "1->1", "--nmax", "2", "--kmax", "1")
+    assert r.exit_code == 3
+    assert "lift check exceeded budget 100" in r.output
+
+
+@pytest.mark.parametrize("depth, code", [(150, 0), (600, 1)])
+def test_check_deep_nesting(tmp_path, depth, code):
+    # past the parser's depth limit a DepthLimit diagnostic, not a
+    # RecursionError, reports the module
+    body = "a"
+    for _ in range(depth):
+        body = f"f ({body})"
+    p = tmp_path / "deep.ectt"
+    p.write_text("postulate A : U0\npostulate a : A\n"
+                 f"postulate f : A -> A\ndef t : A = {body}\n")
+    r = run("--json", "check", str(p))
+    assert r.exit_code == code
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    report = json.loads(r.output)
+    if code:
+        [decl] = report["decls"]
+        assert decl["name"] == "<parse>" and decl["status"] == "error"
+        assert [d["code"] for d in decl["diagnostics"]] == ["DepthLimit"]

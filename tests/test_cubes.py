@@ -3,7 +3,7 @@ import math
 import pytest
 
 from eqctt.cubelab import cubes, simplicial
-from eqctt.cubelab.cubes import (CubeMap, automorphisms, compose,
+from eqctt.cubelab.cubes import (CubeMap, GroupAction, automorphisms, compose,
                                  cube_identity, degeneracy, enumerate_hom,
                                  ez_factor, face, find_section,
                                  invertible_endos, is_iso, is_mono,
@@ -70,6 +70,16 @@ def test_automorphism_counts():
             cm = perm_cube_map(p)
             mids = cm.table[1:-1]
             assert sorted(mids) == list(range(1, n + 1))
+
+
+def test_group_action_must_be_closed():
+    # the cyclic group of order 3 is a subgroup of Sigma_3; the identity
+    # and two transpositions hold inverses but not their composite
+    GroupAction(3, ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+    with pytest.raises(ValueError, match="not a group"):
+        GroupAction(3, ((1, 2, 3), (2, 1, 3), (1, 3, 2)))
+    with pytest.raises(ValueError, match="not a group"):
+        GroupAction(2, ((2, 1),))
 
 
 def test_automorphisms_match_bruteforce():

@@ -1,7 +1,10 @@
+import math
+
 import pytest
+from conftest import cell
 
 from eqctt.cubelab.cubes import (CubeMap, compose, enumerate_hom,
-                                 full_symmetric)
+                                 full_symmetric, perm_cube_map)
 from eqctt.cubelab.presheaf import (FinPresheaf, check_functorial, iso_search,
                                     nondegenerate, product,
                                     quotient_by_group, representable_cube,
@@ -19,6 +22,8 @@ def test_representable_levels_match_hom_enumeration():
         X = representable_cube(n, 2)
         for d in range(3):
             assert len(X.levels[d]) == len(enumerate_hom(d, n))
+            # a cell's position is its place in sorted label order
+            assert list(X.levels[d]) == sorted(enumerate_hom(d, n))
 
 
 def test_representable_functorial_dim2():
@@ -55,6 +60,36 @@ def test_quotient_orbits_level0():
     assert len(Q.levels[0]) == 3
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetric_quotient_level_sizes(n):
+    # an orbit of maps I^d -> I^n under permuting the n axes is a multiset
+    # of n of the d + 2 table entries
+    Q = quotient_by_group(representable_cube(n, 3), full_symmetric(n))
+    assert Q.level_sizes() == [math.comb(d + n + 1, n) for d in range(4)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_quotient_action_matches_orbits_by_brute_force(n):
+    # the action of f on an orbit, computed on labels: restrict every member
+    # along f and take the least member of the image's orbit
+    D, group = 3, full_symmetric(n)
+    Q = quotient_by_group(representable_cube(n, D), group)
+
+    orbit = {c: min(compose(perm_cube_map(p), c) for p in group.perms)
+             for d in range(D + 1) for c in enumerate_hom(d, n)}
+    for a in range(D + 1):
+        for b in range(D + 1):
+            for f in enumerate_hom(a, b):
+                images = {}
+                for c in enumerate_hom(b, n):
+                    images.setdefault(orbit[c], set()).add(
+                        orbit[compose(c, f)])
+                assert all(len(image) == 1 for image in images.values())
+                assert {Q.levels[b][q]: Q.levels[a][Q.act(f, q)]
+                        for q in Q.cells(b)} == \
+                    {c: image.pop() for c, image in images.items()}
+
+
 def test_quotient_functorial():
     Q = quotient_by_group(representable_cube(2, 3), full_symmetric(2))
     assert check_functorial(Q)
@@ -70,7 +105,7 @@ def test_quotient_rejects_non_equivariant_action():
             return cells1[(i + 1) % len(cells1)]
         return cell
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not equivariant"):
         quotient_by_group(X, full_symmetric(2), bogus)
 
 
@@ -84,12 +119,11 @@ def test_vertex_inclusion_commutes_with_quotient():
             Q = quotient_by_group(X, H)
             sub = sub_vertex(n, 3, endpoint)
             # push the subobject through the quotient map (orbit reps)
-            from eqctt.cubelab.cubes import perm_cube_map
             reps = {}
             for d in range(4):
                 out = set()
                 for c in sub[d]:
-                    orbit = sorted(compose(perm_cube_map(p), c)
+                    orbit = sorted(compose(perm_cube_map(p), X.levels[d][c])
                                    for p in H.perms)
                     out.add(orbit[0])
                 reps[d] = frozenset(out)
@@ -98,8 +132,9 @@ def test_vertex_inclusion_commutes_with_quotient():
             vtx = vertex_cell(n, endpoint)
             vtx_orbit = sorted(compose(perm_cube_map(p), vtx)
                                for p in H.perms)
-            qsub = close_cells(Q, {0: {vtx_orbit[0]}})
-            assert qsub == reps, (n, endpoint)
+            qsub = close_cells(Q, {0: {cell(Q, 0, vtx_orbit[0])}})
+            assert {d: frozenset(Q.levels[d][q] for q in qsub[d])
+                    for d in qsub} == reps, (n, endpoint)
 
 
 def test_nondegenerate_counts_interval():

@@ -63,6 +63,12 @@ def test_triangulated_cube_is_simplex_power(n):
     assert len(nondegenerate(T, n)) == math.factorial(n)
 
 
+def test_triangulated_symmetric_quotient_of_cube3_is_simplex():
+    # criterion 7 at n = 3: T(I^3 / Sigma_3) is Delta^3
+    Q = quotient_by_group(representable_cube(3, 3), full_symmetric(3))
+    assert iso_search(triangulate(Q), delta(3, 3)).found
+
+
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2)])
 def test_triangulation_preserves_products(m, n):
     lhs = triangulate(product(representable_cube(m, 3),
