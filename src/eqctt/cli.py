@@ -21,13 +21,13 @@ from .printer import print_term
 from .semantics import quote
 from .typecheck import check_module
 from .cubelab import (automorphisms, build_open_box,
-                      check_equivariant_lifting, compose, delta, enumerate_hom,
-                      ez_factor, find_section, horn_box_domain, is_mono,
+                      check_equivariant_lifting, compose, delta, ez_factor,
+                      find_section, horn_box_domain, is_mono,
                       iso_search, nondegenerate, presheaf_map_to_terminal,
                       product, quotient_by_group, representable_cube,
                       terminal_cube, triangulate)
 from .cubelab.boxes import OpenBoxSpec, sub_empty, sub_full, sub_vertex
-from .cubelab.cubes import full_symmetric, make_cube_map
+from .cubelab.cubes import count_hom, full_symmetric, make_cube_map
 from .cubelab.presheaf import BudgetExceeded, FinPresheaf
 
 
@@ -243,7 +243,7 @@ def lab():
 @click.argument("n", type=click.IntRange(min=0))
 def hom_count(m, n):
     """|Hom(I^m, I^n)|."""
-    count = len(_usage_on_value_error(enumerate_hom, m, n))
+    count = _usage_on_value_error(count_hom, m, n)
     _emit({"operation": "hom-count", "inputs": {"m": m, "n": n},
            "result": count}, human=str(count))
 

@@ -42,14 +42,23 @@ def enumerate_subpresheaves(X: FinPresheaf, spend=lambda count: None
                             ) -> list[dict[int, frozenset]]:
     """All subpresheaves of X: the unions of principal subpresheaves of
     nondegenerate cells, since every cell is a degeneracy of one.
-    ``spend(count)`` is charged for the unions of each step."""
-    subs = {(frozenset(),) * (X.D + 1)}
+    ``spend(count)`` is charged for the unions of each step.  A candidate
+    is one int with a bit per cell, the levels laid end to end."""
+    offset = [0]
+    for a in range(X.D + 1):
+        offset.append(offset[-1] + len(X.levels[a]))
+    subs = {0}
     for d in range(X.D + 1):
         for c in nondegenerate(X, d):
-            p = close_cells(X, {d: {c}})
+            p = sum(1 << (offset[a] + x)
+                    for a, cells in close_cells(X, {d: {c}}).items()
+                    for x in cells)
             spend(len(subs))
-            subs |= {tuple(s[a] | p[a] for a in range(X.D + 1)) for s in subs}
-    return sorted((dict(enumerate(s)) for s in subs), key=lambda sub: tuple(
+            subs |= {s | p for s in subs}
+    out = [{a: frozenset(x for x in range(len(X.levels[a]))
+                         if s >> (offset[a] + x) & 1)
+            for a in range(X.D + 1)} for s in subs]
+    return sorted(out, key=lambda sub: tuple(
         (d, tuple(sorted(cells))) for d, cells in sub.items()))
 
 

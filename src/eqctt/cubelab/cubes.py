@@ -54,15 +54,19 @@ def compose(g: CubeMap, f: CubeMap) -> CubeMap:
     return CubeMap(f.dom, g.cod, tuple(f.table[v] for v in g.table))
 
 
-def enumerate_hom(m: int, n: int, bound: int = 16) -> list[CubeMap]:
-    """All bipointed functions <n> -> <m>, in sorted order; there are
-    (m+2)^n of them."""
+def count_hom(m: int, n: int, bound: int = 16) -> int:
+    """|Hom(I^m, I^n)| = (m+2)^n, the number of bipointed functions
+    <n> -> <m>; dimensions above ``bound`` are rejected."""
     if m > bound or n > bound:
         raise ValueError(f"hom enumeration bound {bound} exceeded")
-    out = []
-    for mids in itertools.product(range(m + 2), repeat=n):
-        out.append(make_cube_map(m, n, mids))
-    return out
+    return (m + 2) ** n
+
+
+def enumerate_hom(m: int, n: int, bound: int = 16) -> list[CubeMap]:
+    """All bipointed functions <n> -> <m>, in sorted order."""
+    count_hom(m, n, bound)
+    return [make_cube_map(m, n, mids)
+            for mids in itertools.product(range(m + 2), repeat=n)]
 
 
 def face(n: int, axis: int, endpoint: int) -> CubeMap:

@@ -1,7 +1,7 @@
 """Pretty printer. ``parse(print_term(t))`` is alpha-equal to ``t``.
 
-Generated binder names (containing '%') are renamed to source-legal ones on
-the way out; free variables keep their names.
+Generated names (containing '%') are renamed to source-legal ones on the way
+out, bound or free; other free variables keep their names.
 """
 
 from __future__ import annotations
@@ -65,8 +65,12 @@ def print_cof(phi: Cof, env: dict[str, str] | None = None, prec: int = 0) -> str
 
 
 def print_term(t: Term) -> str:
-    used = set(free_vars(t)) | set(free_ivars(t))
-    return _pp(t, {}, used, TERM)
+    free = free_vars(t) | free_ivars(t)
+    # free generated names print by their hint, numbered in creation order
+    gen = sorted((x for x in free if "%" in x),
+                 key=lambda x: int(x.rsplit("%", 1)[1]))
+    _, env, used = _bind(gen, {}, free - set(gen))
+    return _pp(t, env, used, TERM)
 
 
 def _bind(names, env: dict[str, str], used: set[str]):

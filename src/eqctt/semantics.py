@@ -2,13 +2,14 @@
 
 Values are weak-head normal; binders become Python closures capturing an
 ``Env``.  Readback is type-directed and eta-long for Pi, Sigma and Path.
-Stuck comps are canonicalized on construction: all k! direction permutations
-are compared under a fixed total term order and the least one is kept, which
-turns the equivariance equations into definitional laws.
+A stuck comp is read back once, on construction, and stored as the least of
+its k! readbacks under a fixed total term order; Sigma_k acts on the readback
+by permuting the binder tuples and the source and target tuples.  This turns
+the equivariance equations into definitional laws.
 
 Conversion splits the ambient cofibration context into DNF conjuncts, applies
 the interval identifications each conjunct forces, renormalizes and compares;
-guards of systems are compared by entailment in both directions.
+a system is compared as a partial element on the union of its guards.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import cof
 from .config import CONFIG
 from .syntax import (Branch, CEq, Cof, Comp, Fst, I0, I1, IVar,
                      Interval, Lam, Let, Pair, PApp, PathT, Pi, PLam, Sigma,
-                     Snd, Term, U, Var, App, cof_and, fresh, subst_cof,
+                     Snd, Term, U, Var, App, cof_and, cof_or, fresh, subst_cof,
                      subst_interval, term_key)
 
 
@@ -124,13 +125,10 @@ class NPApp:
 
 @dataclass(eq=False)
 class NComp:
-    """A stuck comp, stored as its canonical representative modulo Sigma_k."""
-    dirs: tuple[str, ...]
-    line: Callable[..., Value]
-    source: tuple[Interval, ...]
-    target: tuple[Interval, ...]
-    tube: tuple[tuple[Cof, Callable[..., Value]], ...]
-    cap: Value
+    """A stuck comp: the least readback of its Sigma_k orbit, and its type
+    (the line at the target tuple)."""
+    term: Comp
+    ty: Value
 
 
 Ne = NVar | NApp | NFst | NSnd | NPApp | NComp
@@ -186,9 +184,6 @@ class Context:
     @property
     def hyps(self) -> tuple[Cof, ...]:
         return tuple(e.cof for e in self.entries if isinstance(e, CofRestriction))
-
-    def ivar_names(self) -> set[str]:
-        return {e.name for e in self.entries if isinstance(e, IntervalBind)}
 
     def bind_term(self, hint: str, ty: Value) -> tuple["Context", VNe]:
         x = fresh(hint)
@@ -419,22 +414,22 @@ def quote_ne(ne: Ne) -> tuple[Term, Optional[Value]]:
             if not isinstance(ty, VPathT):
                 raise KernelError("path application head is not a Path")
             return PApp(t, r), ty.line(r)
-        case NComp() as nc:
-            return quote_ncomp(nc), nc.line(*nc.target)
+        case NComp(term, ty):
+            return term, ty
     raise TypeError(ne)
 
 
-def quote_ncomp(nc: NComp) -> Comp:
-    names = tuple(fresh(d) for d in nc.dirs)
-    ivs = tuple(IVar(n) for n in names)
-    line_t = quote_type(nc.line(*ivs))
+def quote_ncomp(dirs, line, source, target, tube, cap) -> Comp:
+    """Readback of a comp given by closures over its directions."""
+    names = tuple(fresh(d) for d in dirs)
+    line_t = quote_type(line(*(IVar(n) for n in names)))
     tube_t = []
-    for g, u in nc.tube:
-        bnames = tuple(fresh(d) for d in nc.dirs)
+    for g, u in tube:
+        bnames = tuple(fresh(d) for d in dirs)
         bivs = tuple(IVar(n) for n in bnames)
-        tube_t.append(Branch(g, bnames, quote(nc.line(*bivs), u(*bivs))))
-    cap_t = quote(nc.line(*nc.source), nc.cap)
-    return Comp(names, line_t, nc.source, nc.target, tuple(tube_t), cap_t)
+        tube_t.append(Branch(g, bnames, quote(line(*bivs), u(*bivs))))
+    cap_t = quote(line(*source), cap)
+    return Comp(names, line_t, source, target, tuple(tube_t), cap_t)
 
 
 # ---------------------------------------------------------------------------
@@ -451,53 +446,48 @@ def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def sigma_transform(dirs, line, source, target, tube, cap, perm):
-    """The equivariance rewrite: permute the direction binders of the line
-    and tube, inversely permute the source and target tuples."""
+def sigma_transform(c: Comp, perm: tuple[int, ...]) -> Comp:
+    """The Sigma_k action on syntax, direction m becoming direction perm[m]:
+    the binder tuples of the line and of every branch, and the source and
+    target tuples, are permuted by the inverse; bodies keep their names."""
     inv = _invert(perm)
-
-    def line2(*ivs):
-        return line(*_apply_perm(perm, ivs))
-
-    tube2 = tuple(
-        (g, (lambda *ivs, _u=u: _u(*_apply_perm(perm, ivs))))
-        for g, u in tube)
-    return (_apply_perm(perm, dirs), line2, _apply_perm(inv, source),
-            _apply_perm(inv, target), tube2, cap)
+    tube = tuple(Branch(b.guard, _apply_perm(inv, b.dirs), b.body)
+                 for b in c.tube)
+    return Comp(_apply_perm(inv, c.dirs), c.line, _apply_perm(inv, c.source),
+                _apply_perm(inv, c.target), tube, c.cap)
 
 
-def canonicalize_stuck_comp(nc: NComp) -> NComp:
-    """Lexicographically least representative of the Sigma_k orbit.
+def canonicalize_stuck_comp(c: Comp) -> Comp:
+    """Least representative of the Sigma_k orbit under the total term order.
 
-    Idempotent; the k! candidates are compared by the total term order on
-    their readbacks.
+    Idempotent; of equal candidates the first in permutation order wins.
     """
-    k = len(nc.dirs)
+    k = len(c.dirs)
     if k > CONFIG.k_max:
         raise PermutationBoundExceeded(k, CONFIG.k_max)
     if k == 1:
-        return nc
-    best = None
-    best_key = None
-    for perm in itertools.permutations(range(k)):
-        cand = NComp(*sigma_transform(nc.dirs, nc.line, nc.source, nc.target,
-                                      nc.tube, nc.cap, perm))
-        key = term_key(quote_ncomp(cand))
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+        return c
+    return min((sigma_transform(c, perm)
+                for perm in itertools.permutations(range(k))), key=term_key)
 
 
 def make_stuck(dirs, line, source, target, tube, cap, hyps) -> VNe:
-    # branches whose guard is inconsistent with the restrictions are pruned,
-    # so systems are compared up to logical equivalence of their guards
+    # branches whose guard is inconsistent with the restrictions are pruned;
+    # the comp is read back once and stored as the least member of its orbit
     live = tuple((g, u) for g, u in tube if cof.satisfiable_with(hyps, g))
-    nc = canonicalize_stuck_comp(NComp(dirs, line, source, target, live, cap))
-    return VNe(nc, nc.line(*nc.target))
+    term = canonicalize_stuck_comp(
+        quote_ncomp(dirs, line, source, target, live, cap))
+    ty = line(*target)
+    return VNe(NComp(term, ty), ty)
 
 
 # ---------------------------------------------------------------------------
 # conversion
+
+def _interval(key) -> Interval:
+    """The interval an element key of ``cof`` stands for."""
+    return I0 if key == (0,) else I1 if key == (1,) else IVar(key[1])
+
 
 def _assignment(conj) -> dict[str, Interval]:
     """The interval substitution a consistent conjunct forces: every variable
@@ -510,29 +500,15 @@ def _assignment(conj) -> dict[str, Interval]:
         classes.setdefault(uf.find(key), []).append(key)
     assign: dict[str, Interval] = {}
     for members in classes.values():
-        members.sort()
-        rep = members[0]
-        rep_iv: Interval
-        if rep == (0,):
-            rep_iv = I0
-        elif rep == (1,):
-            rep_iv = I1
-        else:
-            rep_iv = IVar(rep[1])
+        rep = _interval(min(members))
         for m in members:
             if m[0] == 2:
-                assign[m[1]] = rep_iv
+                assign[m[1]] = rep
     return assign
 
 
 def _conj_cofs(conj) -> tuple[Cof, ...]:
-    def dec(key) -> Interval:
-        if key == (0,):
-            return I0
-        if key == (1,):
-            return I1
-        return IVar(key[1])
-    return tuple(CEq(dec(a), dec(b)) for a, b in sorted(conj))
+    return tuple(CEq(_interval(a), _interval(b)) for a, b in sorted(conj))
 
 
 def convert(ctx: Context, ty: Value, v1: Value, v2: Value) -> bool:
@@ -571,10 +547,6 @@ def _ieq(hyps, ren: dict[str, str], r1: Interval, r2: Interval) -> bool:
     if isinstance(r2, IVar):
         r2 = IVar(ren.get(r2.name, r2.name))
     return cof.interval_eq(hyps, r1, r2)
-
-
-def _ren_cof(phi: Cof, ren: dict[str, str]) -> Cof:
-    return subst_cof(phi, {a: IVar(b) for a, b in ren.items()})
 
 
 def terms_equal(hyps, t1: Term, t2: Term, ren: dict[str, str] | None = None) -> bool:
@@ -616,6 +588,9 @@ def terms_equal(hyps, t1: Term, t2: Term, ren: dict[str, str] | None = None) -> 
 
 
 def _comps_equal(hyps, c1: Comp, c2: Comp, ren) -> bool:
+    """Systems as partial elements: the guard unions agree, and each DNF
+    conjunct of a c1 guard lies in some c2 guard whose body is equal there
+    (the checker makes each system compatible, so this is symmetric)."""
     if len(c1.dirs) != len(c2.dirs):
         return False
     ren2 = {**ren, **dict(zip(c2.dirs, c1.dirs))}
@@ -624,16 +599,17 @@ def _comps_equal(hyps, c1: Comp, c2: Comp, ren) -> bool:
     for r, s in zip(c1.source + c1.target, c2.source + c2.target):
         if not _ieq(hyps, ren, r, s):
             return False
-    live1 = [b for b in c1.tube if cof.satisfiable_with(hyps, b.guard)]
-    live2 = [b for b in c2.tube
-             if cof.satisfiable_with(hyps, _ren_cof(b.guard, ren))]
-    if len(live1) != len(live2):
+    iren = {a: IVar(b) for a, b in ren.items()}
+    guards2 = [subst_cof(b.guard, iren) for b in c2.tube]
+    if not cof.entails(tuple(hyps) + (cof_or(*guards2),),
+                       cof_or(*(b.guard for b in c1.tube))):
         return False
-    for b1, b2 in zip(live1, live2):
-        g2 = _ren_cof(b2.guard, ren)
-        if not cof.equivalent(hyps, b1.guard, g2):
-            return False
-        bren = {**ren, **dict(zip(b2.dirs, b1.dirs))}
-        if not terms_equal(tuple(hyps) + (b1.guard,), b1.body, b2.body, bren):
-            return False
+    for b1 in c1.tube:
+        for conj in cof.to_dnf(cof_and(*hyps, b1.guard)):
+            kappa = _conj_cofs(conj)
+            if not any(cof.entails(kappa, g2)
+                       and terms_equal(kappa, b1.body, b2.body,
+                                       {**ren, **dict(zip(b2.dirs, b1.dirs))})
+                       for b2, g2 in zip(c2.tube, guards2)):
+                return False
     return terms_equal(hyps, c1.cap, c2.cap, ren)

@@ -487,7 +487,8 @@ def term_key(t: Term, _env: dict[str, int] | None = None, _depth: int = 0):
     """A nested-tuple key: alpha-invariant, totally ordered, hashable.
 
     Binders are numbered by depth (de Bruijn levels), so alpha-equal terms get
-    equal keys; the ordering is the fixed total order used to pick canonical
+    equal keys, and a system is keyed as the sorted set of its branch keys;
+    the ordering is the fixed total order used to pick canonical
     representatives of stuck comps.
     """
     env = _env if _env is not None else {}
@@ -535,14 +536,13 @@ def term_key(t: Term, _env: dict[str, int] | None = None, _depth: int = 0):
             return ("u", n)
         case Comp(dirs, line, src, tgt, tube, cap):
             e2, d = under(dirs)
-            parts = [("comp", len(dirs)), term_key(line, e2, d),
-                     tuple(_ikey(r, env) for r in src),
-                     tuple(_ikey(r, env) for r in tgt)]
-            for br in tube:
-                be, bd = under(br.dirs)
-                parts.append((_cofkey(br.guard, env), term_key(br.body, be, bd)))
-            parts.append(term_key(cap, env, _depth))
-            return tuple(parts)
+            return ("comp", len(dirs), term_key(line, e2, d),
+                    tuple(_ikey(r, env) for r in src),
+                    tuple(_ikey(r, env) for r in tgt),
+                    tuple(sorted({(_cofkey(br.guard, env),
+                                   term_key(br.body, *under(br.dirs)))
+                                  for br in tube})),
+                    term_key(cap, env, _depth))
         case Let(x, ann, bound, body):
             e2, d = under((x,))
             return ("let", term_key(ann, env, _depth),
@@ -551,9 +551,6 @@ def term_key(t: Term, _env: dict[str, int] | None = None, _depth: int = 0):
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
-    """Equality up to renaming of bound variables."""
+    """Equality up to renaming of bound variables and up to the order and
+    repetition of system branches."""
     return term_key(t1) == term_key(t2)
-
-
-def cof_key(phi: Cof):
-    return _cofkey(phi, {})

@@ -32,6 +32,7 @@ ARITY = "ArityMismatch"
 GUARD_NEVER = "GuardNeverHolds"
 PERM_BOUND = "PermutationBoundExceeded"
 SYNTAX = "SyntaxError"
+INTERNAL = "InternalError"
 
 
 @dataclass
@@ -407,6 +408,6 @@ def check_module(decls: list[Decl]) -> CheckedModule:
         except KernelError as e:  # a kernel bug surfaced on user input
             dr.status = "error"
             dr.diagnostics.append(Diagnostic(
-                SYNTAX, f"internal error: {e}", d.pos))
+                INTERNAL, f"internal error: {e}", d.pos))
         dr.diagnostics.extend(checker.warnings)
     return CheckedModule(report, scope, values, types)

@@ -113,6 +113,37 @@ def test_normalize_guard_top_prints_branch_at_target(tmp_path):
     assert r.output.strip() == "a"
 
 
+def test_diagnostics_print_user_names(tmp_path):
+    # free generated names print by their hint, whatever ran before
+    p = tmp_path / "names.ectt"
+    p.write_text("postulate A : U0\npostulate a : A\npostulate b : A\n"
+                 "def f : (x : A) -> Path (i. A) x a = \\x. <i> b\n"
+                 "def g : (y : A) -> Path (i. A) y a = \\y. <i> b\n")
+    first, second = run("check", str(p)), run("check", str(p))
+    assert first.exit_code == 1
+    assert first.output == second.output
+    assert "expected: x\n" in first.output
+    assert "expected: y\n" in first.output
+    assert "%" not in first.output
+
+
+def test_kernel_error_is_an_internal_error(tmp_path, monkeypatch):
+    from eqctt.semantics import KernelError
+
+    def broken(env, t):
+        raise KernelError("broken invariant")
+
+    monkeypatch.setattr("eqctt.typecheck.eval_term", broken)
+    p = tmp_path / "t.ectt"
+    p.write_text("postulate A : U0\n")
+    r = run("--json", "check", str(p))
+    assert r.exit_code == 1
+    assert "Traceback" not in r.output
+    [decl] = json.loads(r.output)["decls"]
+    assert decl["status"] == "error"
+    assert [d["code"] for d in decl["diagnostics"]] == ["InternalError"]
+
+
 def test_normalize_deterministic(corpus_dir):
     a = run("--json", "normalize", str(corpus_dir / "j.ectt"), "--def", "J")
     b = run("--json", "normalize", str(corpus_dir / "j.ectt"), "--def", "J")
@@ -130,6 +161,10 @@ def test_cof_entails():
 def test_lab_hom_count():
     r = run("lab", "hom-count", "1", "1")
     assert r.output.strip() == "3"
+    # the closed form: the 18**16 maps are counted, not built
+    r = run("lab", "hom-count", "16", "16")
+    assert r.exit_code == 0
+    assert r.output.strip() == str(18 ** 16)
 
 
 def test_lab_iso_json_golden():

@@ -1,17 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from eqctt import config
 from eqctt.parser import Parser, parse_module, parse_term
 from eqctt.printer import print_term
 from eqctt.semantics import (Context, NComp, PermutationBoundExceeded, VNe,
                              canonicalize_stuck_comp, convert, eval_term,
-                             quote, quote_ncomp, quote_type)
+                             quote, quote_type)
 from eqctt.syntax import (BOT, CEq, I0, I1, IVar, alpha_eq, term_key)
 from eqctt.typecheck import Checker, Scope, check_module
 
 from conftest import corpus_files
+from test_acceptance import _corpus_comps, _sigma_transform_ast
 
 
 SIG = """
@@ -106,22 +108,22 @@ def test_stuck_comp_sigma_orbit_identical(sig):
     vb = comp_value(sig, "comp^2 (i j. A) [] a : (1,0) ~> (0,1)")
     assert isinstance(va, VNe) and isinstance(va.ne, NComp)
     assert isinstance(vb, VNe) and isinstance(vb.ne, NComp)
-    ka = term_key(quote_ncomp(va.ne))
-    kb = term_key(quote_ncomp(vb.ne))
+    ka = term_key(va.ne.term)
+    kb = term_key(vb.ne.term)
     assert ka == kb  # canonical representatives coincide
 
 
 def test_canonicalize_k1_unchanged(sig):
     v = comp_value(sig, "comp^1 (i. A) [] a : 0 ~> 1")
-    nc = v.ne
-    assert canonicalize_stuck_comp(nc) is nc
+    c = v.ne.term
+    assert canonicalize_stuck_comp(c) is c
 
 
 def test_canonicalize_idempotent(sig):
     v = comp_value(sig, "comp^2 (i j. A) [] a : (0,1) ~> (1,0)")
-    nc = v.ne
-    again = canonicalize_stuck_comp(nc)
-    assert term_key(quote_ncomp(nc)) == term_key(quote_ncomp(again))
+    c = v.ne.term
+    again = canonicalize_stuck_comp(c)
+    assert term_key(c) == term_key(again)
 
 
 def test_permutation_bound(sig):
@@ -186,3 +188,144 @@ def test_conversion_equivalence_on_corpus(path):
         assert convert(mod.scope.ctx, ty, v2, v)  # symmetry
         v3 = eval_term(mod.scope.env, quote(ty, v2))
         assert convert(mod.scope.ctx, ty, v, v3)  # transitivity sample
+
+
+def test_sigma_transform_of_corpus_comps_has_the_same_key():
+    # the substitution-based transform of the acceptance suite is the oracle
+    _, comps = _corpus_comps()
+    stuck = 0
+    for name, sc, c in comps:
+        v = eval_term(sc.env, c)
+        if not isinstance(v, VNe):
+            continue
+        assert isinstance(v.ne, NComp), name
+        stuck += 1
+        for perm in itertools.permutations(range(len(c.dirs))):
+            v2 = eval_term(sc.env, _sigma_transform_ast(c, perm))
+            assert isinstance(v2, VNe) and isinstance(v2.ne, NComp)
+            assert term_key(v2.ne.term) == term_key(v.ne.term), (name, perm)
+    assert stuck >= 8
+
+
+# ---------------------------------------------------------------------------
+# systems are partial elements on the union of their guards
+
+SWAP = """
+postulate A : U0
+postulate a : A
+postulate b : A
+postulate p : Path (i. A) a b
+
+def s1 : Path (k. A) b a
+  = <k> comp^1 (i. A) [ k = 0 -> i. p @ i | k = 1 -> i. a ] a : 0 ~> 1
+
+def s2 : Path (k. A) b a
+  = <k> comp^1 (i. A) [ k = 1 -> i. a | k = 0 -> i. p @ i ] a : 0 ~> 1
+
+def s12 : Path (n. Path (k. A) b a) s1 s2 = <n> s1
+"""
+
+SPLIT_GUARD = r"""
+postulate A : U0
+postulate a : A
+
+def s1 : Path (k. A) a a
+  = <k> comp^1 (i. A) [ k = 0 \/ k = 1 -> i. a ] a : 0 ~> 1
+
+def s2 : Path (k. A) a a
+  = <k> comp^1 (i. A) [ k = 0 -> i. a | k = 1 -> i. a ] a : 0 ~> 1
+
+def s12 : Path (n. Path (k. A) a a) s1 s2 = <n> s1
+"""
+
+REORDERED_COMP2 = """
+postulate A : U0
+postulate a : A
+postulate p : Path (i. A) a a
+
+def s1 : Path (k. A) a a
+  = <k> comp^2 (i j. A) [ k = 0 -> i j. p @ i | k = 1 -> i j. p @ j ] a
+        : (0,0) ~> (1,1)
+
+def s2 : Path (k. A) a a
+  = <k> comp^2 (i j. A) [ k = 1 -> i j. p @ j | k = 0 -> i j. p @ i ] a
+        : (0,0) ~> (1,1)
+
+def s12 : Path (n. Path (k. A) a a) s1 s2 = <n> s1
+"""
+
+
+@pytest.mark.parametrize("src", [SWAP, SPLIT_GUARD, REORDERED_COMP2],
+                         ids=["swap", "split-guard", "comp2-reordered"])
+def test_reordered_and_split_systems_convert(src):
+    mod = check_module(parse_module(src))
+    assert mod.report.ok, mod.report.to_json()
+
+
+def _comps_convert(scope, src1: str, src2: str) -> bool:
+    """Do two comps, over the interval variables m and n, convert?"""
+    sc, _ = scope.bind_ivar("m")
+    sc, _ = sc.bind_ivar("n")
+    t1, t2 = parse_term(src1), parse_term(src2)
+    ty = Checker().check_comp_term(sc, t1)
+    Checker().check_comp_term(sc, t2)
+    return convert(sc.ctx, ty, eval_term(sc.env, t1), eval_term(sc.env, t2))
+
+
+def _comp_src(k: int, branches) -> str:
+    dirs = " ".join("ij"[:k])
+    tube = " | ".join(f"{g} -> {dirs}. {body}" for g, body in branches)
+    src, tgt = ("0", "1") if k == 1 else ("(0,0)", "(1,1)")
+    return f"comp^{k} ({dirs}. A) [{tube}] a : {src} ~> {tgt}"
+
+
+# every disjunct fixes m, so overlapping branches share m's value, and the
+# body is chosen by that value: the systems are compatible by construction
+_FIXES = ["", r" /\ n = 0", r" /\ n = 1", r" /\ n = m"]
+
+
+@st.composite
+def _systems(draw):
+    k = draw(st.sampled_from([1, 2]))
+    bodies = ["a"] + [f"p @ {d}" for d in "ij"[:k]]
+    body = [draw(st.sampled_from(bodies)) for _ in (0, 1)]
+    branches = draw(st.lists(
+        st.tuples(st.sampled_from([0, 1]),
+                  st.lists(st.sampled_from(_FIXES), min_size=1, max_size=2,
+                           unique=True)),
+        min_size=1, max_size=4))
+    return k, [([f"m = {e}{fix}" for fix in fixes], body[e])
+               for e, fixes in branches]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_systems(), st.sampled_from(["permute", "duplicate", "split"]),
+       st.randoms(use_true_random=False))
+def test_system_rewrites_convert(sig, system, rewrite, rng):
+    k, branches = system
+    tube = [(r" \/ ".join(ds), body) for ds, body in branches]
+    if rewrite == "permute":
+        other = rng.sample(tube, len(tube))
+    elif rewrite == "duplicate":
+        other = list(tube)
+        other.insert(rng.randrange(len(tube) + 1), rng.choice(tube))
+    else:
+        # at k >= 2 a split guard can change which representative wins
+        splittable = [n for n, (ds, _) in enumerate(branches) if len(ds) == 2]
+        assume(k == 1 and splittable)
+        n = rng.choice(splittable)
+        ds, body = branches[n]
+        other = tube[:n] + [(d, body) for d in ds] + tube[n + 1:]
+    assert _comps_convert(sig, _comp_src(k, tube), _comp_src(k, other))
+
+
+@pytest.mark.parametrize("base,other", [
+    ([("m = 0", "a")], [("m = 0", "p @ i")]),
+    ([("m = 0", "a")], [(r"m = 0 \/ n = 0", "a")]),
+    ([("m = 0", "a")], [(r"m = 0 /\ n = 0", "a")]),
+    ([("m = 0", "a"), ("m = 1", "a")], [("m = 1", "p @ i"), ("m = 0", "a")]),
+], ids=["body", "larger-union", "smaller-union", "reordered-body"])
+def test_systems_that_differ_do_not_convert(sig, base, other):
+    base, other = _comp_src(1, base), _comp_src(1, other)
+    assert not _comps_convert(sig, base, other)
+    assert not _comps_convert(sig, other, base)
