@@ -26,6 +26,7 @@ from .cubelab import (automorphisms, build_open_box,
                       iso_search, nondegenerate, presheaf_map_to_terminal,
                       product, quotient_by_group, representable_cube,
                       terminal_cube, triangulate)
+from .cubelab import cubes
 from .cubelab.boxes import OpenBoxSpec, sub_empty, sub_full, sub_vertex
 from .cubelab.cubes import count_hom, full_symmetric, make_cube_map
 from .cubelab.presheaf import BudgetExceeded, FinPresheaf
@@ -182,7 +183,7 @@ def parse_lab_object(expr: str, D: int) -> FinPresheaf:
         elif tok == "1":
             X = terminal_cube(D)
         elif tok == "horn":
-            X = horn_box_domain(D)
+            X = _usage_on_value_error(horn_box_domain, D)
         elif tok == "T(":
             inner = obj()
             if peek() != ")":
@@ -345,6 +346,14 @@ def lab_iso(lhs, rhs):
     _emit(report, human=human)
 
 
+def _cubical_object(expr: str, D: int) -> FinPresheaf:
+    X = parse_lab_object(expr, D)
+    if X.site is not cubes:
+        raise click.UsageError(
+            f"lift-check needs a cubical object; {expr!r} is simplicial")
+    return X
+
+
 @lab.command("lift-check")
 @click.option("--map", "map_expr", required=True,
               help="a map expression X->1 (unique map to the terminal) "
@@ -356,7 +365,7 @@ def lab_lift(map_expr, nmax, kmax):
     D = CONFIG.dim
     m = re.fullmatch(r"\s*id\((.+)\)\s*", map_expr)
     if m:
-        X = parse_lab_object(m.group(1), D)
+        X = _cubical_object(m.group(1), D)
         from .cubelab.boxes import PresheafMap
         f = PresheafMap(X, X, {d: {c: c for c in X.cells(d)}
                                for d in range(D + 1)})
@@ -364,7 +373,7 @@ def lab_lift(map_expr, nmax, kmax):
         m = re.fullmatch(r"\s*(.+?)\s*->\s*1\s*", map_expr)
         if not m:
             raise click.UsageError("map must be 'X->1' or 'id(X)'")
-        X = parse_lab_object(m.group(1), D)
+        X = _cubical_object(m.group(1), D)
         f = presheaf_map_to_terminal(X)
     rep = _within_budget(
         {"operation": "lift-check", "inputs": {"map": map_expr},

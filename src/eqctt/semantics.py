@@ -2,10 +2,13 @@
 
 Values are weak-head normal; binders become Python closures capturing an
 ``Env``.  Readback is type-directed and eta-long for Pi, Sigma and Path.
-A stuck comp is read back once, on construction, and stored as the least of
-its k! readbacks under a fixed total term order; Sigma_k acts on the readback
-by permuting the binder tuples and the source and target tuples.  This turns
-the equivariance equations into definitional laws.
+A stuck comp is read back once, on construction, and stored as a canonical
+member of its Sigma_k orbit: the least readback under a fixed total term
+order, found by sorting the directions by a Sigma_k-invariant signature and
+searching only the groups of tied directions that are not symmetric.
+Sigma_k acts on the readback by permuting the binder tuples and the source
+and target tuples.  This turns the equivariance equations into definitional
+laws.
 
 Conversion splits the ambient cofibration context into DNF conjuncts, applies
 the interval identifications each conjunct forces, renormalizes and compares;
@@ -23,7 +26,7 @@ from .config import CONFIG
 from .syntax import (Branch, CEq, Cof, Comp, Fst, I0, I1, IVar,
                      Interval, Lam, Let, Pair, PApp, PathT, Pi, PLam, Sigma,
                      Snd, Term, U, Var, App, cof_and, cof_or, fresh, subst_cof,
-                     subst_interval, term_key)
+                     subst_interval, interval_key, term_key)
 
 
 class KernelError(Exception):
@@ -460,15 +463,45 @@ def sigma_transform(c: Comp, perm: tuple[int, ...]) -> Comp:
 def canonicalize_stuck_comp(c: Comp) -> Comp:
     """Least representative of the Sigma_k orbit under the total term order.
 
-    Idempotent; of equal candidates the first in permutation order wins.
+    The signature of direction m is the key of the line with m marked 0 and
+    the other directions 1, then m's source and target.  It names no
+    binder, so it is Sigma_k-invariant.  The directions are sorted by
+    signature and only groups of equal signatures are searched: every
+    ordering of a group, or one when exchanging adjacent members leaves the
+    comp's key as it is, since those exchanges generate all orderings of the
+    group.  When no cofibration in the line mentions a direction, the result
+    is the least of all k! readbacks; otherwise it is still the same for
+    every member of the orbit.  Idempotent; of equal candidates the first
+    found wins.
     """
     k = len(c.dirs)
     if k > CONFIG.k_max:
         raise PermutationBoundExceeded(k, CONFIG.k_max)
     if k == 1:
         return c
-    return min((sigma_transform(c, perm)
-                for perm in itertools.permutations(range(k))), key=term_key)
+
+    def signature(m: int):
+        marks = {d: int(j != m) for j, d in enumerate(c.dirs)}
+        return (term_key(c.line, marks, k), interval_key(c.source[m]),
+                interval_key(c.target[m]))
+
+    sigs = [signature(m) for m in range(k)]
+    groups = [tuple(g) for _, g in itertools.groupby(
+        sorted(range(k), key=sigs.__getitem__), key=sigs.__getitem__)]
+    key = term_key(c) if len(groups) < k else None
+
+    def symmetric(g: tuple[int, ...]) -> bool:
+        for a, b in zip(g, g[1:]):
+            swap = list(range(k))
+            swap[a], swap[b] = b, a
+            if term_key(sigma_transform(c, tuple(swap))) != key:
+                return False
+        return True
+
+    choices = [(g,) if len(g) == 1 or symmetric(g) else itertools.permutations(g)
+               for g in groups]
+    return min((sigma_transform(c, _invert(sum(seq, ())))
+                for seq in itertools.product(*choices)), key=term_key)
 
 
 def make_stuck(dirs, line, source, target, tube, cap, hyps) -> VNe:

@@ -454,14 +454,16 @@ def _subst(t: Term, terms: dict[str, Term], ivars: dict[str, Interval]) -> Term:
 # ---------------------------------------------------------------------------
 # alpha equality and a total order on terms
 
-def _ikey(r: Interval, env: dict[str, int]):
+def interval_key(r: Interval, env: dict[str, int] | None = None):
+    """The key of an interval in ``term_key``: 0 < 1 < variables bound at
+    the levels ``env`` gives them < free variables by name."""
     match r:
         case IZero():
             return (0,)
         case IOne():
             return (1,)
         case IVar(x):
-            if x in env:
+            if env and x in env:
                 return (2, env[x])
             return (3, x)
     raise TypeError(r)
@@ -474,7 +476,7 @@ def _cofkey(phi: Cof, env: dict[str, int]):
         case CBot():
             return ("cb",)
         case CEq(l, r):
-            a, b = sorted((_ikey(l, env), _ikey(r, env)))
+            a, b = sorted((interval_key(l, env), interval_key(r, env)))
             return ("ce", a, b)
         case CAnd(l, r):
             return ("ca", _cofkey(l, env), _cofkey(r, env))
@@ -531,14 +533,14 @@ def term_key(t: Term, _env: dict[str, int] | None = None, _depth: int = 0):
             e2, d = under((i,))
             return ("plam", term_key(e, e2, d))
         case PApp(f, r):
-            return ("papp", term_key(f, env, _depth), _ikey(r, env))
+            return ("papp", term_key(f, env, _depth), interval_key(r, env))
         case U(n):
             return ("u", n)
         case Comp(dirs, line, src, tgt, tube, cap):
             e2, d = under(dirs)
             return ("comp", len(dirs), term_key(line, e2, d),
-                    tuple(_ikey(r, env) for r in src),
-                    tuple(_ikey(r, env) for r in tgt),
+                    tuple(interval_key(r, env) for r in src),
+                    tuple(interval_key(r, env) for r in tgt),
                     tuple(sorted({(_cofkey(br.guard, env),
                                    term_key(br.body, *under(br.dirs)))
                                   for br in tube})),

@@ -2,9 +2,13 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from eqctt import config
 from eqctt.cli import main
+from eqctt.parser import tokenize
+
+from conftest import CORPUS
 
 
 @pytest.fixture(autouse=True)
@@ -310,3 +314,113 @@ def test_check_deep_nesting(tmp_path, depth, code):
         [decl] = report["decls"]
         assert decl["name"] == "<parse>" and decl["status"] == "error"
         assert [d["code"] for d in decl["diagnostics"]] == ["DepthLimit"]
+
+
+@pytest.mark.parametrize("args", [
+    ("lab", "triangulate", "T(horn)"), ("lab", "quotient", "horn", "S1"),
+    ("lab", "iso", "--lhs", "horn", "--rhs", "horn"),
+    ("lab", "lift-check", "--map", "horn->1", "--nmax", "0", "--kmax", "1")],
+    ids=" ".join)
+def test_horn_beyond_dim_is_usage_error(args):
+    # the horn is a box with n + k = 2, which --dim 1 truncates away
+    r = run("--dim", "1", *args)
+    assert r.exit_code == 2
+    assert "truncation bound" in r.output
+
+
+@pytest.mark.parametrize("map_expr", ["Delta1->1", "Delta0->1", "id(Delta1)",
+                                      "T(I1)->1", "id(T(I1))"])
+def test_lab_lift_check_needs_a_cubical_object(map_expr):
+    r = run("--dim", "2", "lab", "lift-check", "--map", map_expr,
+            "--nmax", "0", "--kmax", "1")
+    assert r.exit_code == 2
+    assert "lift-check needs a cubical object" in r.output
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: no input ends in a traceback
+
+_OBJECTS = ["horn", "Delta1", "Delta0", "T(I1)", "I2/S2", "I1", "1", "I0",
+            "I1*I1", "T(I2/S2)", "(I1)", "I3", "Delta", "T(", "I1*", "/S2",
+            "horn)", "x", ""]
+_MAPS = [f"{x}->1" for x in _OBJECTS] + [f"id({x})" for x in _OBJECTS] + [
+    "->1", "id(", "I1->2", "", "horn"]
+_ints = st.integers(-1, 3).map(str)
+_tables = st.lists(st.sampled_from(["b", "t", "1", "2", "x", ""]),
+                   max_size=3).map(",".join)
+
+
+def _opts(**choices):
+    """Each option with a drawn value, in random order; some left out."""
+    return st.tuples(*(st.one_of(st.just(()), st.tuples(st.just(f"--{o}"), v))
+                       for o, v in choices.items())).flatmap(
+        lambda parts: st.permutations([t for p in parts for t in p]))
+
+
+def _argv(command, *parts):
+    """The command, then each part: one argument or a list of them."""
+    return st.tuples(*parts).map(lambda ps: [command, *(
+        a for p in ps for a in ([p] if isinstance(p, str) else p))])
+
+
+_LAB = st.one_of(
+    _argv("hom-count", _ints, _ints),
+    _argv("automorphisms", _ints),
+    _argv("ez-factor", _opts(dom=_ints, cod=_ints, table=_tables)),
+    _argv("quotient", st.sampled_from(_OBJECTS),
+          st.sampled_from(["S1", "S2", "S3", "T2", ""])),
+    _argv("triangulate", st.sampled_from(_OBJECTS)),
+    _argv("iso", _opts(lhs=st.sampled_from(_OBJECTS),
+                       rhs=st.sampled_from(_OBJECTS))),
+    _argv("lift-check", _opts(map=st.sampled_from(_MAPS),
+                              nmax=st.integers(-1, 1).map(str),
+                              kmax=st.integers(0, 1).map(str))),
+    _argv("open-box", _opts(n=_ints, k=_ints, zeta=_tables,
+                            sub=st.sampled_from(["empty", "full", "v0", "v1",
+                                                 "v2"]))))
+
+
+def _exits_cleanly(r):
+    assert r.exit_code in (0, 1, 2, 3), r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), (
+        repr(r.exception))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["1", "2"]), st.booleans(), _LAB)
+def test_lab_fuzz_exits_cleanly(dim, json_output, args):
+    _exits_cleanly(run(*(["--json"] if json_output else []), "--dim", dim,
+                       "lab", *args))
+
+
+_CORPUS_TOKENS = [[t.text for t in tokenize(p.read_text())]
+                  for p in sorted(CORPUS.glob("*.ectt"))]
+_VOCAB = sorted({t for ts in _CORPUS_TOKENS for t in ts}) + ["%", "#", "0x"]
+
+
+@st.composite
+def _token_streams(draw):
+    """Random tokens, or a corpus file with a few slices cut or repeated
+    and a few tokens replaced."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(_VOCAB), max_size=40))
+    toks = list(draw(st.sampled_from(_CORPUS_TOKENS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(toks)))
+        j = draw(st.integers(i, min(len(toks), i + 8)))
+        edit = draw(st.sampled_from(["cut", "repeat", "replace"]))
+        if edit == "cut":
+            toks[i:j] = []
+        elif edit == "repeat":
+            toks[i:i] = toks[i:j]
+        else:
+            toks[i:j] = draw(st.lists(st.sampled_from(_VOCAB), max_size=3))
+    return toks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), _token_streams())
+def test_check_fuzz_exits_cleanly(tmp_path_factory, json_output, toks):
+    p = tmp_path_factory.getbasetemp() / "fuzz.ectt"
+    p.write_text(" ".join(toks))
+    _exits_cleanly(run(*(["--json"] if json_output else []), "check", str(p)))

@@ -1,15 +1,19 @@
+import contextlib
 import itertools
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
-from eqctt import config
+from eqctt import config, semantics
+from eqctt.cli import main
 from eqctt.parser import Parser, parse_module, parse_term
 from eqctt.printer import print_term
 from eqctt.semantics import (Context, NComp, PermutationBoundExceeded, VNe,
                              canonicalize_stuck_comp, convert, eval_term,
-                             quote, quote_type)
-from eqctt.syntax import (BOT, CEq, I0, I1, IVar, alpha_eq, term_key)
+                             quote, quote_type, sigma_transform)
+from eqctt.syntax import (BOT, App, Branch, CEq, Comp, I0, I1, IVar, PApp,
+                          Pi, PLam, Var, alpha_eq, term_key)
 from eqctt.typecheck import Checker, Scope, check_module
 
 from conftest import corpus_files
@@ -126,16 +130,123 @@ def test_canonicalize_idempotent(sig):
     assert term_key(c) == term_key(again)
 
 
-def test_permutation_bound(sig):
+@contextlib.contextmanager
+def _k_max(k: int):
     old = config.CONFIG.k_max
+    config.CONFIG.k_max = k
     try:
-        config.CONFIG.k_max = 4
-        with pytest.raises(PermutationBoundExceeded):
-            comp_value(
-                sig,
-                "comp^5 (i j k l m. A) [] a : (0,0,0,0,0) ~> (1,1,1,1,1)")
+        yield
     finally:
         config.CONFIG.k_max = old
+
+
+def test_permutation_bound(sig):
+    with _k_max(4), pytest.raises(PermutationBoundExceeded):
+        comp_value(sig,
+                   "comp^5 (i j k l m. A) [] a : (0,0,0,0,0) ~> (1,1,1,1,1)")
+
+
+def _least_in_orbit(c: Comp) -> Comp:
+    """The test oracle: the least of all k! readbacks of the comp."""
+    return min((sigma_transform(c, perm)
+                for perm in itertools.permutations(range(len(c.dirs)))),
+               key=term_key)
+
+
+_OUTER = ("m", "n")
+
+
+def _intervals(names):
+    return st.sampled_from([I0, I1, *(IVar(x) for x in names)])
+
+
+def _terms(dirs):
+    """Terms over A, f, a and x, with paths applied at the given directions,
+    the outer variables m and n, a path binder i and the endpoints."""
+    return st.recursive(
+        st.sampled_from(["A", "f", "a", "x"]).map(Var),
+        lambda inner: st.one_of(
+            st.builds(App, inner, inner),
+            st.builds(Pi, st.just("x"), inner, inner),
+            st.builds(PLam, st.just("i"), inner),
+            st.builds(PApp, inner, _intervals((*dirs, *_OUTER, "i")))),
+        max_leaves=8)
+
+
+def _nested_comp(dirs):
+    """A comp^1 whose guards and tuples mention the outer comp's
+    directions."""
+    inner = (*dirs, "z")
+    guards = st.builds(CEq, st.sampled_from([IVar(d) for d in dirs]),
+                       st.sampled_from([I0, I1]))
+    return st.builds(
+        Comp, st.just(("z",)), _terms(inner),
+        st.tuples(_intervals(dirs)), st.tuples(_intervals(dirs)),
+        st.lists(st.builds(Branch, guards, st.just(("z",)), _terms(inner)),
+                 min_size=1, max_size=2).map(tuple),
+        _terms(dirs))
+
+
+@st.composite
+def _stuck_comps(draw, nested: bool):
+    """comp^k with k = 2..5, tuples of 0, 1, m and n, and up to three
+    branches on m and n whose bodies use the branch's directions."""
+    k = draw(st.integers(2, 5))
+    dirs = tuple(f"d{j}" for j in range(k))
+    line = draw(_terms(dirs))
+    if nested:
+        line = App(line, draw(_nested_comp(dirs)))
+    ends = st.tuples(*[_intervals(_OUTER)] * k)
+    bdirs = tuple(f"e{j}" for j in range(k))
+    guards = st.builds(CEq, st.sampled_from([IVar(x) for x in _OUTER]),
+                       st.sampled_from([I0, I1]))
+    tube = draw(st.lists(st.builds(Branch, guards, st.just(bdirs),
+                                   _terms(bdirs)), max_size=3))
+    return Comp(dirs, line, draw(ends), draw(ends), tuple(tube), Var("a"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stuck_comps(nested=False))
+def test_canonical_form_is_the_least_readback(c):
+    # no cofibration in the line mentions a direction: the signature order
+    # finds the least of the k! readbacks
+    with _k_max(5):
+        assert (term_key(canonicalize_stuck_comp(c))
+                == term_key(_least_in_orbit(c)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stuck_comps(nested=True))
+def test_canonical_form_is_an_orbit_invariant(c):
+    with _k_max(5):
+        key = term_key(canonicalize_stuck_comp(c))
+        orbit = [sigma_transform(c, perm)
+                 for perm in itertools.permutations(range(len(c.dirs)))]
+        assert key in {term_key(d) for d in orbit}
+        assert all(term_key(canonicalize_stuck_comp(d)) == key for d in orbit)
+        assert term_key(canonicalize_stuck_comp(
+            canonicalize_stuck_comp(c))) == key
+
+
+@pytest.mark.parametrize("ends", [("0,0,0,0,0,0,0", "1,1,1,1,1,1,1"),
+                                  ("0,1,0,1,0,1,0", "1,0,1,0,1,0,1")],
+                         ids=["all-equal", "alternating"])
+def test_comp7_builds_at_most_seven_candidates(tmp_path, monkeypatch, ends):
+    built = []
+
+    def counted(c, perm):
+        built.append(perm)
+        return sigma_transform(c, perm)
+
+    monkeypatch.setattr(semantics, "sigma_transform", counted)
+    monkeypatch.setattr(config.CONFIG, "k_max", config.CONFIG.k_max)
+    p = tmp_path / "comp7.ectt"
+    p.write_text("postulate A : U0\npostulate a : A\n"
+                 "def c : A = comp^7 (d1 d2 d3 d4 d5 d6 d7. A) [] a"
+                 f" : ({ends[0]}) ~> ({ends[1]})\n")
+    r = CliRunner().invoke(main, ["--kmax", "7", "check", str(p)])
+    assert r.exit_code == 0, r.output
+    assert 0 < len(built) <= 7
 
 
 def test_equivariance_all_sigma_k3(sig):
