@@ -29,7 +29,7 @@ from .cubelab import (automorphisms, build_open_box,
 from .cubelab import cubes
 from .cubelab.boxes import OpenBoxSpec, sub_empty, sub_full, sub_vertex
 from .cubelab.cubes import count_hom, full_symmetric, make_cube_map
-from .cubelab.presheaf import BudgetExceeded, FinPresheaf
+from .cubelab.presheaf import BudgetExceeded, FinPresheaf, table_size
 
 
 def _emit(report: dict, human: str | None = None) -> None:
@@ -51,7 +51,8 @@ def _emit(report: dict, human: str | None = None) -> None:
               help="cubelab truncation dimension")
 @click.option("--budget", type=click.IntRange(min=1), default=Config.budget,
               envvar="EQCTT_BUDGET", show_default=True,
-              help="combinatorial search node cap")
+              help="combinatorial search node cap; also caps the "
+                   "action-table entries of each lab object")
 def main(json_output, kmax, dim, budget):
     """eqctt: equivariant cartesian cubical type checker and cube lab."""
     CONFIG.json_output = json_output
@@ -157,8 +158,19 @@ def _usage_on_value_error(fn, *args):
 _OBJ_RE = re.compile(r"\s*(I[0-9]+|Delta[0-9]+|1|T\(|horn|\(|\)|\*|/S[0-9]+)")
 
 
+def _charge(site, sizes: list[int], what: str) -> None:
+    """Refuse to build an object whose action tables, for levels of these
+    sizes, would hold more entries than the budget."""
+    need = table_size(site, sizes)
+    if need > CONFIG.budget:
+        raise BudgetExceeded(f"{what} needs {need} action-table entries, "
+                             f"over budget {CONFIG.budget}")
+
+
 def parse_lab_object(expr: str, D: int) -> FinPresheaf:
-    """Object expressions: I<n>, Delta<n>, 1, horn, T(X), X*Y, I<n>/S<n>."""
+    """Object expressions: I<n>, Delta<n>, 1, horn, T(X), X*Y, I<n>/S<n>.
+    Representables and products are charged to the budget before they are
+    built (``BudgetExceeded``)."""
     pos = 0
 
     def peek():
@@ -177,7 +189,9 @@ def parse_lab_object(expr: str, D: int) -> FinPresheaf:
             raise click.UsageError(f"cannot parse object {expr!r}")
         advance()
         if tok.startswith("I"):
-            X = representable_cube(int(tok[1:]), D)
+            n = int(tok[1:])
+            _charge(cubes, [cubes.count(d, n) for d in range(D + 1)], tok)
+            X = representable_cube(n, D)
         elif tok.startswith("Delta"):
             return delta(int(tok[5:]), D)
         elif tok == "1":
@@ -206,7 +220,11 @@ def parse_lab_object(expr: str, D: int) -> FinPresheaf:
         X = atom()
         while peek() == "*":
             advance()
-            X = _usage_on_value_error(product, X, atom())
+            Y = atom()
+            _charge(X.site, [x * y for x, y in zip(X.level_sizes(),
+                                                   Y.level_sizes())],
+                    "product")
+            X = _usage_on_value_error(product, X, Y)
         return X
 
     out = obj()
@@ -296,12 +314,12 @@ def lab_quotient(obj, group):
     m = re.fullmatch(r"S([0-9]+)", group)
     if not m:
         raise click.UsageError("group must be S<k>")
-    X = parse_lab_object(obj, D)
+    report = {"operation": "quotient", "inputs": {"obj": obj, "group": group},
+              "bounds": {"D": D}}
+    X = _within_budget(report, parse_lab_object, obj, D)
     Q = _usage_on_value_error(quotient_by_group, X,
                               full_symmetric(int(m.group(1))))
-    _emit({"operation": "quotient", "inputs": {"obj": obj, "group": group},
-           "bounds": {"D": D},
-           "cell-counts": Q.level_sizes()},
+    _emit({**report, "cell-counts": Q.level_sizes()},
           human=f"levels: {Q.level_sizes()}")
 
 
@@ -310,11 +328,12 @@ def lab_quotient(obj, group):
 def lab_triangulate(obj):
     """Triangulate a cubical set; reports level sizes and nondegeneracies."""
     D = CONFIG.dim
-    T = _usage_on_value_error(triangulate, parse_lab_object(obj, D))
+    report = {"operation": "triangulate", "inputs": {"obj": obj},
+              "bounds": {"D": D}}
+    T = _usage_on_value_error(
+        triangulate, _within_budget(report, parse_lab_object, obj, D))
     nd = [len(nondegenerate(T, d)) for d in range(D + 1)]
-    _emit({"operation": "triangulate", "inputs": {"obj": obj},
-           "bounds": {"D": D},
-           "cell-counts": T.level_sizes(),
+    _emit({**report, "cell-counts": T.level_sizes(),
            "result": {"nondegenerate": nd}},
           human=f"levels: {T.level_sizes()} nondegenerate: {nd}")
 
@@ -325,14 +344,12 @@ def lab_triangulate(obj):
 def lab_iso(lhs, rhs):
     """Search for an isomorphism between two objects."""
     D = CONFIG.dim
-    X = parse_lab_object(lhs, D)
-    Y = parse_lab_object(rhs, D)
-    r = _within_budget(
-        {"operation": "iso", "inputs": {"lhs": lhs, "rhs": rhs},
-         "bounds": {"D": D}}, iso_search, X, Y, budget=CONFIG.budget)
-    report = {"operation": "iso", "inputs": {"lhs": lhs, "rhs": rhs},
-              "bounds": {"D": D},
-              "cell-counts": X.level_sizes(),
+    base = {"operation": "iso", "inputs": {"lhs": lhs, "rhs": rhs},
+            "bounds": {"D": D}}
+    X = _within_budget(base, parse_lab_object, lhs, D)
+    Y = _within_budget(base, parse_lab_object, rhs, D)
+    r = _within_budget(base, iso_search, X, Y, budget=CONFIG.budget)
+    report = {**base, "cell-counts": X.level_sizes(),
               "result": "isomorphic" if r.found else "not-isomorphic"}
     if r.found:
         report["witness"] = {
@@ -363,9 +380,11 @@ def _cubical_object(expr: str, D: int) -> FinPresheaf:
 def lab_lift(map_expr, nmax, kmax):
     """Bounded equivariant-lifting certificate for a map."""
     D = CONFIG.dim
+    base = {"operation": "lift-check", "inputs": {"map": map_expr},
+            "bounds": {"n_max": nmax, "k_max": kmax, "D": D}}
     m = re.fullmatch(r"\s*id\((.+)\)\s*", map_expr)
     if m:
-        X = _cubical_object(m.group(1), D)
+        X = _within_budget(base, _cubical_object, m.group(1), D)
         from .cubelab.boxes import PresheafMap
         f = PresheafMap(X, X, {d: {c: c for c in X.cells(d)}
                                for d in range(D + 1)})
@@ -373,12 +392,10 @@ def lab_lift(map_expr, nmax, kmax):
         m = re.fullmatch(r"\s*(.+?)\s*->\s*1\s*", map_expr)
         if not m:
             raise click.UsageError("map must be 'X->1' or 'id(X)'")
-        X = _cubical_object(m.group(1), D)
+        X = _within_budget(base, _cubical_object, m.group(1), D)
         f = presheaf_map_to_terminal(X)
-    rep = _within_budget(
-        {"operation": "lift-check", "inputs": {"map": map_expr},
-         "bounds": {"n_max": nmax, "k_max": kmax, "D": D}},
-        check_equivariant_lifting, f, nmax, kmax, D, budget=CONFIG.budget)
+    rep = _within_budget(base, check_equivariant_lifting, f, nmax, kmax, D,
+                         budget=CONFIG.budget)
     out = rep.to_json()
     out["operation"] = "lift-check"
     out["inputs"] = {"map": map_expr}

@@ -55,9 +55,9 @@ class UnionFind:
         return x
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        # the root of a class is its least member
+        ra, rb = sorted((self.find(a), self.find(b)))
+        self.parent[rb] = ra
 
 
 def closure(conj: Conjunct) -> UnionFind | None:

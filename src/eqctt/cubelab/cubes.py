@@ -59,7 +59,7 @@ def count_hom(m: int, n: int, bound: int = 16) -> int:
     <n> -> <m>; dimensions above ``bound`` are rejected."""
     if m > bound or n > bound:
         raise ValueError(f"hom enumeration bound {bound} exceeded")
-    return (m + 2) ** n
+    return count(m, n)
 
 
 def enumerate_hom(m: int, n: int, bound: int = 16) -> list[CubeMap]:
@@ -216,3 +216,7 @@ def is_mono(m: CubeMap, probe_max: int = 3) -> bool:
 # module (as the per-layer tracer in perfbench does) is seen everywhere.
 maps = enumerate_hom
 identity = cube_identity
+
+
+def count(m: int, n: int) -> int:
+    return (m + 2) ** n

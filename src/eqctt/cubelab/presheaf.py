@@ -3,8 +3,9 @@
 A ``FinPresheaf`` over a site stores, for every site morphism between levels
 <= D, the induced function on cells.  A site is the module of its category,
 ``cubes`` or ``simplicial``, which provides ``maps(a, b)`` (morphisms
-dom=a -> cod=b), ``identity(n)``, ``compose(g, f)`` and ``split_epis(d)``
-(the non-invertible split epis out of level d).
+dom=a -> cod=b), ``count(a, b)`` (how many), ``identity(n)``,
+``compose(g, f)`` and ``split_epis(d)`` (the non-invertible split epis out
+of level d).
 
 A cell at level d is its position in ``levels[d]``, the sorted tuple of that
 level's labels (hashable, sortable values such as cube maps or pairs of
@@ -63,6 +64,13 @@ def build_presheaf(site: ModuleType, D: int,
     return FinPresheaf(site, D, levels, action)
 
 
+def table_size(site: ModuleType, sizes: list[int]) -> int:
+    """The entries ``build_presheaf`` materializes for levels of these
+    sizes: one per site map f and cell at level f.cod."""
+    return sum(site.count(a, b) * sizes[b]
+               for a in range(len(sizes)) for b in range(len(sizes)))
+
+
 def label_table(levels: dict[int, tuple[Label, ...]],
                 fn: Callable[[object, Label], Label]) -> Callable:
     """``table`` for ``build_presheaf`` from an action on labels: the
@@ -99,9 +107,17 @@ def check_functorial(X: FinPresheaf) -> bool:
 # standard objects
 
 def representable_cube(n: int, D: int) -> FinPresheaf:
+    """I^n: a cell I^d -> I^n is its middles read in base d + 2, its
+    position in ``enumerate_hom`` order.  A map f acts on each middle v as
+    ``f.table[v]``, so f's table is the n-fold product of ``f.table``."""
     levels = {d: tuple(enumerate_hom(d, n)) for d in range(D + 1)}
-    return build_presheaf(cubes, D, levels, label_table(
-        levels, lambda f, c: cube_compose(c, f)))
+
+    def table(f) -> Table:
+        t: Table = (0,)
+        for _ in range(n):
+            t = tuple(x * (f.dom + 2) + v for x in t for v in f.table)
+        return t
+    return build_presheaf(cubes, D, levels, table)
 
 
 def terminal_cube(D: int) -> FinPresheaf:

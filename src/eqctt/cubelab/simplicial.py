@@ -9,6 +9,7 @@ f(i) >= j (top if there is none).
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 
@@ -65,6 +66,10 @@ maps = enumerate_monotone
 identity = simplex_identity
 compose = simplex_compose
 SIMPLEX = sys.modules[__name__]
+
+
+def count(m: int, n: int) -> int:
+    return math.comb(m + n + 1, m + 1)
 
 
 def delta(n: int, D: int) -> FinPresheaf:

@@ -10,9 +10,11 @@ Sigma_k acts on the readback by permuting the binder tuples and the source
 and target tuples.  This turns the equivariance equations into definitional
 laws.
 
-Conversion splits the ambient cofibration context into DNF conjuncts, applies
-the interval identifications each conjunct forces, renormalizes and compares;
-a system is compared as a partial element on the union of its guards.
+Conversion splits the ambient cofibration context into DNF conjuncts,
+renormalizes under the interval identifications each conjunct forces (not
+at all when nothing is restricted), and compares the readbacks' keys.
+``term_key`` keys a system as the partial element it denotes, so the keys
+decide equality of systems too.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import Callable, Optional
 
 from . import cof
 from .config import CONFIG
-from .syntax import (Branch, CEq, Cof, Comp, Fst, I0, I1, IVar,
-                     Interval, Lam, Let, Pair, PApp, PathT, Pi, PLam, Sigma,
-                     Snd, Term, U, Var, App, cof_and, cof_or, fresh, subst_cof,
+from .syntax import (Branch, Cof, Comp, Fst, I0, I1, IVar, Interval, Lam,
+                     Let, Pair, PApp, PathT, Pi, PLam, Sigma, Snd, Term, U,
+                     Var, App, alpha_eq, cof_and, fresh, subst_cof,
                      subst_interval, interval_key, term_key)
 
 
@@ -517,6 +519,10 @@ def make_stuck(dirs, line, source, target, tube, cap, hyps) -> VNe:
 # ---------------------------------------------------------------------------
 # conversion
 
+# conversion's one comparison: equal term keys
+terms_equal = alpha_eq
+
+
 def _interval(key) -> Interval:
     """The interval an element key of ``cof`` stands for."""
     return I0 if key == (0,) else I1 if key == (1,) else IVar(key[1])
@@ -528,121 +534,25 @@ def _assignment(conj) -> dict[str, Interval]:
     uf = cof.closure(conj)
     if uf is None:
         raise KernelError("inconsistent conjunct reached conversion")
-    classes: dict = {}
-    for key in list(uf.parent):
-        classes.setdefault(uf.find(key), []).append(key)
-    assign: dict[str, Interval] = {}
-    for members in classes.values():
-        rep = _interval(min(members))
-        for m in members:
-            if m[0] == 2:
-                assign[m[1]] = rep
-    return assign
-
-
-def _conj_cofs(conj) -> tuple[Cof, ...]:
-    return tuple(CEq(_interval(a), _interval(b)) for a, b in sorted(conj))
+    return {k[1]: _interval(uf.find(k)) for k in list(uf.parent) if k[0] == 2}
 
 
 def convert(ctx: Context, ty: Value, v1: Value, v2: Value) -> bool:
-    """Definitional equality under the context's restrictions."""
-    return _convert_quoted(ctx, lambda: (quote_type(ty), quote(ty, v1), quote(ty, v2)))
-
-
-def convert_types(ctx: Context, ty1: Value, ty2: Value) -> bool:
-    return _convert_quoted(ctx, lambda: (None, quote_type(ty1), quote_type(ty2)))
-
-
-def _convert_quoted(ctx: Context, quoter) -> bool:
+    """Definitional equality under the context's restrictions: for each DNF
+    conjunct of the restrictions, the readbacks under the interval
+    assignment it forces have equal keys.  When nothing is restricted the
+    first readbacks are compared, since normalization is idempotent."""
     dnf = cof.to_dnf(cof_and(*ctx.hyps))
     if dnf == ():
         return True  # inconsistent restriction: everything converts
-    ty_t, t1, t2 = quoter()
+    t1, t2 = quote(ty, v1), quote(ty, v2)
+    if dnf == (frozenset(),):
+        return terms_equal(t1, t2)
+    ty_t = quote_type(ty)
     for conj in dnf:
-        assign = _assignment(conj)
-        env = ctx.env(assign)
-        hyps = _conj_cofs(conj)
-        if ty_t is None:
-            n1 = quote_type(eval_term(env, t1))
-            n2 = quote_type(eval_term(env, t2))
-        else:
-            ty_v = eval_term(env, ty_t)
-            n1 = quote(ty_v, eval_term(env, t1))
-            n2 = quote(ty_v, eval_term(env, t2))
-        if not terms_equal(hyps, n1, n2):
+        env = ctx.env(_assignment(conj))
+        ty_v = eval_term(env, ty_t)
+        if not terms_equal(quote(ty_v, eval_term(env, t1)),
+                           quote(ty_v, eval_term(env, t2))):
             return False
     return True
-
-
-# structural comparison modulo cofibration equivalence ----------------------
-
-def _ieq(hyps, ren: dict[str, str], r1: Interval, r2: Interval) -> bool:
-    if isinstance(r2, IVar):
-        r2 = IVar(ren.get(r2.name, r2.name))
-    return cof.interval_eq(hyps, r1, r2)
-
-
-def terms_equal(hyps, t1: Term, t2: Term, ren: dict[str, str] | None = None) -> bool:
-    """Alpha comparison; intervals and guards are compared by entailment
-    under the hypotheses, and pruned/equivalent systems are identified."""
-    ren = ren or {}
-    match (t1, t2):
-        case (Var(x), Var(y)):
-            return x == ren.get(y, y)
-        case (U(n), U(m)):
-            return n == m
-        case (Pi(x, a, b), Pi(y, c, d)) | (Sigma(x, a, b), Sigma(y, c, d)):
-            return (type(t1) is type(t2)
-                    and terms_equal(hyps, a, c, ren)
-                    and terms_equal(hyps, b, d, {**ren, y: x}))
-        case (Lam(x, e), Lam(y, f)):
-            return terms_equal(hyps, e, f, {**ren, y: x})
-        case (App(f, a), App(g, b)):
-            return terms_equal(hyps, f, g, ren) and terms_equal(hyps, a, b, ren)
-        case (Pair(a, b), Pair(c, d)):
-            return terms_equal(hyps, a, c, ren) and terms_equal(hyps, b, d, ren)
-        case (Fst(a), Fst(b)) | (Snd(a), Snd(b)):
-            return type(t1) is type(t2) and terms_equal(hyps, a, b, ren)
-        case (PathT(i, l, a, b), PathT(j, m, c, d)):
-            return (terms_equal(hyps, l, m, {**ren, j: i})
-                    and terms_equal(hyps, a, c, ren)
-                    and terms_equal(hyps, b, d, ren))
-        case (PLam(i, e), PLam(j, f)):
-            return terms_equal(hyps, e, f, {**ren, j: i})
-        case (PApp(f, r), PApp(g, s)):
-            return terms_equal(hyps, f, g, ren) and _ieq(hyps, ren, r, s)
-        case (Comp() as c1, Comp() as c2):
-            return _comps_equal(hyps, c1, c2, ren)
-        case (Let(x, a1, b1, e1), Let(y, a2, b2, e2)):
-            return (terms_equal(hyps, a1, a2, ren)
-                    and terms_equal(hyps, b1, b2, ren)
-                    and terms_equal(hyps, e1, e2, {**ren, y: x}))
-    return False
-
-
-def _comps_equal(hyps, c1: Comp, c2: Comp, ren) -> bool:
-    """Systems as partial elements: the guard unions agree, and each DNF
-    conjunct of a c1 guard lies in some c2 guard whose body is equal there
-    (the checker makes each system compatible, so this is symmetric)."""
-    if len(c1.dirs) != len(c2.dirs):
-        return False
-    ren2 = {**ren, **dict(zip(c2.dirs, c1.dirs))}
-    if not terms_equal(hyps, c1.line, c2.line, ren2):
-        return False
-    for r, s in zip(c1.source + c1.target, c2.source + c2.target):
-        if not _ieq(hyps, ren, r, s):
-            return False
-    iren = {a: IVar(b) for a, b in ren.items()}
-    guards2 = [subst_cof(b.guard, iren) for b in c2.tube]
-    if not cof.entails(tuple(hyps) + (cof_or(*guards2),),
-                       cof_or(*(b.guard for b in c1.tube))):
-        return False
-    for b1 in c1.tube:
-        for conj in cof.to_dnf(cof_and(*hyps, b1.guard)):
-            kappa = _conj_cofs(conj)
-            if not any(cof.entails(kappa, g2)
-                       and terms_equal(kappa, b1.body, b2.body,
-                                       {**ren, **dict(zip(b2.dirs, b1.dirs))})
-                       for b2, g2 in zip(c2.tube, guards2)):
-                return False
-    return terms_equal(hyps, c1.cap, c2.cap, ren)

@@ -469,90 +469,118 @@ def interval_key(r: Interval, env: dict[str, int] | None = None):
     raise TypeError(r)
 
 
-def _cofkey(phi: Cof, env: dict[str, int]):
-    match phi:
-        case CTop():
-            return ("ct",)
-        case CBot():
-            return ("cb",)
-        case CEq(l, r):
-            a, b = sorted((interval_key(l, env), interval_key(r, env)))
-            return ("ce", a, b)
-        case CAnd(l, r):
-            return ("ca", _cofkey(l, env), _cofkey(r, env))
-        case COr(l, r):
-            return ("co", _cofkey(l, env), _cofkey(r, env))
-    raise TypeError(phi)
+def _under(env: dict[str, int], depth: int, names: tuple[str, ...]):
+    """The key environment and depth inside binders of ``names``."""
+    env = dict(env)
+    for n in names:
+        env[n] = depth
+        depth += 1
+    return env, depth
 
 
-def term_key(t: Term, _env: dict[str, int] | None = None, _depth: int = 0):
-    """A nested-tuple key: alpha-invariant, totally ordered, hashable.
+def term_key(t: Term, _env: dict[str, int] | None = None, _depth: int = 0,
+             _ident: dict | None = None):
+    """A nested-tuple key: alpha-invariant, totally ordered, hashable.  It
+    is the kernel's one notion of syntactic equality: conversion compares
+    keys, and the least key picks the canonical representative of a stuck
+    comp's Sigma_k orbit.
 
-    Binders are numbered by depth (de Bruijn levels), so alpha-equal terms get
-    equal keys, and a system is keyed as the sorted set of its branch keys;
-    the ordering is the fixed total order used to pick canonical
-    representatives of stuck comps.
+    Binders are numbered by depth (de Bruijn levels), so alpha-equal terms
+    get equal keys.  ``_ident`` sends an interval key to the key of its
+    class representative under the guards of the enclosing branches, and a
+    system is keyed as the partial element it denotes (``_system_key``).
     """
-    env = _env if _env is not None else {}
+    env = {} if _env is None else _env
+    ident = {} if _ident is None else _ident
 
-    def under(names: tuple[str, ...]):
-        e2 = dict(env)
-        d = _depth
-        for n in names:
-            e2[n] = d
-            d += 1
-        return e2, d
+    def key(u: Term, names: tuple[str, ...] = ()):
+        """The key of u inside binders of ``names``."""
+        e, d = _under(env, _depth, names) if names else (env, _depth)
+        return term_key(u, e, d, ident)
+
+    def ikey(r: Interval):
+        k = interval_key(r, env)
+        return ident.get(k, k)
 
     match t:
         case Var(x):
-            if x in env:
-                return ("b", env[x])
-            return ("v", x)
+            return ("b", env[x]) if x in env else ("v", x)
         case Pi(x, a, b):
-            e2, d = under((x,))
-            return ("pi", term_key(a, env, _depth), term_key(b, e2, d))
+            return ("pi", key(a), key(b, (x,)))
         case Sigma(x, a, b):
-            e2, d = under((x,))
-            return ("sg", term_key(a, env, _depth), term_key(b, e2, d))
+            return ("sg", key(a), key(b, (x,)))
         case Lam(x, e):
-            e2, d = under((x,))
-            return ("lam", term_key(e, e2, d))
+            return ("lam", key(e, (x,)))
         case App(f, a):
-            return ("app", term_key(f, env, _depth), term_key(a, env, _depth))
+            return ("app", key(f), key(a))
         case Pair(a, b):
-            return ("pr", term_key(a, env, _depth), term_key(b, env, _depth))
+            return ("pr", key(a), key(b))
         case Fst(a):
-            return ("p1", term_key(a, env, _depth))
+            return ("p1", key(a))
         case Snd(a):
-            return ("p2", term_key(a, env, _depth))
+            return ("p2", key(a))
         case PathT(i, l, a, b):
-            e2, d = under((i,))
-            return ("pt", term_key(l, e2, d), term_key(a, env, _depth),
-                    term_key(b, env, _depth))
+            return ("pt", key(l, (i,)), key(a), key(b))
         case PLam(i, e):
-            e2, d = under((i,))
-            return ("plam", term_key(e, e2, d))
+            return ("plam", key(e, (i,)))
         case PApp(f, r):
-            return ("papp", term_key(f, env, _depth), interval_key(r, env))
+            return ("papp", key(f), ikey(r))
         case U(n):
             return ("u", n)
         case Comp(dirs, line, src, tgt, tube, cap):
-            e2, d = under(dirs)
-            return ("comp", len(dirs), term_key(line, e2, d),
-                    tuple(interval_key(r, env) for r in src),
-                    tuple(interval_key(r, env) for r in tgt),
-                    tuple(sorted({(_cofkey(br.guard, env),
-                                   term_key(br.body, *under(br.dirs)))
-                                  for br in tube})),
-                    term_key(cap, env, _depth))
+            return ("comp", len(dirs), key(line, dirs),
+                    tuple(map(ikey, src)), tuple(map(ikey, tgt)),
+                    _system_key(tube, env, _depth, ident), key(cap))
         case Let(x, ann, bound, body):
-            e2, d = under((x,))
-            return ("let", term_key(ann, env, _depth),
-                    term_key(bound, env, _depth), term_key(body, e2, d))
+            return ("let", key(ann), key(bound), key(body, (x,)))
     raise TypeError(t)
 
 
+def _system_key(tube: tuple[Branch, ...], env: dict[str, int], depth: int,
+                ident: dict):
+    """A system as the partial element it denotes: the sorted set of
+    (conjunct key, body key) pairs.
+
+    Each guard is split into its DNF conjuncts, read with the enclosing
+    identifications applied, so a conjunct that is dead under the enclosing
+    guards drops out.  A conjunct is keyed by the identifications it forces:
+    each member of a class paired with the class representative, its least
+    key (0 < 1 < bound < free).  A conjunct that entails another conjunct of
+    the system, and is not entailed by it, drops out.  A body is keyed with
+    every identified interval keyed as its representative.
+    """
+    from . import cof  # deferred: cof imports us
+
+    def element(k):  # an element key of ``cof`` as an interval key here
+        if len(k) == 2:
+            k = (2, env[k[1]]) if k[1] in env else (3, k[1])
+        return ident.get(k, k)
+
+    conjuncts = []
+    for br in tube:
+        for conj in cof.to_dnf(br.guard):
+            uf = cof.UnionFind()
+            for a, b in conj:
+                uf.union(element(a), element(b))
+            rep = {x: uf.find(x) for x in list(uf.parent) if uf.find(x) != x}
+            if rep.get((1,)) != (0,):
+                conjuncts.append((rep, br))
+
+    def entails(r1: dict, r2: dict) -> bool:
+        return all(r1.get(m, m) == r1.get(r, r) for m, r in r2.items())
+
+    out = set()
+    for rep, br in conjuncts:
+        if any(r2 != rep and entails(rep, r2) for r2, _ in conjuncts):
+            continue
+        inner = {k: rep.get(v, v) for k, v in ident.items()}
+        inner.update(rep)
+        out.add((tuple(sorted(rep.items())),
+                 term_key(br.body, *_under(env, depth, br.dirs), inner)))
+    return tuple(sorted(out))
+
+
 def alpha_eq(t1: Term, t2: Term) -> bool:
-    """Equality up to renaming of bound variables and up to the order and
-    repetition of system branches."""
+    """Equal keys: equality up to renaming of bound variables, with each
+    system compared as the partial element it denotes."""
     return term_key(t1) == term_key(t2)

@@ -18,7 +18,7 @@ from . import cof
 from .printer import print_cof, print_term
 from .semantics import (Context, Env, PermutationBoundExceeded, TermBind,
                         Value, VU, VPi, VSigma, VPathT, KernelError, convert,
-                        convert_types, eval_cof, eval_interval, eval_term,
+                        eval_cof, eval_interval, eval_term,
                         neutral_var, quote, quote_type)
 from .syntax import (Branch, Comp, Decl, Def, Fst, I0, I1, IVar, Interval,
                      Lam, Let, Pair, PApp, PathT, Pi, PLam, Pos, Postulate,
@@ -251,7 +251,7 @@ class Checker:
                 self.check(sc2, body, expected)
                 return
         actual = self.infer(sc, t)
-        if not convert_types(sc.ctx, actual, expected):
+        if not convert(sc.ctx, VU(0), actual, expected):
             _fail(MISMATCH, "type mismatch", t.pos,
                   expected=_show_type(expected), actual=_show_type(actual))
 

@@ -19,8 +19,8 @@ import pytest
 
 from eqctt import cof
 from eqctt.parser import Parser, parse_module
-from eqctt.semantics import (Context, convert, convert_types, eval_term,
-                             quote, quote_type)
+from eqctt.semantics import (VU, Context, convert, eval_term, quote,
+                             quote_type)
 from eqctt.syntax import (BOT, Branch, CAnd, CEq, Comp, Cof, COr, I0, I1,
                           IVar, PLam, Term, Var, alpha_eq, cof_and,
                           substitute)
@@ -349,7 +349,7 @@ def _gen_candidates(scope, rng: random.Random, count: int):
                 fns = [(t, ty) for t, ty in pool if isinstance(ty, VPi)]
                 t1, ty1 = rng.choice(fns)
                 args = [(t, ty) for t, ty in pool
-                        if convert_types(scope.ctx, ty, ty1.dom)]
+                        if convert(scope.ctx, VU(0), ty, ty1.dom)]
                 if not args:
                     continue
                 t2, _ = rng.choice(args)
@@ -405,11 +405,11 @@ def _gen_candidates(scope, rng: random.Random, count: int):
                     [Var("A"), Var("C"), PApp(Var("L"), IVar(dirs[0]))])
                 if isinstance(line, PApp) or alpha_eq(line, Var("A")):
                     caps = [(t, ty) for t, ty in pool
-                            if convert_types(scope.ctx, ty, scope.types["a"])]
+                            if convert(scope.ctx, VU(0), ty, scope.types["a"])]
                 else:
                     caps = [(t, ty) for t, ty in pool
-                            if convert_types(scope.ctx, ty,
-                                             scope.types["c0"])]
+                            if convert(scope.ctx, VU(0), ty,
+                                       scope.types["c0"])]
                 if not caps:
                     continue
                 t1, _ = rng.choice(caps)

@@ -244,6 +244,23 @@ def test_lab_lift_budget_exceeded_exit3():
     assert json.loads(r.output)["result"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("obj", ["I9", "I3*I3*I3"])
+def test_lab_objects_are_charged_before_they_are_built(obj):
+    # 7 780 859 action-table entries each at --dim 2
+    r = run("--json", "--dim", "2", "lab", "triangulate", obj)
+    assert r.exit_code == 3
+    report = json.loads(r.output)
+    assert report["result"] == "budget-exceeded"
+    assert "7780859 action-table entries" in report["detail"]
+
+
+@pytest.mark.parametrize("budget, code", [("31866", 0), ("31865", 3)])
+def test_lab_object_budget_is_the_table_size(budget, code):
+    # I3 at --dim 3: the sum over maps f of |I3 at f.cod| is 31 866
+    r = run("--budget", budget, "--dim", "3", "lab", "triangulate", "I3")
+    assert r.exit_code == code, r.output
+
+
 @pytest.mark.parametrize("bounds", [("--nmax", "-1", "--kmax", "1"),
                                     ("--nmax", "0", "--kmax", "0")],
                          ids=" ".join)

@@ -1,0 +1,72 @@
+"""Golden outputs: the exit code and ``--json`` stdout of the corpus checks,
+the corpus normal forms, and the lab invocations the benchmark runs, each
+run in-process from the repository root so that reports carry relative
+paths.
+
+``golden.json`` is written by running this file as a script from the root
+of a checkout (``PYTHONPATH=src python tests/test_golden.py``).  The
+recorded outputs come from the commit before these tests were added; a
+change that means to alter an output regenerates the file the same way and
+lists the outputs that changed.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import re
+
+import pytest
+from click.testing import CliRunner
+
+from eqctt.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden.json"
+
+
+def _flags(dim: int) -> list[str]:
+    return ["--json", "--kmax", "4", "--dim", str(dim), "--budget", "500000"]
+
+
+def invocations() -> list[list[str]]:
+    files = sorted(p.name for p in (ROOT / "corpus").glob("*.ectt"))
+    out = [_flags(3) + ["check", f"corpus/{f}"] for f in files]
+    for f in files:
+        text = (ROOT / "corpus" / f).read_text()
+        out += [_flags(3) + ["normalize", f"corpus/{f}", "--def", name]
+                for name in re.findall(r"^def\s+(\S+)", text, re.M)]
+    lab = [["triangulate", o] for o in ("I1", "I2", "I3", "I1*I1", "I2/S2")]
+    lab += [["quotient", f"I{n}", f"S{n}"] for n in (1, 2)]
+    lab += [["iso", "--lhs", lhs, "--rhs", rhs] for lhs, rhs in (
+        ("T(I2/S2)", "Delta2"), ("T(I1*I1)", "T(I2)"), ("T(I1)", "Delta1"),
+        ("T(I2/S2)", "T(I1*I1)"))]
+    out += [_flags(3) + ["lab", *args] for args in lab]
+    out += [_flags(2) + ["lab", "lift-check", "--map", m, "--nmax", "1",
+                         "--kmax", "1"]
+            for m in ("horn->1", "I1->1", "1->1", "id(1)", "id(I1)")]
+    return out
+
+
+def _run(args: list[str]) -> dict:
+    r = CliRunner().invoke(main, args)
+    return {"exit_code": r.exit_code, "stdout": r.stdout}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("args", invocations(),
+                         ids=lambda a: " ".join(a[7:]))
+def test_golden_output(golden, monkeypatch, args):
+    monkeypatch.chdir(ROOT)
+    assert _run(args) == golden[" ".join(args)]
+
+
+if __name__ == "__main__":
+    import os
+    os.chdir(ROOT)
+    GOLDEN.write_text(json.dumps({" ".join(a): _run(a) for a in invocations()},
+                                 indent=1, sort_keys=True) + "\n")

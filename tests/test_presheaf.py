@@ -5,10 +5,11 @@ from conftest import cell
 
 from eqctt.cubelab.cubes import (CubeMap, compose, enumerate_hom,
                                  full_symmetric, perm_cube_map)
+from eqctt.cubelab import cubes, simplicial
 from eqctt.cubelab.presheaf import (FinPresheaf, check_functorial, iso_search,
-                                    nondegenerate, product,
+                                    label_table, nondegenerate, product,
                                     quotient_by_group, representable_cube,
-                                    terminal_cube)
+                                    table_size, terminal_cube)
 from eqctt.cubelab.boxes import close_cells, sub_vertex
 
 
@@ -24,6 +25,31 @@ def test_representable_levels_match_hom_enumeration():
             assert len(X.levels[d]) == len(enumerate_hom(d, n))
             # a cell's position is its place in sorted label order
             assert list(X.levels[d]) == sorted(enumerate_hom(d, n))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_representable_tables_match_composition(n):
+    # the product-of-tables construction against composition of cube maps
+    X = representable_cube(n, 3)
+    by_compose = label_table(X.levels, lambda f, c: compose(c, f))
+    for a in range(4):
+        for b in range(4):
+            for f in enumerate_hom(a, b):
+                assert X.action[f] == by_compose(f), f
+    for D in range(3):
+        Y = representable_cube(n, D)
+        assert Y.action == {f: t for f, t in X.action.items()
+                            if f.dom <= D and f.cod <= D}
+
+
+@pytest.mark.parametrize("site", [cubes, simplicial], ids=lambda s: s.__name__)
+def test_table_size_counts_the_action_entries(site):
+    X = (representable_cube(2, 3) if site is cubes
+         else simplicial.delta(2, 3))
+    assert all(site.count(a, b) == len(site.maps(a, b))
+               for a in range(5) for b in range(5))
+    assert table_size(site, X.level_sizes()) == sum(
+        len(t) for t in X.action.values())
 
 
 def test_representable_functorial_dim2():

@@ -13,7 +13,7 @@ from eqctt.semantics import (Context, NComp, PermutationBoundExceeded, VNe,
                              canonicalize_stuck_comp, convert, eval_term,
                              quote, quote_type, sigma_transform)
 from eqctt.syntax import (BOT, App, Branch, CEq, Comp, I0, I1, IVar, PApp,
-                          Pi, PLam, Var, alpha_eq, term_key)
+                          Pi, PLam, Var, alpha_eq, cof_and, cof_or, term_key)
 from eqctt.typecheck import Checker, Scope, check_module
 
 from conftest import corpus_files
@@ -409,7 +409,7 @@ def _systems(draw):
                for e, fixes in branches]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_systems(), st.sampled_from(["permute", "duplicate", "split"]),
        st.randoms(use_true_random=False))
 def test_system_rewrites_convert(sig, system, rewrite, rng):
@@ -421,22 +421,84 @@ def test_system_rewrites_convert(sig, system, rewrite, rng):
         other = list(tube)
         other.insert(rng.randrange(len(tube) + 1), rng.choice(tube))
     else:
-        # at k >= 2 a split guard can change which representative wins
         splittable = [n for n, (ds, _) in enumerate(branches) if len(ds) == 2]
-        assume(k == 1 and splittable)
+        assume(splittable)
         n = rng.choice(splittable)
         ds, body = branches[n]
         other = tube[:n] + [(d, body) for d in ds] + tube[n + 1:]
     assert _comps_convert(sig, _comp_src(k, tube), _comp_src(k, other))
 
 
-@pytest.mark.parametrize("base,other", [
-    ([("m = 0", "a")], [("m = 0", "p @ i")]),
-    ([("m = 0", "a")], [(r"m = 0 \/ n = 0", "a")]),
-    ([("m = 0", "a")], [(r"m = 0 /\ n = 0", "a")]),
-    ([("m = 0", "a"), ("m = 1", "a")], [("m = 1", "p @ i"), ("m = 0", "a")]),
-], ids=["body", "larger-union", "smaller-union", "reordered-body"])
-def test_systems_that_differ_do_not_convert(sig, base, other):
-    base, other = _comp_src(1, base), _comp_src(1, other)
+@pytest.mark.parametrize("k,base,other", [
+    (1, [("m = 0", "a")], [("m = 0", "p @ i")]),
+    (1, [("m = 0", "a")], [(r"m = 0 \/ n = 0", "a")]),
+    (1, [("m = 0", "a")], [(r"m = 0 /\ n = 0", "a")]),
+    (1, [("m = 0", "a"), ("m = 1", "a")], [("m = 1", "p @ i"), ("m = 0", "a")]),
+    # no permutation of the directions sends one system to the other
+    (2, [("m = 0", "p @ i"), ("m = 1", "p @ i")],
+     [("m = 0", "p @ i"), ("m = 1", "p @ j")]),
+    (2, [(r"m = 0 \/ n = 1", "p @ i")], [("m = 0", "p @ i")]),
+], ids=["body", "larger-union", "smaller-union", "reordered-body",
+        "k2-body", "k2-smaller-union"])
+def test_systems_that_differ_do_not_convert(sig, k, base, other):
+    base, other = _comp_src(k, base), _comp_src(k, other)
     assert not _comps_convert(sig, base, other)
     assert not _comps_convert(sig, other, base)
+
+
+SPLIT_COMP2 = (
+    r"comp^2 (i j. A) [m = 0 \/ (m = 0 /\ n = 1) -> i j. p @ i"
+    r" | m = 1 -> i j. p @ j] a : (0,0) ~> (1,1)",
+    r"comp^2 (i j. A) [m = 0 -> i j. p @ i | m = 0 /\ n = 1 -> i j. p @ i"
+    r" | m = 1 -> i j. p @ j] a : (0,0) ~> (1,1)")
+
+# the inner guard's m = 1 is dead under the outer guard m = 0
+NESTED_DEAD = (
+    r"comp^1 (i. A) [m = 0 -> i. comp^1 (j. A) [m = 1 \/ n = 0 -> j. p @ j]"
+    r" a : 0 ~> i] a : 0 ~> 1",
+    r"comp^1 (i. A) [m = 0 -> i. comp^1 (j. A) [n = 0 -> j. p @ j]"
+    r" a : 0 ~> i] a : 0 ~> 1")
+
+
+@pytest.mark.parametrize("pair", [SPLIT_COMP2, SPLIT_COMP2[::-1],
+                                  NESTED_DEAD, NESTED_DEAD[::-1]],
+                         ids=["comp2-split", "comp2-merged", "nested-dead",
+                              "nested-live"])
+def test_equal_partial_elements_convert(sig, pair):
+    assert _comps_convert(sig, *pair)
+
+
+_GUARD_ATOMS = st.builds(CEq, st.sampled_from([IVar("m"), IVar("n")]),
+                         st.sampled_from([I0, I1, IVar("n")]))
+
+
+@st.composite
+def _split_guards(draw):
+    """A stuck comp^k, k = 2 or 3, whose first branch has a guard of two
+    disjuncts, and the same comp with that branch split in two."""
+    k = draw(st.integers(2, 3))
+    dirs = tuple(f"d{j}" for j in range(k))
+    bdirs = tuple(f"e{j}" for j in range(k))
+    ends = st.tuples(*[_intervals(_OUTER)] * k)
+    conjs = st.lists(_GUARD_ATOMS, min_size=1, max_size=2).map(
+        lambda cs: cof_and(*cs))
+    disjuncts = draw(st.lists(st.lists(conjs, min_size=1, max_size=2),
+                              min_size=1, max_size=3))
+    disjuncts[0] = draw(st.lists(conjs, min_size=2, max_size=2))
+    bodies = [draw(_terms(bdirs)) for _ in disjuncts]
+    line, source, target = draw(_terms(dirs)), draw(ends), draw(ends)
+
+    def comp(tube):
+        return Comp(dirs, line, source, target,
+                    tuple(Branch(g, bdirs, u) for g, u in tube), Var("a"))
+    tube = [(cof_or(*ds), u) for ds, u in zip(disjuncts, bodies)]
+    split = [(d, bodies[0]) for d in disjuncts[0]] + tube[1:]
+    return comp(tube), comp(split)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_split_guards())
+def test_split_guard_keeps_the_canonical_form(pair):
+    c, split = pair
+    assert (term_key(canonicalize_stuck_comp(c))
+            == term_key(canonicalize_stuck_comp(split)))
