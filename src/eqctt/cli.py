@@ -20,24 +20,29 @@ from .parser import SyntaxError_, parse_cof, parse_module
 from .printer import print_term
 from .semantics import quote
 from .typecheck import check_module
-from .cubelab import (automorphisms, build_open_box,
-                      check_equivariant_lifting, compose, delta, ez_factor,
-                      find_section, horn_box_domain, is_mono,
-                      iso_search, nondegenerate, presheaf_map_to_terminal,
-                      product, quotient_by_group, representable_cube,
-                      terminal_cube, triangulate)
 from .cubelab import cubes
-from .cubelab.boxes import OpenBoxSpec, sub_empty, sub_full, sub_vertex
-from .cubelab.cubes import count_hom, full_symmetric, make_cube_map
-from .cubelab.presheaf import BudgetExceeded, FinPresheaf, table_size
+from .cubelab.boxes import (PresheafMap, build_open_box,
+                            check_equivariant_lifting, horn_box_domain,
+                            presheaf_map_to_terminal, sub_empty, sub_full,
+                            sub_vertex)
+from .cubelab.cubes import (automorphisms, compose, count_hom, ez_factor,
+                            find_section, full_symmetric, index, is_mono,
+                            make_cube_map)
+from .cubelab.presheaf import (BudgetExceeded, FinPresheaf, iso_search,
+                               nondegenerate, product, quotient_by_group,
+                               representable_cube, table_size, terminal_cube)
+from .cubelab.simplicial import delta, triangulate
 
 
 def _emit(report: dict, human: str | None = None) -> None:
+    # click.echo's default stream is cached, keeping alive every buffer an
+    # in-process caller swaps in for stdout; an explicit one is not
+    out = click.get_text_stream("stdout")
     if CONFIG.json_output:
-        click.echo(json.dumps(report, sort_keys=True))
+        click.echo(json.dumps(report, sort_keys=True), file=out)
     else:
         click.echo(human if human is not None else
-                   json.dumps(report, sort_keys=True, indent=2))
+                   json.dumps(report, sort_keys=True, indent=2), file=out)
 
 
 @click.group()
@@ -233,12 +238,17 @@ def parse_lab_object(expr: str, D: int) -> FinPresheaf:
     return out
 
 
-def _parse_table_entry(tok: str, dom: int) -> int:
+def _parse_map(text: str, dom: int, cod: int, what: str):
+    """A cube map I^dom -> I^cod from its comma-separated middles."""
     entries = {"b": 0, "t": dom + 1, **{str(j): j for j in range(1, dom + 1)}}
-    if tok not in entries:
-        raise click.UsageError(
-            f"table entry {tok!r} is not b, t or an axis 1..{dom}")
-    return entries[tok]
+    toks = [t.strip() for t in text.split(",")] if text.strip() else []
+    for tok in toks:
+        if tok not in entries:
+            raise click.UsageError(
+                f"table entry {tok!r} is not b, t or an axis 1..{dom}")
+    if len(toks) != cod:
+        raise click.UsageError(f"need {cod} {what} entries")
+    return make_cube_map(dom, cod, tuple(entries[t] for t in toks))
 
 
 def _within_budget(report: dict, search, *args, **kwargs):
@@ -287,11 +297,7 @@ def lab_automorphisms(n):
                    "<cod> -> <dom>; entries b, t or an axis number")
 def lab_ez(dom, cod, table):
     """Factor a cube map as a split epi followed by a mono."""
-    mids = tuple(_parse_table_entry(t.strip(), dom)
-                 for t in table.split(",")) if table.strip() else ()
-    if len(mids) != cod:
-        raise click.UsageError(f"need {cod} table entries")
-    f = make_cube_map(dom, cod, mids)
+    f = _parse_map(table, dom, cod, "table")
     e, m = ez_factor(f)
     ok = compose(m, e) == f
     sec = find_section(e)
@@ -301,7 +307,7 @@ def lab_ez(dom, cod, table):
                       "mono": list(m.table),
                       "composes": ok,
                       "section": list(sec.table) if sec else None,
-                      "mono_cancellable": is_mono(m)}},
+                      "mono_cancellable": is_mono(m.dom, m.table)}},
           human=f"{f!r} = {m!r} . {e!r} (composes: {ok})")
 
 
@@ -385,7 +391,6 @@ def lab_lift(map_expr, nmax, kmax):
     m = re.fullmatch(r"\s*id\((.+)\)\s*", map_expr)
     if m:
         X = _within_budget(base, _cubical_object, m.group(1), D)
-        from .cubelab.boxes import PresheafMap
         f = PresheafMap(X, X, {d: {c: c for c in X.cells(d)}
                                for d in range(D + 1)})
     else:
@@ -414,16 +419,11 @@ def lab_lift(map_expr, nmax, kmax):
 def lab_open_box(n, k, zeta, sub):
     """Build an open box and report its levelwise cell counts."""
     D = CONFIG.dim
-    mids = tuple(_parse_table_entry(t.strip(), n)
-                 for t in zeta.split(",")) if zeta.strip() else ()
-    if len(mids) != k:
-        raise click.UsageError(f"need {k} zeta entries")
-    z = make_cube_map(n, k, mids)
+    z = _parse_map(zeta, n, k, "zeta")
     C = {"empty": sub_empty, "full": sub_full,
          "v0": lambda a, b: sub_vertex(a, b, 0),
          "v1": lambda a, b: sub_vertex(a, b, 1)}[sub](n, D)
-    spec = OpenBoxSpec.make(n, k, C, z)
-    dom, amb = _usage_on_value_error(build_open_box, spec, D)
+    dom, amb = _usage_on_value_error(build_open_box, n, k, C, index(z), D)
     inj = all(set(dom.levels[d]) <= set(amb.levels[d]) for d in range(D + 1))
     _emit({"operation": "open-box",
            "inputs": {"n": n, "k": k, "zeta": list(z.table), "sub": sub},

@@ -130,18 +130,9 @@ def entails(hyps: list[Cof] | tuple[Cof, ...], goal: Cof) -> bool:
     return True
 
 
-def satisfiable(phi: Cof) -> bool:
-    return to_dnf(phi) != ()
-
-
 def satisfiable_with(hyps, phi: Cof) -> bool:
     """Is ``phi`` consistent together with the hypotheses?"""
     return not entails(list(hyps) + [phi], BOT)
-
-
-def equivalent(hyps, phi: Cof, psi: Cof) -> bool:
-    """Cofibration extensionality: equality as logical equivalence."""
-    return entails(list(hyps) + [phi], psi) and entails(list(hyps) + [psi], phi)
 
 
 def interval_eq(hyps, r: Interval, s: Interval) -> bool:
@@ -151,5 +142,5 @@ def interval_eq(hyps, r: Interval, s: Interval) -> bool:
     return entails(hyps, CEq(r, s))
 
 
-__all__ = ["to_dnf", "entails", "satisfiable", "satisfiable_with",
-           "equivalent", "interval_eq", "subst_cof", "cof_vars", "closure"]
+__all__ = ["to_dnf", "entails", "satisfiable_with", "interval_eq",
+           "subst_cof", "cof_vars", "closure"]

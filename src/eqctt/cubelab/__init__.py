@@ -1,28 +1,3 @@
 """Finite combinatorics of the cartesian cube category and truncated
 presheaves: hom enumeration, Eilenberg-Zilber factorization, quotients,
 triangulation, open boxes and bounded equivariant-lifting certificates."""
-
-from .cubes import (CubeMap, GroupAction, automorphisms, compose,
-                    cube_identity, enumerate_hom, ez_factor, find_section,
-                    is_mono)
-from .presheaf import (FinPresheaf, check_functorial, iso_search,
-                       nondegenerate, product, quotient_by_group,
-                       representable_cube, symmetric_level_action, terminal_cube)
-from .simplicial import (SimplexMap, delta, dualize_simplex_map,
-                         enumerate_monotone, simplex_identity, triangulate)
-from .boxes import (BudgetExceeded, OpenBoxSpec, build_open_box,
-                    check_equivariant_lifting, enumerate_natural_maps,
-                    enumerate_subpresheaves, horn_box_domain, presheaf_map_to_terminal)
-
-__all__ = [
-    "CubeMap", "GroupAction", "automorphisms", "compose", "cube_identity",
-    "enumerate_hom", "ez_factor", "find_section", "is_mono",
-    "FinPresheaf", "check_functorial", "iso_search", "nondegenerate",
-    "product", "quotient_by_group", "representable_cube",
-    "symmetric_level_action", "terminal_cube",
-    "SimplexMap", "delta", "dualize_simplex_map", "enumerate_monotone",
-    "simplex_identity", "triangulate",
-    "BudgetExceeded", "OpenBoxSpec", "build_open_box",
-    "check_equivariant_lifting", "enumerate_natural_maps",
-    "enumerate_subpresheaves", "horn_box_domain", "presheaf_map_to_terminal",
-]

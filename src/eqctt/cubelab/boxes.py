@@ -9,6 +9,10 @@ the boxes, and chosen lifts must commute with these.
 
 I^n x I^k is the representable I^(n+k), so by Yoneda a bottom or a lift is
 one cell at level n+k, and a top is one cell of X per generator of the box.
+The check runs on integers: generators and box cells are cells of I^(n+k),
+that is maps into it by index or number, g . h is computed from the digits
+of g (``cubes.composites``), and so are the box morphisms.  Cube maps are
+built only as labels, to print reports.
 Everything here is a bounded certificate at truncation D: lifting is decided
 exhaustively, and uniformity is a finite constraint-satisfaction search over
 per-square lift choices.
@@ -20,11 +24,11 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import cubes
-from .cubes import (CubeMap, compose, cube_identity, enumerate_hom,
-                    full_symmetric, make_cube_map, perm_cube_map)
+from .cubes import (composites, count, cube_map, full_symmetric, hom_tables,
+                    is_mono, maps, middles, mids_index)
 from .presheaf import (BudgetExceeded, Cell, FinPresheaf, build_presheaf,
-                       label_table, nondegenerate, product,
-                       representable_cube, terminal_cube)
+                       nondegenerate, product, representable_cube,
+                       terminal_cube)
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +66,11 @@ def enumerate_subpresheaves(X: FinPresheaf, spend=lambda count: None
         (d, tuple(sorted(cells))) for d, cells in sub.items()))
 
 
-def vertex_cell(n: int, endpoint: int) -> CubeMap:
-    """The all-0 or all-1 vertex of I^n (bot/top of the domain <0>)."""
-    e = 0 if endpoint == 0 else 1
-    return CubeMap(0, n, (0, *([e] * n), 1))
-
-
 def sub_vertex(n: int, D: int, endpoint: int) -> dict[int, frozenset]:
-    """The subpresheaf of I^n generated by the all-0 or all-1 vertex."""
-    In = representable_cube(n, D)
-    return close_cells(In, {0: {In.levels[0].index(vertex_cell(n, endpoint))}})
+    """The subpresheaf of I^n generated by the all-0 or all-1 vertex, the
+    cell whose n binary digits are all 0 or all 1."""
+    vertex = 0 if endpoint == 0 else 2 ** n - 1
+    return close_cells(representable_cube(n, D), {0: {vertex}})
 
 
 def sub_empty(n: int, D: int) -> dict[int, frozenset]:
@@ -79,61 +78,44 @@ def sub_empty(n: int, D: int) -> dict[int, frozenset]:
 
 
 def sub_full(n: int, D: int) -> dict[int, frozenset]:
-    return {d: frozenset(range(len(enumerate_hom(d, n))))
-            for d in range(D + 1)}
+    return {d: frozenset(range(count(d, n))) for d in range(D + 1)}
 
 
 # ---------------------------------------------------------------------------
 # open boxes
 
-@dataclass(frozen=True)
-class OpenBoxSpec:
-    """n, k, a subobject C of I^n (the cells of I^n in it, per level), and
-    zeta: I^n -> I^k."""
-    n: int
-    k: int
-    C: tuple[tuple[int, tuple[Cell, ...]], ...]  # frozen per-level cell sets
-    zeta: CubeMap
+def build_open_box(n: int, k: int, C: dict[int, frozenset], zeta: int,
+                   D: int) -> tuple[FinPresheaf, FinPresheaf]:
+    """The inclusion of the open box of a subobject C of I^n (its cells, per
+    level) and the map zeta : I^n -> I^k with this index into I^n x I^k, as
+    (domain, ambient).
 
-    @staticmethod
-    def make(n: int, k: int, C: dict[int, frozenset], zeta: CubeMap) -> "OpenBoxSpec":
-        if k < 1:
-            raise ValueError("open boxes need k >= 1")
-        if zeta.dom != n or zeta.cod != k:
-            raise ValueError("zeta must map I^n to I^k")
-        frozen = tuple((d, tuple(sorted(C[d]))) for d in sorted(C))
-        return OpenBoxSpec(n, k, frozen, zeta)
-
-
-def build_open_box(spec: OpenBoxSpec, D: int) -> tuple[FinPresheaf, FinPresheaf]:
-    """The inclusion of the open box into I^n x I^k, as (domain, ambient).
-
-    Domain labels at level d: pairs (a, zeta . a) for a in (I^n)_d, plus
-    pairs (c, b) with c in C_d.  The inclusion is the identity on labels,
-    hence levelwise injective.
+    The pair (a, b) at level d is the ambient cell a * |Hom(I^d, I^k)| + b.
+    The domain holds the pairs (a, zeta . a), and (c, b) with c in C_d.  The
+    inclusion is the identity on labels, hence levelwise injective.
     """
-    if spec.n + spec.k > D:
+    if n + k > D:
         raise ValueError("n + k exceeds the truncation bound")
-    In = representable_cube(spec.n, D)
-    Ik = representable_cube(spec.k, D)
-    amb = product(In, Ik)
-    C = dict(spec.C)
+    amb = product(representable_cube(n, D), representable_cube(k, D))
     levels = {}
     for d in range(D + 1):
-        cells = {(a, compose(spec.zeta, a)) for a in In.levels[d]}
-        cells |= {(In.levels[d][c], b) for c in C[d] for b in Ik.levels[d]}
-        levels[d] = tuple(sorted(cells))
-    return build_presheaf(cubes, D, levels, label_table(
-        levels, lambda f, c: (compose(c[0], f), compose(c[1], f)))), amb
+        w = count(d, k)
+        graph = enumerate(composites(k, n, zeta, d))
+        levels[d] = sorted({a * w + z for a, z in graph} |
+                           {c * w + b for c in C[d] for b in range(w)})
+    position = {d: {e: i for i, e in enumerate(cells)}
+                for d, cells in levels.items()}
+    return build_presheaf(
+        cubes, D, {d: tuple(amb.levels[d][e] for e in cells)
+                   for d, cells in levels.items()},
+        lambda a, b: [tuple(position[a][amb.action[f][e]] for e in levels[b])
+                      for f in maps(a, b)]), amb
 
 
 def horn_box_domain(D: int) -> FinPresheaf:
     """The shipped non-fibration shape: the open box of (n=1, k=1,
     C = vertex 0, zeta = constant 0) as a subobject of I^2 = I^1 x I^1."""
-    spec = OpenBoxSpec.make(
-        1, 1, sub_vertex(1, D, 0),
-        CubeMap(1, 1, (0, 0, 2)))  # constant 0 map I^1 -> I^1
-    return build_open_box(spec, D)[0]
+    return build_open_box(1, 1, sub_vertex(1, D, 0), 0, D)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +155,15 @@ def enumerate_natural_maps(A: FinPresheaf, B: FinPresheaf,
     cells = [(d, c) for d in range(A.D + 1) for c in A.cells(d)]
     assign: dict[tuple[int, Cell], Cell] = {
         (d, c): v for d, t in (seed or {}).items() for c, v in t.items()}
-    maps_between = {(a, b): A.site.maps(a, b)
-                    for a in range(A.D + 1) for b in range(A.D + 1)}
     out: list[PresheafMap] = []
     nodes = 0
 
     def ok(d: int, c: Cell, y: Cell) -> bool:
         # naturality against everything already assigned
-        for a in range(A.D + 1):
-            for f in maps_between[(a, d)]:
-                img = assign.get((a, A.act(f, c)))
-                if img is not None and img != B.act(f, y):
-                    return False
-            for f in maps_between[(d, a)]:
-                for (a2, c2), y2 in assign.items():
-                    if a2 == a and A.act(f, c2) == c and B.act(f, y2) != y:
-                        return False
-        return True
+        return all(assign.get((a, A.act(f, c)), B.act(f, y)) == B.act(f, y)
+                   for a in range(A.D + 1) for f in A.site.maps(a, d)) and all(
+            B.act(f, y2) == y for (a, c2), y2 in assign.items()
+            for f in A.site.maps(d, a) if A.act(f, c2) == c)
 
     def place(i: int):
         nonlocal nodes
@@ -219,92 +193,145 @@ def enumerate_natural_maps(A: FinPresheaf, B: FinPresheaf,
 
 
 # ---------------------------------------------------------------------------
-# equivariant lifting, by Yoneda
+# equivariant lifting, by Yoneda, on integers
 
-def _pair(u: CubeMap, v: CubeMap) -> CubeMap:
-    """The map <u, v> : I^a -> I^n x I^k = I^(n+k)."""
-    return make_cube_map(u.dom, u.cod + v.cod, u.table[1:-1] + v.table[1:-1])
-
-
-def _product(u: CubeMap, v: CubeMap) -> CubeMap:
-    """u x v = <u . p1, v . p2> : I^(a+b) -> I^(n+k), for u : I^a -> I^n
-    and v : I^b -> I^k."""
-    a, b = u.dom, v.dom
-    p1 = make_cube_map(a + b, a, tuple(range(1, a + 1)))
-    p2 = make_cube_map(a + b, b, tuple(range(a + 1, a + b + 1)))
-    return _pair(compose(u, p1), compose(v, p2))
+def _monos(m: int) -> list[tuple[int, int, int]]:
+    """The monos into I^m, its nondegenerate cells, as (d, index, number)."""
+    return [(d, h, number) for d in range(m + 1)
+            for h, number in enumerate(maps(d, m))
+            if is_mono(d, middles(d, m, h))]
 
 
-def _nondegenerate(c: CubeMap) -> bool:
-    """A cell I^d -> I^n is nondegenerate iff its table hits every axis."""
-    return set(range(1, c.dom + 1)) <= set(c.table)
+def _product(a: int, u, b: int, v) -> int:
+    """u x v : I^(a+b) -> I^(n+k) from the middles of u : I^a -> I^n (top
+    moved to a + b + 1) and of v : I^b -> I^k (axis y moved to a + y)."""
+    return mids_index(a + b, (*(a + b + 1 if x == a + 1 else x for x in u),
+                              *(y and a + y for y in v)))
+
+
+def _xi(m: int, alpha: tuple[int, ...], zeta: tuple[int, ...],
+        p: tuple[int, ...]) -> int:
+    """sigma . zeta . alpha : I^m -> I^k for the permutation p, from the
+    table of alpha and the middles of zeta: alpha(zeta(p^{-1}(j))) at j."""
+    return mids_index(m, [alpha[zeta[p.index(j)]]
+                          for j in range(1, len(p) + 1)])
 
 
 @dataclass
 class Box:
-    """An open box as cells of I^(n+k): ``cells`` lists each box cell in
-    sorted order as (cell, i, h) with cell = gens[i] . h, and ``relations[i]``
-    holds each (h, j, h2) with gens[i] . h = gens[j] . h2 nondegenerate and
-    j < i.  Every cell is e . t with e nondegenerate and t a split epi, and
-    generators are monos, so agreeing at e means agreeing at e . t."""
-    spec: OpenBoxSpec
-    gens: list[CubeMap]
-    cells: list[tuple[CubeMap, int, CubeMap]]
-    relations: list[list[tuple[CubeMap, int, CubeMap]]]
+    """An open box in I^N, N = n + k, of the ``sub``-th subobject C of I^n
+    and the map I^n -> I^k with index ``zeta``.  A generator (m, g) is the
+    map numbered g from I^m.  ``relations[i]`` holds each (h, j, h2), map
+    numbers, with gens[i] . h = gens[j] . h2 nondegenerate and j < i;
+    ``cells`` lists the nondegenerate box cells in sorted order as (i, h),
+    the cell gens[i] . h.  Every cell is e . t with e nondegenerate and t a
+    split epi, and generators are monos, so agreeing at e means agreeing at
+    e . t."""
+    n: int
+    k: int
+    sub: int
+    C: dict[int, frozenset]
+    zeta: int
+    gens: list[tuple[int, int]]
+    relations: list[list[tuple[int, int, int]]]
+    cells: list[tuple[int, int]]
 
     @staticmethod
-    def make(spec: OpenBoxSpec, D: int) -> "Box":
-        """Generators: the graph (id, zeta) of zeta, and c x id for each
+    def make(n: int, k: int, sub: int, C: dict[int, frozenset], zeta: int,
+             image) -> "Box":
+        """Generators: the graph <id, zeta> of zeta, and c x id for each
         nondegenerate c in C, higher cells first so that relations pin the
-        images of their faces."""
-        gens = [_pair(cube_identity(spec.n), spec.zeta)]
-        for d, cells in reversed(spec.C):
-            level = enumerate_hom(d, spec.n)
-            gens += [_product(level[c], cube_identity(spec.k)) for c in cells
-                     if _nondegenerate(level[c])]
-        first: dict[CubeMap, tuple[int, CubeMap]] = {}
-        relations: list[list] = [[] for _ in gens]
-        for i, g in enumerate(gens):
-            for d in range(D + 1):
-                for h in enumerate_hom(d, g.dom):
-                    e = compose(g, h)
-                    if e not in first:
-                        first[e] = (i, h)
-                    elif _nondegenerate(e):
-                        relations[i].append((h, *first[e]))
-        return Box(spec, gens,
-                   [(e, i, h) for e, (i, h) in sorted(first.items())],
-                   relations)
+        images of their faces.  ``image(N, m, g)`` lists (h, e) for the
+        monos h into I^m, by number, with e a key of g . h in sorted order,
+        for the generator with index g."""
+        N = n + k
+        # the graph <id, zeta>: its index is index(id) * (n + 2)^k + zeta
+        gens = [(n, mids_index(n, range(1, n + 1)) * (n + 2) ** k + zeta)]
+        for d in sorted(C, reverse=True):
+            for c in sorted(C[d]):
+                mids = middles(d, n, c)
+                if is_mono(d, mids):
+                    gens.append((d + k, _product(d, mids, k, range(1, k + 1))))
+        first: dict[int, tuple[int, int]] = {}
+        relations: list[list] = []
+        for i, (m, g) in enumerate(gens):
+            relations.append([])
+            for h, e in image(N, m, g):
+                if e in first:
+                    relations[i].append((h, *first[e]))
+                else:
+                    first[e] = (i, h)
+        return Box(n, k, sub, C, zeta,
+                   [(m, maps(m, N)[g]) for m, g in gens], relations,
+                   [first[e] for e in sorted(first)])
 
     def tops(self, X: FinPresheaf, spend) -> list[tuple]:
         """The natural maps from the box to X, as generator images that agree
         on every relation, in the order ``enumerate_natural_maps`` finds
-        them.  ``spend(count)`` is charged for every candidate image."""
+        them: by their images of the nondegenerate cells, which decide the
+        rest.  ``spend(count)`` is charged for every candidate image."""
+        act = X.action
         tops = [()]
-        for g, relations in zip(self.gens, self.relations):
-            spend(len(tops) * len(X.levels[g.dom]))
-            tops = [top + (x,) for top in tops for x in X.cells(g.dom)
-                    if all(X.act(h, x) == X.act(h2, top[j])
-                           for h, j, h2 in relations)]
-        return _search_order(X, tops, lambda top: [
-            (h, top[i]) for _, i, h in self.cells])
+        for (m, _), relations in zip(self.gens, self.relations):
+            spend(len(tops) * len(X.levels[m]))
+            pairs = [(act[h], j, act[h2]) for h, j, h2 in relations]
+            tops = [top + (x,) for top in tops for x in X.cells(m)
+                    if all(t[x] == t2[top[j]] for t, j, t2 in pairs)]
+        if len(tops) < 2:
+            return tops
+        images = [(act[h], i) for i, h in self.cells]
+        return sorted(tops, key=lambda top: tuple(
+            t[top[i]] for t, i in images))
 
     def top_map(self, X: FinPresheaf, top: tuple) -> dict[int, dict]:
-        """The components of a top on the cells of ``build_open_box``'s
-        domain.  Its label (a, b) at level d is the cell <a, b> of I^(n+k),
-        so the j-th box cell at level d, in sorted order, is its cell j."""
+        """A top's image of every box cell g . h of I^N, by level and then
+        index in sorted order: X.act(h, x) for the generator's image x."""
+        N = self.n + self.k
+        first: dict[tuple[int, int], tuple[int, int]] = {}
+        for i, (m, g) in enumerate(self.gens):
+            for d in range(X.D + 1):
+                hs = maps(d, m)
+                for h, e in enumerate(composites(
+                        N, m, maps(m, N).index(g), d)):
+                    first.setdefault((d, e), (i, hs[h]))
         components: dict[int, dict] = {d: {} for d in range(X.D + 1)}
-        for e, i, h in self.cells:
-            level = components[e.dom]
-            level[len(level)] = X.act(h, top[i])
+        for (d, e), (i, h) in sorted(first.items()):
+            components[d][e] = X.act(h, top[i])
         return components
 
 
-def _search_order(P: FinPresheaf, maps: list, images) -> list:
-    """``maps`` into P in the order ``enumerate_natural_maps`` finds them:
-    by the cells P.act(h, x), (h, x) in ``images(map)``."""
-    return maps if len(maps) < 2 else sorted(maps, key=lambda m: tuple(
-        P.act(h, x) for h, x in images(m)))
+def open_boxes(n_top: int, k_max: int, D: int, spend):
+    """The open boxes with n <= n_top, 1 <= k <= k_max and n + k <= D in
+    the check's order, the representables I^n and their subobjects; each
+    generator's images are computed once for all boxes."""
+    cubes_n = [representable_cube(n, D) for n in range(n_top + 1)]
+    subs = [enumerate_subpresheaves(R, spend) for R in cubes_n]
+    monos = cache(_monos)
+
+    @cache
+    def image(N: int, m: int, g: int) -> list[tuple[int, int]]:
+        column = {d: composites(N, m, g, d) for d in range(m + 1)}
+        return [(number, d * (N + 2) ** N + column[d][h])
+                for d, h, number in monos(m)]
+
+    boxes = [Box.make(n, k, i, C, zeta, image)
+             for n in range(n_top + 1)
+             for k in range(1, min(k_max, D - n) + 1)
+             for zeta in range(count(n, k))
+             for i, C in enumerate(subs[n])]
+    return boxes, cubes_n, subs
+
+
+def _refutation(box: Box, X: FinPresheaf, top: tuple) -> dict:
+    """The refuting box and top; a box cell's label is the pair of maps
+    I^d -> I^n and I^d -> I^k that split the digits of its index."""
+    n, k = box.n, box.k
+    return {"n": n, "k": k, "zeta": [0, *middles(n, k, box.zeta), n + 1],
+            "C_sizes": [len(box.C[d]) for d in sorted(box.C)],
+            "top": {str(d): {str((cube_map(d, n, e // (d + 2) ** k),
+                                  cube_map(d, k, e % (d + 2) ** k))):
+                             str(X.levels[d][x]) for e, x in t.items()}
+                    for d, t in box.top_map(X, top).items()}}
 
 
 @dataclass
@@ -347,45 +374,42 @@ def check_equivariant_lifting(f: PresheafMap, n_max: int, k_max: int,
 
     # a box needs n + k <= D with k >= 1, so n <= D - 1
     n_top = min(n_max, D - 1)
-    boxes: list[Box] = []
-    for n in range(n_top + 1):
-        subs = enumerate_subpresheaves(representable_cube(n, D), spend)
-        for k in range(1, min(k_max, D - n) + 1):
-            for zeta in enumerate_hom(n, k):
-                boxes += [Box.make(OpenBoxSpec.make(n, k, C, zeta), D)
-                          for C in subs]
+    boxes, cubes_n, subs = open_boxes(n_top, k_max, D, spend)
     report.boxes = len(boxes)
+    xact, yact = X.action, Y.action
+
+    # the bottoms at level N in the order the natural-map search finds them:
+    # by their restrictions to the nondegenerate cells of I^N
+    @cache
+    def rank(N: int) -> dict[Cell, int]:
+        tables = [yact[h] for _, _, h in _monos(N)]
+        return {y: r for r, y in enumerate(sorted(
+            Y.cells(N), key=lambda y: tuple(t[y] for t in tables)))}
 
     # squares (box number b, top, y) and their lifts, in the order the
     # searches found them; x lifts the square square_of[b, x]
     squares: dict[tuple, list[Cell]] = {}
     square_of: dict[tuple[int, Cell], tuple] = {}
     for b, box in enumerate(boxes):
-        N = box.spec.n + box.spec.k
+        N = box.n + box.k
         lifts: dict[tuple, list[Cell]] = {}
+        gens = [xact[g] for _, g in box.gens]
         for x in X.cells(N):
             key = square_of[b, x] = (
-                b, tuple(X.act(g, x) for g in box.gens), f(N, x))
+                b, tuple(t[x] for t in gens), f(N, x))
             lifts.setdefault(key, []).append(x)
         bottoms: dict[tuple, list[Cell]] = {}
+        gens = [yact[g] for _, g in box.gens]
         for y in Y.cells(N):
-            bottoms.setdefault(tuple(Y.act(g, y) for g in box.gens),
-                               []).append(y)
+            bottoms.setdefault(tuple(t[y] for t in gens), []).append(y)
         for top in box.tops(X, spend):
-            below = tuple(f(g.dom, x) for g, x in zip(box.gens, top))
-            for y in _search_order(Y, bottoms.get(below, []), lambda y: [
-                    (e, y) for d in range(D + 1) for e in enumerate_hom(d, N)]):
+            below = bottoms.get(tuple(
+                f(m, x) for (m, _), x in zip(box.gens, top)), [])
+            if len(below) > 1:
+                below = sorted(below, key=rank(N).__getitem__)
+            for y in below:
                 if (b, top, y) not in lifts:
-                    spec = box.spec
-                    dom = build_open_box(spec, D)[0]
-                    report.refutation = {
-                        "n": spec.n, "k": spec.k,
-                        "zeta": list(spec.zeta.table),
-                        "C_sizes": [len(cs) for _, cs in spec.C],
-                        "top": {str(d): {str(dom.levels[d][c]):
-                                         str(X.levels[d][x])
-                                         for c, x in t.items()}
-                                for d, t in box.top_map(X, top).items()}}
+                    report.refutation = _refutation(box, X, top)
                     report.detail = "no lift exists for this open box"
                     report.squares = len(squares) + 1
                     return report
@@ -393,29 +417,33 @@ def check_equivariant_lifting(f: PresheafMap, n_max: int, k_max: int,
     report.squares = len(squares)
 
     # box morphisms (alpha, sigma) into each box, as the number of their
-    # domain box and the cube map alpha x sigma^{-1} : I^(m+k) -> I^(n+k)
+    # domain box and the map alpha x sigma^{-1} : I^(m+k) -> I^(n+k)
+    number = {(box.n, box.k, box.sub, box.zeta): b
+              for b, box in enumerate(boxes)}
+    sub_number = [{tuple(tuple(sorted(C[d])) for d in sorted(C)): i
+                   for i, C in enumerate(s)} for s in subs]
     @cache
-    def pullback(C: tuple, alpha: CubeMap) -> dict[int, frozenset]:
-        labels = {d: {enumerate_hom(d, alpha.cod)[c] for c in cs}
-                  for d, cs in C}
-        return {d: frozenset(c for c, a in enumerate(enumerate_hom(
-            d, alpha.dom)) if compose(alpha, a) in labels[d])
-            for d in range(D + 1)}
+    def pullback(n: int, i: int, m: int, alpha: int) -> int:
+        """The subobject of I^m of the cells c with alpha . c in the i-th
+        subobject C of I^n: by Yoneda, I^n's action of c on alpha."""
+        act, C = cubes_n[n].action, subs[n][i]
+        return sub_number[m][tuple(
+            tuple(c for c, h in enumerate(maps(d, m)) if act[h][alpha] in C[d])
+            for d in range(D + 1))]
 
-    number = {box.spec: b for b, box in enumerate(boxes)}
-    morphisms: list[list[tuple[int, CubeMap]]] = [[] for _ in boxes]
+    perms = {k: full_symmetric(k).perms for k in range(1, min(k_max, D) + 1)}
+    morphisms: list[list[tuple[int, int]]] = [[] for _ in boxes]
     for b, box in enumerate(boxes):
-        spec, k = box.spec, box.spec.k
+        n, k = box.n, box.k
+        zeta = middles(n, k, box.zeta)
         for m in range(min(n_top, D - k) + 1):
-            for alpha in enumerate_hom(m, spec.n):
-                for p in full_symmetric(k).perms:
-                    inverse = perm_cube_map(tuple(
-                        sorted(range(1, k + 1), key=lambda j: p[j - 1])))
-                    xi = compose(perm_cube_map(p), compose(spec.zeta, alpha))
-                    morphisms[b].append((
-                        number[OpenBoxSpec.make(m, k, pullback(spec.C, alpha),
-                                                xi)],
-                        _product(alpha, inverse)))
+            into = maps(m + k, n + k)
+            for alpha, A in enumerate(hom_tables(m, n)):
+                C = pullback(n, box.sub, m, alpha)
+                # sigma^{-1} has the middles p
+                morphisms[b] += [(number[m, k, C, _xi(m, A, zeta, p)],
+                                  into[_product(m, A[1:-1], k, p)])
+                                 for p in perms[k]]
 
     # the CSP: one lift per square, such that a lift x of a square forces
     # the lift X.act(G, x) on its pullback along every box morphism G
@@ -423,7 +451,7 @@ def check_equivariant_lifting(f: PresheafMap, n_max: int, k_max: int,
         spend()
         forced = {key: x}
         for small, G in morphisms[key[0]]:
-            x2 = X.act(G, x)
+            x2 = xact[G][x]
             skey = square_of[small, x2]
             if choice.get(skey, forced.setdefault(skey, x2)) != x2:
                 return None

@@ -3,6 +3,10 @@
 A morphism I^m -> I^n is, contravariantly, a function <n> -> <m> between the
 bipointed sets <k> = {bot, 1..k, top}, encoded as integers 0, 1..k, k+1.
 Tables compose in the opposite order of the maps they present.
+
+A map I^m -> I^n is also its ``index``, its middles read in base m + 2, and
+``maps(m, n)[index]`` is its number, which keys action tables.  ``CubeMap``
+is built only to parse, print and factor maps.
 """
 
 from __future__ import annotations
@@ -21,9 +25,6 @@ class CubeMap:
         assert len(self.table) == self.cod + 2
         assert self.table[0] == 0 and self.table[-1] == self.dom + 1
         assert all(0 <= v <= self.dom + 1 for v in self.table)
-
-    def __call__(self, j: int) -> int:
-        return self.table[j]
 
     def __repr__(self):
         mids = ",".join(_show_el(self.table[j], self.dom)
@@ -62,40 +63,88 @@ def count_hom(m: int, n: int, bound: int = 16) -> int:
     return count(m, n)
 
 
+def hom_tables(m: int, n: int):
+    """The tables of the maps I^m -> I^n, in index order."""
+    return ((0, *mids, m + 1)
+            for mids in itertools.product(range(m + 2), repeat=n))
+
+
 def enumerate_hom(m: int, n: int, bound: int = 16) -> list[CubeMap]:
-    """All bipointed functions <n> -> <m>, in sorted order."""
+    """All bipointed functions <n> -> <m>, in sorted (index) order."""
     count_hom(m, n, bound)
-    return [make_cube_map(m, n, mids)
-            for mids in itertools.product(range(m + 2), repeat=n)]
+    return [CubeMap(m, n, t) for t in hom_tables(m, n)]
 
 
-def face(n: int, axis: int, endpoint: int) -> CubeMap:
-    """The inclusion I^(n-1) -> I^n fixing ``axis`` (1-based) at 0 or 1."""
-    mids = []
-    shift = 0
-    for j in range(1, n + 1):
-        if j == axis:
-            mids.append(0 if endpoint == 0 else n)  # bot or top of <n-1>
-            shift = 1
-        else:
-            mids.append(j - shift)
-    return make_cube_map(n - 1, n, tuple(mids))
+# ---------------------------------------------------------------------------
+# maps as numbers
+
+def mids_index(m: int, mids) -> int:
+    """The index of the map I^m -> I^len(mids) with these middles."""
+    i = 0
+    for v in mids:
+        i = i * (m + 2) + v
+    return i
 
 
-def degeneracy(n: int, axis: int) -> CubeMap:
-    """The projection I^n -> I^(n-1) dropping ``axis`` (1-based)."""
-    mids = tuple(j if j < axis else j + 1 for j in range(1, n))
-    return make_cube_map(n, n - 1, mids)
+def middles(m: int, n: int, i: int) -> tuple[int, ...]:
+    """The middles of the map I^m -> I^n with index i."""
+    out = []
+    for _ in range(n):
+        i, v = divmod(i, m + 2)
+        out.append(v)
+    return tuple(reversed(out))
 
 
-def perm_cube_map(perm: tuple[int, ...]) -> CubeMap:
-    """The automorphism of I^n permuting axes; perm maps axis j to perm[j-1]."""
-    n = len(perm)
-    mids = [0] * n
-    for j in range(1, n + 1):
-        mids[perm[j - 1] - 1] = j
-    return make_cube_map(n, n, tuple(mids))
+def index(f: CubeMap) -> int:
+    """f's position in ``enumerate_hom(f.dom, f.cod)``."""
+    return mids_index(f.dom, f.table[1:-1])
 
+
+def cube_map(m: int, n: int, i: int) -> CubeMap:
+    """The map I^m -> I^n with index i, the inverse of ``index``."""
+    return make_cube_map(m, n, middles(m, n, i))
+
+
+def composites(N: int, m: int, g: int, d: int) -> list[int]:
+    """index(g . h) for h : I^d -> I^m in index order, g an index in
+    Hom(I^m, I^N): g . h has the digit h(v) for each digit v of g."""
+    weight = [0] * (m + 2)  # by digit value v of g: its place values
+    for j, v in enumerate(middles(m, N, g)):
+        weight[v] += (d + 2) ** (N - 1 - j)
+    column = [(d + 1) * weight[m + 1]]
+    for w in weight[1:m + 1]:
+        column = [x + t * w for x in column for t in range(d + 2)]
+    return column
+
+
+class HomSet:
+    """The labels of a level of I^cod: Hom(I^dom, I^cod) in index order,
+    each ``CubeMap`` built when it is read.  A plain class, since a frozen
+    dataclass adds about 0.7 ms to every import of this module."""
+    def __init__(self, dom: int, cod: int):
+        self.dom, self.cod = dom, cod
+
+    def __len__(self) -> int:
+        return count(self.dom, self.cod)
+
+    def __getitem__(self, i: int) -> CubeMap:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return cube_map(self.dom, self.cod, i)
+
+
+def map_numbers(count, a: int, b: int, bound: int = 16) -> range:
+    """The numbers of a site's maps a -> b, where ``count(a, b)`` maps: the
+    one with index i is (i * w + a) * w + b, w = bound + 1, which does not
+    depend on a truncation."""
+    if a > bound or b > bound:
+        raise ValueError(f"hom enumeration bound {bound} exceeded")
+    w = bound + 1
+    return range(a * w + b, (count(a, b) * w + a) * w + b, w * w)
+
+
+# ---------------------------------------------------------------------------
+# automorphisms and factorizations
 
 @dataclass(frozen=True)
 class GroupAction:
@@ -121,29 +170,20 @@ def full_symmetric(n: int) -> GroupAction:
 
 def automorphisms(n: int) -> GroupAction:
     """All invertible endomorphisms of I^n: exactly the n! axis permutations,
-    since an invertible table must be a bijection of the middles.  Tests
-    check this against the exhaustive ``invertible_endos``."""
+    since an invertible table must be a bijection of the middles."""
     return full_symmetric(n)
-
-
-def invertible_endos(n: int) -> list[CubeMap]:
-    """Invertible endo cube maps of I^n, by exhaustive two-sided inverse
-    search: the assumption-free reference for ``automorphisms`` and
-    ``is_iso``."""
-    homs = enumerate_hom(n, n)
-    ident = cube_identity(n)
-    out = []
-    for f in homs:
-        if any(compose(f, g) == ident and compose(g, f) == ident
-               for g in homs):
-            out.append(f)
-    return out
 
 
 def is_iso(f: CubeMap) -> bool:
     """Isos are the axis permutations: their middles permute 1..n."""
     mids = f.table[1:-1]
     return f.dom == f.cod and sorted(mids) == list(range(1, f.cod + 1))
+
+
+def is_mono(m: int, table) -> bool:
+    """A map I^m -> I^n with this table (or its middles) is mono, a
+    nondegenerate cell of I^n, iff the table hits every axis of <m>."""
+    return set(range(1, m + 1)) <= set(table)
 
 
 def ez_factor(f: CubeMap) -> tuple[CubeMap, CubeMap]:
@@ -161,7 +201,7 @@ def ez_factor(f: CubeMap) -> tuple[CubeMap, CubeMap]:
     # epi e: I^m -> I^d, dual to the inclusion <d> -> <m>
     e = make_cube_map(f.dom, d, tuple(image_mids))
     # mono m: I^d -> I^n, dual to the corestriction <n> -> <d>
-    index = {v: i + 1 for i, v in enumerate(image_mids)}
+    position = {v: i + 1 for i, v in enumerate(image_mids)}
     mono_mids = []
     for j in range(1, f.cod + 1):
         v = f.table[j]
@@ -170,7 +210,7 @@ def ez_factor(f: CubeMap) -> tuple[CubeMap, CubeMap]:
         elif v == f.dom + 1:
             mono_mids.append(d + 1)
         else:
-            mono_mids.append(index[v])
+            mono_mids.append(position[v])
     m = make_cube_map(d, f.cod, tuple(mono_mids))
     return e, m
 
@@ -191,32 +231,19 @@ def find_section(e: CubeMap) -> CubeMap | None:
     return make_cube_map(e.cod, e.dom, tuple(s_mids))
 
 
-def split_epis(d: int) -> list[CubeMap]:
-    """The non-invertible split epis out of I^d: by ``find_section``, the
-    maps to a lower dimension whose middles are distinct axes of <d>."""
-    return [make_cube_map(d, d2, mids) for d2 in range(d)
-            for mids in itertools.permutations(range(1, d + 1), d2)]
-
-
-def is_mono(m: CubeMap, probe_max: int = 3) -> bool:
-    """Monomorphism check by hom enumeration: distinct precompositions of
-    probes up to dimension ``probe_max`` stay distinct."""
-    for x in range(probe_max + 1):
-        seen = {}
-        for a in enumerate_hom(x, m.dom):
-            ma = compose(m, a)
-            if ma in seen and seen[ma] != a:
-                return False
-            seen[ma] = a
-    return True
-
-
-# This module is the cube site of ``presheaf.FinPresheaf``.  Presheaves look
-# these names up on the module at each call, so a function replaced on the
-# module (as the per-layer tracer in perfbench does) is seen everywhere.
-maps = enumerate_hom
-identity = cube_identity
-
+# ---------------------------------------------------------------------------
+# This module is the cube site of ``presheaf.FinPresheaf``.
 
 def count(m: int, n: int) -> int:
     return (m + 2) ** n
+
+
+def maps(m: int, n: int) -> range:
+    return map_numbers(count, m, n)
+
+
+def split_epis(d: int) -> list[int]:
+    """The non-invertible split epis out of I^d: by ``find_section``, the
+    maps to a lower dimension whose middles are distinct axes of <d>."""
+    return [maps(d, d2)[mids_index(d, mids)] for d2 in range(d)
+            for mids in itertools.permutations(range(1, d + 1), d2)]

@@ -2,29 +2,27 @@
 
 A ``FinPresheaf`` over a site stores, for every site morphism between levels
 <= D, the induced function on cells.  A site is the module of its category,
-``cubes`` or ``simplicial``, which provides ``maps(a, b)`` (morphisms
-dom=a -> cod=b), ``count(a, b)`` (how many), ``identity(n)``,
-``compose(g, f)`` and ``split_epis(d)`` (the non-invertible split epis out
-of level d).
+``cubes`` or ``simplicial``, which provides ``maps(a, b)`` (the numbers of
+the morphisms dom=a -> cod=b, in hom-set order), ``count(a, b)`` (how many)
+and ``split_epis(d)`` (the numbers of the non-invertible split epis out of
+level d).
 
-A cell at level d is its position in ``levels[d]``, the sorted tuple of that
-level's labels (hashable, sortable values such as cube maps or pairs of
-them), and ``action[f]`` is a tuple of positions.  Position order is label
-order, so every "least" or "sorted" choice reads the same on either.  Labels
-are used to build representables, to find orbits and to print reports.  All
-checks here are bounded certificates: they are exhaustive for the truncation
-D but say nothing beyond it.
+Site maps and cells are integers: ``action[f]`` is the table of the map
+numbered f, and a cell at level d is its position in ``levels[d]``, that
+level's labels in sorted order, which are used only to print reports.
+Position order is label order, so every "least" or "sorted" choice reads the
+same on either.  All checks here are bounded certificates: they are
+exhaustive for the truncation D but say nothing beyond it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Sequence
 
 from . import cubes
-from .cubes import (CubeMap, GroupAction, compose as cube_compose,
-                    enumerate_hom, perm_cube_map)
+from .cubes import CubeMap, GroupAction, HomSet, hom_tables
 
 Label = Hashable
 Cell = int
@@ -35,10 +33,10 @@ Table = tuple[Cell, ...]  # the action of one site map, by cell
 class FinPresheaf:
     site: ModuleType
     D: int
-    levels: dict[int, tuple[Label, ...]]
-    action: dict  # site map f -> Table from level f.cod to level f.dom
+    levels: dict[int, Sequence[Label]]
+    action: dict[int, Table]  # map a -> b, by number: level b to level a
 
-    def act(self, f, cell: Cell) -> Cell:
+    def act(self, f: int, cell: Cell) -> Cell:
         return self.action[f][cell]
 
     def cells(self, d: int) -> range:
@@ -49,18 +47,21 @@ class FinPresheaf:
 
 
 def build_presheaf(site: ModuleType, D: int,
-                   levels: dict[int, tuple[Label, ...]],
-                   table: Callable[[object], Table]) -> FinPresheaf:
-    """Materialize the action of every site map f between levels <= D as
-    ``table(f)``, checking that it sends level f.cod into level f.dom."""
+                   levels: dict[int, Sequence[Label]],
+                   tables: Callable[[int, int], list[Table]]) -> FinPresheaf:
+    """Materialize the action of every site map a -> b between levels <= D
+    from ``tables(a, b)``, the tables of those maps in hom-set order,
+    checking that each sends level b into level a."""
     action = {}
+    sizes = [len(levels[d]) for d in range(D + 1)]
     for a in range(D + 1):
         for b in range(D + 1):
-            for f in site.maps(a, b):
-                t = action[f] = table(f)
-                if len(t) != len(levels[b]) or t and not (
-                        0 <= min(t) and max(t) < len(levels[a])):
-                    raise ValueError(f"action of {f!r} leaves the level sets")
+            for f, t in zip(site.maps(a, b), tables(a, b), strict=True):
+                action[f] = t
+                if len(t) != sizes[b] or t and not (
+                        0 <= min(t) and max(t) < sizes[a]):
+                    raise ValueError(f"action of map {f} ({a} -> {b}) "
+                                     "leaves the level sets")
     return FinPresheaf(site, D, levels, action)
 
 
@@ -71,53 +72,23 @@ def table_size(site: ModuleType, sizes: list[int]) -> int:
                for a in range(len(sizes)) for b in range(len(sizes)))
 
 
-def label_table(levels: dict[int, tuple[Label, ...]],
-                fn: Callable[[object, Label], Label]) -> Callable:
-    """``table`` for ``build_presheaf`` from an action on labels: the
-    position of ``fn(f, c)`` for each label c at level f.cod (-1 for a label
-    outside level f.dom, which ``build_presheaf`` rejects)."""
-    index = _positions(levels)
-    return lambda f: tuple(index[f.dom].get(fn(f, c), -1)
-                           for c in levels[f.cod])
-
-
-def _positions(levels: dict[int, tuple[Label, ...]]) -> dict[int, dict]:
-    return {d: {c: i for i, c in enumerate(cells)}
-            for d, cells in levels.items()}
-
-
-def check_functorial(X: FinPresheaf) -> bool:
-    """Identity and composition laws, exhaustively over the truncation."""
-    s = X.site
-    for n in range(X.D + 1):
-        if X.action[s.identity(n)] != tuple(X.cells(n)):
-            return False
-    for a in range(X.D + 1):
-        for b in range(X.D + 1):
-            for c_dim in range(X.D + 1):
-                for f in s.maps(a, b):
-                    for g in s.maps(b, c_dim):
-                        gf, ft = X.action[s.compose(g, f)], X.action[f]
-                        if gf != tuple(ft[x] for x in X.action[g]):
-                            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # standard objects
 
 def representable_cube(n: int, D: int) -> FinPresheaf:
-    """I^n: a cell I^d -> I^n is its middles read in base d + 2, its
-    position in ``enumerate_hom`` order.  A map f acts on each middle v as
-    ``f.table[v]``, so f's table is the n-fold product of ``f.table``."""
-    levels = {d: tuple(enumerate_hom(d, n)) for d in range(D + 1)}
-
-    def table(f) -> Table:
-        t: Table = (0,)
-        for _ in range(n):
-            t = tuple(x * (f.dom + 2) + v for x in t for v in f.table)
-        return t
-    return build_presheaf(cubes, D, levels, table)
+    """I^n: a cell I^d -> I^n is its index, its middles read in base
+    d + 2.  A map f acts on each middle v as ``f.table[v]``, so f's table is
+    the n-fold product of ``f.table``."""
+    def tables(a: int, b: int) -> list[Table]:
+        out = []
+        for ft in hom_tables(a, b):
+            t: Table = (0,)
+            for _ in range(n):
+                t = tuple(x * (a + 2) + v for x in t for v in ft)
+            out.append(t)
+        return out
+    return build_presheaf(cubes, D, {d: HomSet(d, n) for d in range(D + 1)},
+                          tables)
 
 
 def terminal_cube(D: int) -> FinPresheaf:
@@ -132,19 +103,40 @@ def product(X: FinPresheaf, Y: FinPresheaf) -> FinPresheaf:
     levels = {d: tuple((x, y) for x in X.levels[d] for y in Y.levels[d])
               for d in range(X.D + 1)}
 
-    def table(f) -> Table:
-        width = len(Y.levels[f.dom])
-        return tuple(x * width + y for x in X.action[f] for y in Y.action[f])
-    return build_presheaf(X.site, X.D, levels, table)
+    def tables(a: int, b: int) -> list[Table]:
+        width = len(Y.levels[a])
+        return [tuple(x * width + y for x in X.action[f] for y in Y.action[f])
+                for f in X.site.maps(a, b)]
+    return build_presheaf(X.site, X.D, levels, tables)
 
 
 # ---------------------------------------------------------------------------
 # group quotients
 
-def symmetric_level_action(X: FinPresheaf):
-    """Postcomposition action of axis permutations on a representable."""
-    def act(perm: tuple[int, ...], d: int, cell: Label) -> Label:
-        return cube_compose(perm_cube_map(perm), cell)
+def symmetric_level_action(X: FinPresheaf, n: int) -> Callable:
+    """Axis permutations acting by postcomposition on a cubical set whose
+    cells are maps into I^n: ``act(perm, d)`` is perm's table on level d (-1
+    outside it), moving each cell's digit at axis i to axis perm[i-1]."""
+    index: dict[int, dict | None] = {}  # per level: label index -> cell
+    for d, cells in X.levels.items():
+        if X.site is cubes and isinstance(cells, HomSet) and cells.cod == n:
+            index[d] = None  # a cell is its label's index
+        elif X.site is cubes and all(isinstance(c, CubeMap) and c.cod == n
+                                     for c in cells):
+            index[d] = {cubes.index(c): i for i, c in enumerate(cells)}
+        else:
+            raise ValueError(f"S{n} permutes axes only of a cubical set "
+                             f"whose cells are maps into I^{n}")
+
+    def act(perm: tuple[int, ...], d: int) -> Table:
+        image = [0]  # of each map I^d -> I^n, by index
+        for i in range(n):
+            weight = (d + 2) ** (n - perm[i])
+            image = [x + v * weight for x in image for v in range(d + 2)]
+        if index[d] is None:
+            return tuple(image)
+        return tuple(index[d].get(image[cubes.index(c)], -1)
+                     for c in X.levels[d])
     return act
 
 
@@ -153,20 +145,14 @@ def quotient_by_group(X: FinPresheaf, group: GroupAction,
     """Levelwise orbit sets with the induced action; an orbit is labelled
     by its least member.
 
-    ``level_action(perm, d, label)`` must permute each level's labels
-    compatibly with the presheaf action; this is verified, as is
-    well-definedness of the induced action.
+    ``level_action(perm, d)`` is the table of a permutation on level d; it
+    must permute each level compatibly with the presheaf action, which is
+    verified, as is well-definedness of the induced action.  By default
+    axis permutations act on a representable (``symmetric_level_action``).
     """
     if level_action is None:
-        if X.site is not cubes or not all(
-                isinstance(c, CubeMap) and c.cod == group.n
-                for cells in X.levels.values() for c in cells):
-            raise ValueError(f"S{group.n} permutes axes only of a cubical "
-                             f"set whose cells are maps into I^{group.n}")
-        level_action = symmetric_level_action(X)
-    index = _positions(X.levels)
-    perm = {d: [tuple(index[d].get(level_action(p, d, c), -1)
-                      for c in X.levels[d]) for p in group.perms]
+        level_action = symmetric_level_action(X, group.n)
+    perm = {d: [level_action(p, d) for p in group.perms]
             for d in range(X.D + 1)}
     for d, tables in perm.items():
         if any(-1 in t for t in tables):
@@ -176,10 +162,10 @@ def quotient_by_group(X: FinPresheaf, group: GroupAction,
             for f in X.site.maps(a, b):
                 ft = X.action[f]
                 for pa, pb in zip(perm[a], perm[b]):
-                    if any(ft[pb[c]] != pa[ft[c]] for c in X.cells(b)):
+                    if any(ft[pb[c]] != pa[fc] for c, fc in enumerate(ft)):
                         raise ValueError(
                             "group action is not equivariant for the "
-                            f"presheaf action at {f!r}")
+                            f"presheaf action at map {f} ({a} -> {b})")
     orbit: dict[int, list[Cell]] = {}  # cell of X -> cell of the quotient
     levels: dict[int, tuple[Label, ...]] = {}
     for d, tables in perm.items():
@@ -188,14 +174,15 @@ def quotient_by_group(X: FinPresheaf, group: GroupAction,
         orbit[d] = [number[r] for r in rep]
         levels[d] = tuple(X.levels[d][r] for r in number)
 
-    def induced(f) -> Table:
+    def induced(f: int, a: int, b: int) -> Table:
         image: dict[Cell, Cell] = {}  # per orbit, checked on every member
-        for q, fc in zip(orbit[f.cod], X.action[f]):
-            if image.setdefault(q, orbit[f.dom][fc]) != orbit[f.dom][fc]:
+        for q, fc in zip(orbit[b], X.action[f]):
+            if image.setdefault(q, orbit[a][fc]) != orbit[a][fc]:
                 raise ValueError("induced action is not well-defined")
         return tuple(image[q] for q in range(len(image)))
 
-    return build_presheaf(X.site, X.D, levels, induced)
+    return build_presheaf(X.site, X.D, levels, lambda a, b: [
+        induced(f, a, b) for f in X.site.maps(a, b)])
 
 
 # ---------------------------------------------------------------------------

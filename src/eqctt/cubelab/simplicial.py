@@ -14,8 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import cubes
-from .cubes import CubeMap, make_cube_map
-from .presheaf import FinPresheaf, build_presheaf, label_table
+from .presheaf import FinPresheaf, build_presheaf
 
 
 @dataclass(frozen=True, order=True)
@@ -29,13 +28,6 @@ class SimplexMap:
         assert all(0 <= v <= self.cod for v in self.table)
         assert all(a <= b for a, b in zip(self.table, self.table[1:]))
 
-    def __call__(self, i: int) -> int:
-        return self.table[i]
-
-
-def simplex_identity(n: int) -> SimplexMap:
-    return SimplexMap(n, n, tuple(range(n + 1)))
-
 
 def simplex_compose(g: SimplexMap, f: SimplexMap) -> SimplexMap:
     if f.cod != g.dom:
@@ -44,27 +36,21 @@ def simplex_compose(g: SimplexMap, f: SimplexMap) -> SimplexMap:
 
 
 def enumerate_monotone(m: int, n: int) -> list[SimplexMap]:
-    """All monotone maps [m] -> [n]."""
-    out = []
-    for vals in itertools.combinations_with_replacement(range(n + 1), m + 1):
-        out.append(SimplexMap(m, n, vals))
-    return out
+    """All monotone maps [m] -> [n], in sorted order."""
+    return [SimplexMap(m, n, vals) for vals in
+            itertools.combinations_with_replacement(range(n + 1), m + 1)]
 
 
-def split_epis(d: int) -> list[SimplexMap]:
-    """The surjective monotone maps out of [d] to a lower dimension (every
-    epimorphism of the simplex category is split).  The table of a
-    surjection [d] -> [d2] holds each of 0..d2 once plus d - d2 repeats."""
-    return [SimplexMap(d, d2, tuple(sorted((*range(d2 + 1), *extra))))
-            for d2 in range(d)
-            for extra in itertools.combinations_with_replacement(
-                range(d2 + 1), d - d2)]
+def split_epis(d: int) -> list[int]:
+    """The numbers of the surjective monotone maps out of [d] to a lower
+    dimension (every epimorphism of the simplex category is split)."""
+    return [f for d2 in range(d)
+            for f, s in zip(maps(d, d2), enumerate_monotone(d, d2))
+            if len(set(s.table)) == d2 + 1]
 
 
-# This module is the simplex site of ``presheaf.FinPresheaf`` (see ``cubes``).
-maps = enumerate_monotone
-identity = simplex_identity
-compose = simplex_compose
+# This module is the simplex site of ``presheaf.FinPresheaf`` (see
+# ``cubes``): a map is numbered by its position in ``enumerate_monotone``.
 SIMPLEX = sys.modules[__name__]
 
 
@@ -72,26 +58,25 @@ def count(m: int, n: int) -> int:
     return math.comb(m + n + 1, m + 1)
 
 
+def maps(m: int, n: int) -> range:
+    return cubes.map_numbers(count, m, n)
+
+
 def delta(n: int, D: int) -> FinPresheaf:
     """The standard n-simplex, truncated at dimension D."""
-    levels = {d: tuple(sorted(enumerate_monotone(d, n))) for d in range(D + 1)}
-    return build_presheaf(SIMPLEX, D, levels, label_table(
-        levels, lambda f, c: simplex_compose(c, f)))
+    levels = {d: tuple(enumerate_monotone(d, n)) for d in range(D + 1)}
+    index = {d: {c: i for i, c in enumerate(cells)}
+             for d, cells in levels.items()}
+    return build_presheaf(SIMPLEX, D, levels, lambda a, b: [
+        tuple(index[a][simplex_compose(c, f)] for c in levels[b])
+        for f in enumerate_monotone(a, b)])
 
 
-def dualize_simplex_map(f: SimplexMap) -> CubeMap:
-    """The bipointed table <cod> -> <dom> of a monotone map, with bot = 0 and
-    top = dom + 1; contravariantly functorial."""
-    m, n = f.dom, f.cod
-    mids = []
-    for j in range(1, n + 1):
-        for i in range(m + 1):
-            if f.table[i] >= j:
-                mids.append(i)
-                break
-        else:
-            mids.append(m + 1)
-    return make_cube_map(m, n, tuple(mids))
+def dual_middles(f: SimplexMap) -> tuple[int, ...]:
+    """The middles of the cube map of a monotone map, its bipointed table
+    <cod> -> <dom>: j goes to the least i with f(i) >= j, or to top."""
+    return tuple(next((i for i, v in enumerate(f.table) if v >= j), f.dom + 1)
+                 for j in range(1, f.cod + 1))
 
 
 def triangulate(X: FinPresheaf) -> FinPresheaf:
@@ -99,5 +84,9 @@ def triangulate(X: FinPresheaf) -> FinPresheaf:
     and a monotone map acts as its dualized cube map."""
     if X.site is not cubes:
         raise ValueError("triangulate expects a cubical set")
-    return build_presheaf(SIMPLEX, X.D, dict(X.levels),
-                          lambda f: X.action[dualize_simplex_map(f)])
+
+    def tables(a: int, b: int) -> list:
+        numbers = cubes.maps(a, b)
+        return [X.action[numbers[cubes.mids_index(a, dual_middles(f))]]
+                for f in enumerate_monotone(a, b)]
+    return build_presheaf(SIMPLEX, X.D, dict(X.levels), tables)

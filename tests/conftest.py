@@ -35,4 +35,4 @@ def checked_comps():
 def cell(X, d: int, label) -> int:
     """The cell of the finite presheaf X at level d that carries ``label``:
     its position in the level's sorted labels."""
-    return X.levels[d].index(label)
+    return list(X.levels[d]).index(label)

@@ -1,17 +1,21 @@
 import pytest
+from click.testing import CliRunner
 from conftest import cell
 
-from eqctt.cubelab.boxes import (Box, OpenBoxSpec, PresheafMap,
-                                 build_open_box, check_equivariant_lifting,
-                                 enumerate_natural_maps,
+from eqctt.cli import main
+from eqctt.cubelab.boxes import (PresheafMap, _product, _xi,
+                                 check_equivariant_lifting,
+                                 close_cells, enumerate_natural_maps,
                                  enumerate_subpresheaves, horn_box_domain,
-                                 presheaf_map_to_terminal, sub_empty,
-                                 sub_full, sub_vertex)
-from eqctt.cubelab.cubes import (CubeMap, compose, enumerate_hom,
-                                 full_symmetric, make_cube_map, perm_cube_map)
-from eqctt.cubelab.presheaf import (check_functorial, iso_search,
+                                 open_boxes, presheaf_map_to_terminal,
+                                 sub_empty, sub_full, sub_vertex)
+from eqctt.cubelab.cubes import (CubeMap, compose, cube_map, enumerate_hom,
+                                 full_symmetric, index, make_cube_map)
+from eqctt.cubelab.presheaf import (iso_search, nondegenerate,
                                     quotient_by_group, representable_cube,
                                     terminal_cube)
+from oracles import (LabelBox, OpenBoxSpec, check_functorial,
+                     nondegenerate_map, number, pair, perm_cube_map, product)
 
 
 def test_subpresheaves_of_interval():
@@ -30,7 +34,7 @@ def test_endpoint_inclusion_box():
     # C = empty, n = 0, k = 1, zeta = 0: the endpoint inclusion 1 -> I^1
     spec = OpenBoxSpec.make(0, 1, sub_empty(0, 3),
                             CubeMap(0, 1, (0, 0, 1)))
-    dom, amb = build_open_box(spec, 3)
+    dom, amb = spec.build(3)
     assert dom.level_sizes() == [1, 1, 1, 1]
     assert amb.level_sizes() == [(d + 2) for d in range(4)]
     assert check_functorial(dom)
@@ -39,7 +43,7 @@ def test_endpoint_inclusion_box():
 def test_full_subobject_box_is_iso():
     spec = OpenBoxSpec.make(1, 1, sub_full(1, 3),
                             make_cube_map(1, 1, (1,)))
-    dom, amb = build_open_box(spec, 3)
+    dom, amb = spec.build(3)
     assert dom.level_sizes() == amb.level_sizes()
     assert iso_search(dom, amb).found
 
@@ -47,7 +51,7 @@ def test_full_subobject_box_is_iso():
 def test_box_domain_is_levelwise_included():
     spec = OpenBoxSpec.make(1, 1, sub_vertex(1, 3, 0),
                             make_cube_map(1, 1, (1,)))
-    dom, amb = build_open_box(spec, 3)
+    dom, amb = spec.build(3)
     for d in range(4):
         assert set(dom.levels[d]) <= set(amb.levels[d])
         assert len(dom.levels[d]) <= len(amb.levels[d])
@@ -152,38 +156,116 @@ def _no_budget(count=1):
     pass
 
 
+def _spec(box):
+    """The box as an ``OpenBoxSpec``, with zeta a cube map."""
+    return OpenBoxSpec.make(box.n, box.k, box.C,
+                            cube_map(box.n, box.k, box.zeta))
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
 def test_yoneda_squares_match_natural_map_search(name):
     D = 2
     f = ORACLE_MAPS[name](D)
     X, Y = f.src, f.dst
-    for spec in _specs(1, 1, D):
-        box = Box.make(spec, D)
-        dom, amb = build_open_box(spec, D)
+    boxes = open_boxes(1, 1, D, _no_budget)[0]
+    specs = [_spec(box) for box in boxes]
+    assert len(specs) == len(set(specs)) and set(specs) == set(_specs(1, 1, D))
+    for box in boxes:
+        dom, amb = _spec(box).build(D)
         tops = box.tops(X, _no_budget)
         # the tops, built from generator images, are the natural maps from
-        # the box domain, in the order the search finds them
-        assert [box.top_map(X, top) for top in tops] == \
-            [m.components for m in enumerate_natural_maps(dom, X)]
-        N = spec.n + spec.k
-        generic = cell(amb, N, _generic_cell(spec.n, spec.k))
+        # the box domain, in the order the search finds them; a box cell
+        # is keyed by its index in Hom(I^d, I^(n+k)), its ambient cell
+        assert [_in_ambient(dom, amb, m.components)
+                for m in enumerate_natural_maps(dom, X)] == \
+            [box.top_map(X, top) for top in tops]
+        N = box.n + box.k
+        generic = cell(amb, N, _generic_cell(box.n, box.k))
         for top in tops:
-            top_map = _in_ambient(dom, amb, box.top_map(X, top))
+            top_map = box.top_map(X, top)
             below = {d: {c: f(d, x) for c, x in t.items()}
                      for d, t in top_map.items()}
             bottoms = [b(N, generic) for b in
                        enumerate_natural_maps(amb, Y, seed=below)]
             assert set(bottoms) == {
                 y for y in Y.cells(N)
-                if all(Y.act(g, y) == f(g.dom, x)
-                       for g, x in zip(box.gens, top))}
+                if all(Y.act(g, y) == f(m, x)
+                       for (m, g), x in zip(box.gens, top))}
             searched = [m(N, generic) for m in
                         enumerate_natural_maps(amb, X, seed=top_map)]
             for y in bottoms:
                 # a lift is a cell x at level n+k over y restricting to top
                 lifts = {x for x in X.cells(N) if f(N, x) == y
-                         and tuple(X.act(g, x) for g in box.gens) == top}
+                         and tuple(X.act(g, x) for _, g in box.gens) == top}
                 assert lifts == {x for x in searched if f(N, x) == y}
+
+
+def test_integer_boxes_match_label_boxes():
+    # every box at --dim 3 --nmax 1 --kmax 2 against the box built by
+    # composing cube maps: the same generators and relations, and the same
+    # cells, nondegenerate ones with the same first representation
+    D = 3
+    boxes = open_boxes(1, 2, D, _no_budget)[0]
+    assert len(boxes) == 72
+    for box in boxes:
+        oracle = LabelBox.make(_spec(box), D)
+        assert box.gens == [(g.dom, number(g)) for g in oracle.gens]
+        assert box.relations == [[(number(h), j, number(h2))
+                                  for h, j, h2 in rel]
+                                 for rel in oracle.relations]
+        assert box.cells == [(i, number(h)) for e, i, h in oracle.cells
+                             if nondegenerate_map(e)]
+        # the top that sends each generator to itself in I^(n+k) maps every
+        # box cell to itself
+        N = box.n + box.k
+        ambient = representable_cube(N, D)
+        gens = tuple(ambient.site.maps(m, N).index(g) for m, g in box.gens)
+        assert box.top_map(ambient, gens) == {
+            d: {index(e): index(e) for e, _, _ in oracle.cells if e.dom == d}
+            for d in range(D + 1)}
+
+
+def test_box_digit_arithmetic_matches_composition():
+    # <u, v>, u x sigma and sigma . zeta . alpha for all dimensions <= 3
+    for a in range(4):
+        for n in range(4):
+            homs = enumerate_hom(a, n)
+            for k in range(4):
+                for u in homs:
+                    for v in enumerate_hom(a, k):
+                        assert index(u) * (a + 2) ** k + index(v) == \
+                            index(pair(u, v))
+                    for p in full_symmetric(k).perms:
+                        assert _product(a, u.table[1:-1], k, p) == \
+                            index(product(u, make_cube_map(k, k, p)))
+                        inverse = tuple(sorted(range(1, k + 1),
+                                               key=lambda j: p[j - 1]))
+                        assert perm_cube_map(inverse).table[1:-1] == p
+    for m in range(4):
+        for n in range(4):
+            for k in range(1, 4):
+                for p in full_symmetric(k).perms:
+                    sigma = perm_cube_map(p)
+                    for zeta in enumerate_hom(n, k):
+                        for alpha in enumerate_hom(m, n):
+                            assert _xi(m, alpha.table, zeta.table[1:-1], p) \
+                                == index(compose(sigma, compose(zeta, alpha)))
+
+
+def test_budget_bound_for_subobjects_of_cube3():
+    # at --dim 4, I^3 has 19 nondegenerate 1-cells; each generates a
+    # subobject whose only nondegenerate 1-cell it is, so every set of them
+    # with the 8 vertices is a distinct subobject: 2^19 > the default budget
+    X = representable_cube(3, 4)
+    edges = nondegenerate(X, 1)
+    assert len(edges) == 19 and len(nondegenerate(X, 0)) == 8
+    for c in edges:
+        assert set(close_cells(X, {1: {c}})[1]) & set(edges) == {c}
+    assert 2 ** 19 > 500_000
+    r = CliRunner().invoke(main, ["--json", "--dim", "4", "lab", "lift-check",
+                                  "--map", "1->1", "--nmax", "3",
+                                  "--kmax", "1"])
+    assert r.exit_code == 3 and "budget" in r.stdout
 
 
 def test_interval_refutation_rechecked_by_search():
@@ -199,7 +281,7 @@ def test_interval_refutation_rechecked_by_search():
                 [len(cs) for _, cs in spec.C]) != \
                 (ref["n"], ref["k"], ref["zeta"], ref["C_sizes"]):
             continue
-        dom, amb = build_open_box(spec, D)
+        dom, amb = spec.build(D)
         matches += [(amb, _in_ambient(dom, amb, top.components))
                     for top in enumerate_natural_maps(dom, X)
                     if {str(d): {str(dom.levels[d][c]): str(X.levels[d][x])

@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -169,6 +173,33 @@ def test_lab_hom_count():
     r = run("lab", "hom-count", "16", "16")
     assert r.exit_code == 0
     assert r.output.strip() == str(18 ** 16)
+
+
+@pytest.mark.parametrize("dim", [16, 17])
+def test_lab_ez_factor_of_a_large_identity(dim):
+    # monos are recognized by their tables, so no hom-set is enumerated:
+    # I^17 is past the hom enumeration bound
+    table = ",".join(str(j) for j in range(1, dim + 1))
+    r = run("--json", "lab", "ez-factor", "--dom", str(dim), "--cod", str(dim),
+            "--table", table)
+    assert r.exit_code == 0 and r.exception is None
+    assert "Traceback" not in r.output
+    report = json.loads(r.output)["result"]
+    assert report["mono_cancellable"] is True and report["composes"] is True
+
+
+def test_lab_reports_release_a_redirected_stdout():
+    # an in-process caller that swaps a buffer in for stdout per invocation
+    # gets it back: nothing keeps the buffer, so memory does not grow with
+    # the number of invocations
+    buf = io.StringIO()
+    ref = weakref.ref(buf)
+    with contextlib.redirect_stdout(buf):
+        main(["--json", "lab", "hom-count", "1", "1"], standalone_mode=False)
+    assert json.loads(buf.getvalue())["result"] == 3
+    del buf
+    gc.collect()
+    assert ref() is None
 
 
 def test_lab_iso_json_golden():

@@ -3,11 +3,13 @@ import math
 import pytest
 
 from eqctt.cubelab import cubes, simplicial
-from eqctt.cubelab.cubes import (CubeMap, GroupAction, automorphisms, compose,
-                                 cube_identity, degeneracy, enumerate_hom,
-                                 ez_factor, face, find_section,
-                                 invertible_endos, is_iso, is_mono,
-                                 make_cube_map, perm_cube_map)
+from eqctt.cubelab.cubes import (CubeMap, GroupAction, HomSet, automorphisms,
+                                 compose, composites, cube_identity, cube_map,
+                                 enumerate_hom, ez_factor, find_section,
+                                 index, is_iso, is_mono, make_cube_map,
+                                 middles)
+from oracles import (degeneracy, face, invertible_endos, is_mono_by_probes,
+                     number, perm_cube_map, simplex_identity, site_maps)
 
 
 def test_hom_counts():
@@ -112,11 +114,69 @@ def test_find_section_matches_bruteforce():
 @pytest.mark.parametrize("site", [cubes, simplicial], ids=["cube", "simplex"])
 def test_split_epis_match_bruteforce(site):
     # non-invertible split epis: maps to a lower level with a section
+    comp, ident = ((compose, cube_identity) if site is cubes else
+                   (simplicial.simplex_compose, simplex_identity))
     for d in range(4):
-        slow = {e for d2 in range(d) for e in site.maps(d, d2)
-                if any(site.compose(e, s) == site.identity(d2)
-                       for s in site.maps(d2, d))}
+        slow = {number(e) for d2 in range(d) for e in site_maps(site, d, d2)
+                if any(comp(e, s) == ident(d2)
+                       for s in site_maps(site, d2, d))}
         assert set(site.split_epis(d)) == slow, d
+
+
+# ---------------------------------------------------------------------------
+# maps as numbers
+
+def test_index_is_the_position_in_enumerate_hom():
+    # the middles (v1..vb) of a map I^a -> I^b, read in base a + 2 with v1
+    # most significant, are its position in the hom-set
+    for a in range(4):
+        for b in range(4):
+            homs = enumerate_hom(a, b)
+            assert list(HomSet(a, b)) == homs and len(HomSet(a, b)) == len(homs)
+            for i, f in enumerate(homs):
+                assert index(f) == i
+                assert sum(v * (a + 2) ** (b - j)
+                           for j, v in enumerate(f.table[1:-1], 1)) == i
+                assert cube_map(a, b, i) == f
+                assert middles(a, b, i) == f.table[1:-1]
+
+
+@pytest.mark.parametrize("site", [cubes, simplicial], ids=["cube", "simplex"])
+def test_map_numbers_are_distinct(site):
+    # every map a -> b up to the bound has its own number, in hom-set order
+    seen = set()
+    for a in range(17):
+        for b in range(17):
+            numbers = site.maps(a, b)
+            assert (numbers.stop - numbers.start) // numbers.step == \
+                site.count(a, b)
+            assert list(numbers[:50]) == sorted(numbers[:50])
+            seen |= set(numbers[:50])
+            if a + b <= 5:
+                assert len(numbers) == len(site_maps(site, a, b))
+    assert len(seen) == sum(min(50, site.count(a, b))
+                            for a in range(17) for b in range(17))
+    with pytest.raises(ValueError, match="bound"):
+        site.maps(17, 0)
+
+
+def test_composites_are_compositions():
+    # composites(N, m, g, d) lists g . h for the maps h : I^d -> I^m
+    for N in range(4):
+        for m in range(4):
+            for d in range(4):
+                hs = enumerate_hom(d, m)
+                for g, G in enumerate(enumerate_hom(m, N)):
+                    assert composites(N, m, g, d) == \
+                        [index(compose(G, h)) for h in hs], (G, d)
+
+
+def test_is_mono_matches_probes():
+    # the closed form against distinct precompositions of probes
+    for a in range(4):
+        for b in range(4):
+            for f in enumerate_hom(a, b):
+                assert is_mono(f.dom, f.table) == is_mono_by_probes(f), f
 
 
 def test_ez_identity():
@@ -139,7 +199,8 @@ def test_ez_exhaustive_small():
                 e, m = ez_factor(f)
                 assert compose(m, e) == f
                 assert find_section(e) is not None
-                assert is_mono(m, probe_max=2)
+                assert is_mono(m.dom, m.table)
+                assert is_mono_by_probes(m, probe_max=2)
                 # degree clauses
                 if not is_iso(e):
                     assert e.cod < e.dom

@@ -45,6 +45,22 @@ def invocations() -> list[list[str]]:
     out += [_flags(2) + ["lab", "lift-check", "--map", m, "--nmax", "1",
                          "--kmax", "1"]
             for m in ("horn->1", "I1->1", "1->1", "id(1)", "id(I1)")]
+    # Sigma_2 acts at k = 2, an n = 2 case, a quotient, the budget charges
+    out += [_flags(3) + ["lab", "lift-check", "--map", m, "--nmax", "1",
+                         "--kmax", "2"]
+            for m in ("I2/S2->1", "horn->1", "id(I1)")]
+    out += [_flags(3) + ["lab", "lift-check", "--map", "1->1", "--nmax", "2",
+                         "--kmax", "1"],
+            _flags(2) + ["lab", "lift-check", "--map", "id(I2/S2)",
+                         "--nmax", "1", "--kmax", "1"],
+            _flags(4) + ["lab", "lift-check", "--map", "1->1", "--nmax", "3",
+                         "--kmax", "1"]]
+    out += [_flags(3) + ["lab", "open-box", "--n", "1", "--k", "1", "--zeta",
+                         "b", "--sub", sub]
+            for sub in ("empty", "full", "v0", "v1")]
+    out += [_flags(3) + ["lab", "ez-factor", "--dom", dom, "--cod", cod,
+                         "--table", table]
+            for dom, cod, table in (("2", "1", "1"), ("1", "2", "1,1"))]
     return out
 
 

@@ -4,13 +4,15 @@ import pytest
 from conftest import cell
 
 from eqctt.cubelab.cubes import (CubeMap, compose, enumerate_hom,
-                                 full_symmetric, perm_cube_map)
+                                 full_symmetric, index)
 from eqctt.cubelab import cubes, simplicial
-from eqctt.cubelab.presheaf import (FinPresheaf, check_functorial, iso_search,
-                                    label_table, nondegenerate, product,
-                                    quotient_by_group, representable_cube,
-                                    table_size, terminal_cube)
+from eqctt.cubelab.presheaf import (FinPresheaf, iso_search, nondegenerate,
+                                    product, quotient_by_group,
+                                    representable_cube, table_size,
+                                    terminal_cube)
 from eqctt.cubelab.boxes import close_cells, sub_vertex
+from oracles import (check_functorial, label_table, number, perm_cube_map,
+                     vertex_cell)
 
 
 def test_representable_zero_is_terminal():
@@ -31,15 +33,19 @@ def test_representable_levels_match_hom_enumeration():
 def test_representable_tables_match_composition(n):
     # the product-of-tables construction against composition of cube maps
     X = representable_cube(n, 3)
-    by_compose = label_table(X.levels, lambda f, c: compose(c, f))
+    by_compose = label_table(X.levels, enumerate_hom,
+                             lambda f, c: compose(c, f))
     for a in range(4):
         for b in range(4):
-            for f in enumerate_hom(a, b):
-                assert X.action[f] == by_compose(f), f
+            assert [X.action[f] for f in cubes.maps(a, b)] == by_compose(a, b)
+            # by Yoneda, h acts on the cell g as g . h
+            for f, h in zip(cubes.maps(a, b), enumerate_hom(a, b)):
+                assert all(X.action[f][index(g)] == index(compose(g, h))
+                           for g in enumerate_hom(b, n)), h
     for D in range(3):
         Y = representable_cube(n, D)
-        assert Y.action == {f: t for f, t in X.action.items()
-                            if f.dom <= D and f.cod <= D}
+        assert Y.action == {f: X.action[f] for a in range(D + 1)
+                            for b in range(D + 1) for f in cubes.maps(a, b)}
 
 
 @pytest.mark.parametrize("site", [cubes, simplicial], ids=lambda s: s.__name__)
@@ -111,7 +117,7 @@ def test_quotient_action_matches_orbits_by_brute_force(n):
                     images.setdefault(orbit[c], set()).add(
                         orbit[compose(c, f)])
                 assert all(len(image) == 1 for image in images.values())
-                assert {Q.levels[b][q]: Q.levels[a][Q.act(f, q)]
+                assert {Q.levels[b][q]: Q.levels[a][Q.act(number(f), q)]
                         for q in Q.cells(b)} == \
                     {c: image.pop() for c, image in images.items()}
 
@@ -123,13 +129,12 @@ def test_quotient_functorial():
 
 def test_quotient_rejects_non_equivariant_action():
     X = representable_cube(2, 2)
-    cells1 = list(X.levels[1])
 
-    def bogus(perm, d, cell):
+    def bogus(perm, d):
+        cells = tuple(X.cells(d))
         if perm == (2, 1) and d == 1:
-            i = cells1.index(cell)
-            return cells1[(i + 1) % len(cells1)]
-        return cell
+            return cells[1:] + cells[:1]  # each cell to the next one
+        return cells
 
     with pytest.raises(ValueError, match="not equivariant"):
         quotient_by_group(X, full_symmetric(2), bogus)
@@ -154,7 +159,6 @@ def test_vertex_inclusion_commutes_with_quotient():
                     out.add(orbit[0])
                 reps[d] = frozenset(out)
             # the vertex of the quotient generates the same cells
-            from eqctt.cubelab.boxes import vertex_cell
             vtx = vertex_cell(n, endpoint)
             vtx_orbit = sorted(compose(perm_cube_map(p), vtx)
                                for p in H.perms)
