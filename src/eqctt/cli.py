@@ -87,6 +87,18 @@ def _check_file(path: str):
     return mod, mod.report.to_json(path)
 
 
+def _report_lines(report: dict):
+    for d in report["decls"]:
+        yield f"{d['name']}: {d['status']}"
+        for diag in d["diagnostics"]:
+            loc = (f"{diag.get('line')}:{diag.get('col')}: "
+                   if "line" in diag else "")
+            yield f"  {loc}{diag['code']}: {diag['message']}"
+            if "expected" in diag:
+                yield f"    expected: {diag['expected']}"
+                yield f"    actual:   {diag['actual']}"
+
+
 @main.command()
 @click.argument("path", type=click.Path())
 def check(path):
@@ -94,17 +106,9 @@ def check(path):
     mod, report = _check_file(path)
     ok = mod is not None and mod.report.ok
     if CONFIG.json_output:
-        click.echo(json.dumps(report, sort_keys=True))
-    else:
-        for d in report["decls"]:
-            click.echo(f"{d['name']}: {d['status']}")
-            for diag in d["diagnostics"]:
-                loc = (f"{diag.get('line')}:{diag.get('col')}: "
-                       if "line" in diag else "")
-                click.echo(f"  {loc}{diag['code']}: {diag['message']}")
-                if "expected" in diag:
-                    click.echo(f"    expected: {diag['expected']}")
-                    click.echo(f"    actual:   {diag['actual']}")
+        _emit(report)
+    elif report["decls"]:
+        _emit(report, "\n".join(_report_lines(report)))
     sys.exit(0 if ok else 1)
 
 

@@ -13,7 +13,7 @@ a fresh variable tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from . import cof
@@ -58,13 +58,6 @@ def transport(dirs, line, source, target, cap: Value,
               hyps: tuple[Cof, ...] = ()) -> Value:
     """comp restricted to the partial section with the false cofibration."""
     return comp_eval(CompProblem(dirs, line, source, target, (), cap), hyps)
-
-
-def fill_derive(p: CompProblem, fresh_dirs: tuple[str, ...],
-                hyps: tuple[Cof, ...] = ()) -> Value:
-    """Unbiased filling: comp toward a tuple of fresh variables."""
-    return comp_eval(replace(p, target=tuple(IVar(j) for j in fresh_dirs)),
-                     hyps)
 
 
 def _as_pi(v: Value) -> VPi:

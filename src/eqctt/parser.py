@@ -67,33 +67,36 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<number>[0-9]+)
   | (?P<sym>[()\[\]<>.,:=*@|^])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 _KEYWORDS = {"def", "postulate", "Path", "comp", "let", "in", "tt", "ff"}
 
 
 def tokenize(src: str) -> list[Token]:
+    """One pass over the matches; only a newline moves the line, and a
+    column is counted from the start of its line."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        m = _TOKEN_RE.match(src, i)
-        if not m:
-            raise SyntaxError_(f"unexpected character {src[i]!r}", (line, col))
-        text = m.group(0)
-        kind = m.lastgroup or "sym"
+    line, start = 1, 0
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "ws":
+            text = m.group()
+            nl = text.count("\n")
+            if nl:
+                line += nl
+                start = m.start() + text.rfind("\n") + 1
+            continue
+        if kind == "comment":
+            continue
+        text = m.group()
+        pos = (line, m.start() - start + 1)
+        if kind == "bad":
+            raise SyntaxError_(f"unexpected character {text!r}", pos)
         if kind == "ident" and text in _KEYWORDS:
             kind = text
-        if kind not in ("ws", "comment"):
-            toks.append(Token(kind, text, (line, col)))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        i = m.end()
-    toks.append(Token("eof", "", (line, col)))
+        toks.append(Token(kind, text, pos))
+    toks.append(Token("eof", "", (line, len(src) - start + 1)))
     return toks
 
 
@@ -120,6 +123,9 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, off: int = 0) -> Token:
+        # the list ends in eof and next() never moves past it
+        if off == 0:
+            return self.toks[self.i]
         return self.toks[min(self.i + off, len(self.toks) - 1)]
 
     def next(self) -> Token:

@@ -14,7 +14,11 @@ Conversion splits the ambient cofibration context into DNF conjuncts,
 renormalizes under the interval identifications each conjunct forces (not
 at all when nothing is restricted), and compares the readbacks' keys.
 ``term_key`` keys a system as the partial element it denotes, so the keys
-decide equality of systems too.
+decide equality of systems too.  Two rules skip work that cannot change the
+answer: a value converts with itself at once (reflexivity), and a
+conjunct's environment reindexes only the types bound after the first
+interval variable it moves, since a type mentions only variables bound
+before it (the suffix rule).
 """
 
 from __future__ import annotations
@@ -146,7 +150,7 @@ def neutral_var(name: str, ty: Optional[Value]) -> VNe:
 # ---------------------------------------------------------------------------
 # environments and contexts
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Env:
     terms: dict[str, Value] = field(default_factory=dict)
     ivals: dict[str, Interval] = field(default_factory=dict)
@@ -207,17 +211,23 @@ class Context:
 
         With ``assign``, interval variables are sent through the given
         substitution and the types of term variables are reindexed along it.
+        A type mentions only variables bound before it, so only the types
+        after the first interval variable that ``assign`` moves are
+        reindexed; every earlier one is kept as it is.
         """
         assign = assign or {}
         terms: dict[str, Value] = {}
         ivals: dict[str, Interval] = {}
         hyps: list[Cof] = []
+        moved = False
         for e in self.entries:
             if isinstance(e, IntervalBind):
-                ivals[e.name] = assign.get(e.name, IVar(e.name))
+                iv = IVar(e.name)
+                ivals[e.name] = assign.get(e.name, iv)
+                moved = moved or ivals[e.name] != iv
             elif isinstance(e, TermBind):
                 ty = e.ty
-                if assign:
+                if moved:
                     ty = eval_term(Env(dict(terms), dict(ivals), tuple(hyps)),
                                    quote_type(ty))
                 terms[e.name] = neutral_var(e.name, ty)
@@ -540,8 +550,11 @@ def _assignment(conj) -> dict[str, Interval]:
 def convert(ctx: Context, ty: Value, v1: Value, v2: Value) -> bool:
     """Definitional equality under the context's restrictions: for each DNF
     conjunct of the restrictions, the readbacks under the interval
-    assignment it forces have equal keys.  When nothing is restricted the
-    first readbacks are compared, since normalization is idempotent."""
+    assignment it forces have equal keys.  A value converts with itself
+    at once, by reflexivity.  When nothing is restricted the first
+    readbacks are compared, since normalization is idempotent."""
+    if v1 is v2:
+        return True
     dnf = cof.to_dnf(cof_and(*ctx.hyps))
     if dnf == ():
         return True  # inconsistent restriction: everything converts

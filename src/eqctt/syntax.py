@@ -1,9 +1,8 @@
 """Abstract syntax for the kernel language.
 
 Terms, interval expressions and cofibrations are immutable trees.  Bound
-variables are plain names; all operations that move terms under binders
-(substitution, comparison) rename on the fly, so shadowing in the input is
-harmless.  Generated names contain a ``%`` which the lexer rejects, keeping
+variables are plain names; comparison renames binders on the fly, so
+shadowing in the input is harmless.  Generated names contain a ``%`` which the lexer rejects, keeping
 them disjoint from anything a source file can mention.
 """
 
@@ -342,112 +341,6 @@ def free_ivars(t: Term) -> set[str]:
             return out | free_ivars(cap)
         case Let(_, ann, bound, body):
             return free_ivars(ann) | free_ivars(bound) | free_ivars(body)
-    raise TypeError(t)
-
-
-# ---------------------------------------------------------------------------
-# substitution
-
-def substitute(t: Term,
-               terms: dict[str, Term] | None = None,
-               ivars: dict[str, Interval] | None = None) -> Term:
-    """Simultaneous capture-avoiding substitution of terms and intervals."""
-    return _subst(t, dict(terms or {}), dict(ivars or {}))
-
-
-def _img_fvs(terms: dict[str, Term]) -> set[str]:
-    out: set[str] = set()
-    for v in terms.values():
-        out |= free_vars(v)
-    return out
-
-
-def _img_ivs(terms: dict[str, Term], ivars: dict[str, Interval]) -> set[str]:
-    out: set[str] = set()
-    for v in terms.values():
-        out |= free_ivars(v)
-    for r in ivars.values():
-        out |= interval_vars(r)
-    return out
-
-
-def _bind_term(x: str, terms: dict[str, Term], ivars: dict[str, Interval]):
-    """Refresh a term binder when it would capture or be substituted."""
-    terms = {k: v for k, v in terms.items() if k != x}
-    if x in _img_fvs(terms):
-        x2 = fresh(x)
-        terms[x] = Var(x2)
-        return x2, terms, ivars
-    return x, terms, ivars
-
-
-def _bind_ivars(xs: tuple[str, ...], terms: dict[str, Term],
-                ivars: dict[str, Interval]):
-    ivars = {k: v for k, v in ivars.items() if k not in xs}
-    clash = _img_ivs(terms, ivars)
-    out = []
-    for x in xs:
-        if x in clash:
-            x2 = fresh(x)
-            ivars[x] = IVar(x2)
-            out.append(x2)
-        else:
-            out.append(x)
-    return tuple(out), terms, ivars
-
-
-def _subst(t: Term, terms: dict[str, Term], ivars: dict[str, Interval]) -> Term:
-    match t:
-        case Var(x):
-            return terms.get(x, t)
-        case Pi(x, a, b):
-            a2 = _subst(a, terms, ivars)
-            x2, ts, vs = _bind_term(x, terms, ivars)
-            return Pi(x2, a2, _subst(b, ts, vs))
-        case Sigma(x, a, b):
-            a2 = _subst(a, terms, ivars)
-            x2, ts, vs = _bind_term(x, terms, ivars)
-            return Sigma(x2, a2, _subst(b, ts, vs))
-        case Lam(x, e):
-            x2, ts, vs = _bind_term(x, terms, ivars)
-            return Lam(x2, _subst(e, ts, vs))
-        case App(f, a):
-            return App(_subst(f, terms, ivars), _subst(a, terms, ivars))
-        case Pair(a, b):
-            return Pair(_subst(a, terms, ivars), _subst(b, terms, ivars))
-        case Fst(a):
-            return Fst(_subst(a, terms, ivars))
-        case Snd(a):
-            return Snd(_subst(a, terms, ivars))
-        case PathT(i, l, a, b):
-            a2 = _subst(a, terms, ivars)
-            b2 = _subst(b, terms, ivars)
-            (i2,), ts, vs = _bind_ivars((i,), terms, ivars)
-            return PathT(i2, _subst(l, ts, vs), a2, b2)
-        case PLam(i, e):
-            (i2,), ts, vs = _bind_ivars((i,), terms, ivars)
-            return PLam(i2, _subst(e, ts, vs))
-        case PApp(f, r):
-            return PApp(_subst(f, terms, ivars), subst_interval(r, ivars))
-        case U(_):
-            return t
-        case Comp(dirs, line, src, tgt, tube, cap):
-            src2 = tuple(subst_interval(r, ivars) for r in src)
-            tgt2 = tuple(subst_interval(r, ivars) for r in tgt)
-            dirs2, ts, vs = _bind_ivars(dirs, terms, ivars)
-            line2 = _subst(line, ts, vs)
-            tube2 = []
-            for br in tube:
-                g2 = subst_cof(br.guard, ivars)
-                bdirs2, bts, bvs = _bind_ivars(br.dirs, terms, ivars)
-                tube2.append(Branch(g2, bdirs2, _subst(br.body, bts, bvs)))
-            return Comp(dirs2, line2, src2, tgt2, tuple(tube2),
-                        _subst(cap, terms, ivars))
-        case Let(x, ann, bound, body):
-            ann2 = _subst(ann, terms, ivars)
-            bound2 = _subst(bound, terms, ivars)
-            x2, ts, vs = _bind_term(x, terms, ivars)
-            return Let(x2, ann2, bound2, _subst(body, ts, vs))
     raise TypeError(t)
 
 

@@ -1,13 +1,24 @@
-"""References that only tests use: brute-force checks, and the routes the
-program took on ``CubeMap`` labels before site maps and cells were numbers.
-Each one is kept to check the closed form or the integer route that
-replaced it."""
+"""References that only tests use: brute-force checks, the routes the
+program took on ``CubeMap`` labels before site maps and cells were numbers,
+and the kernel's slower routes before it skipped work that cannot change an
+answer.  Each one is kept to check the closed form, the integer route or the
+shortcut that replaced it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 
 from eqctt import cof
+from eqctt.kan import CompProblem, comp_eval
+from eqctt.parser import SyntaxError_, Token
+from eqctt.semantics import (Context, Env, IntervalBind, TermBind,
+                             _assignment, eval_term, neutral_var, quote,
+                             quote_type, terms_equal)
+from eqctt.syntax import (App, Branch, Comp, Fst, Interval, IVar, Lam, Let,
+                          PApp, Pair, PathT, Pi, PLam, Sigma, Snd, Term, U,
+                          Var, cof_and, free_ivars, free_vars, fresh,
+                          interval_vars, subst_cof, subst_interval)
 from eqctt.cubelab import cubes, simplicial
 from eqctt.cubelab.boxes import build_open_box
 from eqctt.cubelab.cubes import (CubeMap, compose, cube_identity,
@@ -27,6 +38,204 @@ def equivalent(hyps, phi: cof.Cof, psi: cof.Cof) -> bool:
     """Cofibration extensionality: equality as logical equivalence."""
     return (cof.entails(list(hyps) + [phi], psi)
             and cof.entails(list(hyps) + [psi], phi))
+
+
+# ---------------------------------------------------------------------------
+# substitution of terms and intervals (the kernel substitutes by evaluation)
+
+def substitute(t: Term,
+               terms: dict[str, Term] | None = None,
+               ivars: dict[str, Interval] | None = None) -> Term:
+    """Simultaneous capture-avoiding substitution of terms and intervals."""
+    return _subst(t, dict(terms or {}), dict(ivars or {}))
+
+
+def _img_fvs(terms: dict[str, Term]) -> set[str]:
+    out: set[str] = set()
+    for v in terms.values():
+        out |= free_vars(v)
+    return out
+
+
+def _img_ivs(terms: dict[str, Term], ivars: dict[str, Interval]) -> set[str]:
+    out: set[str] = set()
+    for v in terms.values():
+        out |= free_ivars(v)
+    for r in ivars.values():
+        out |= interval_vars(r)
+    return out
+
+
+def _bind_term(x: str, terms: dict[str, Term], ivars: dict[str, Interval]):
+    """Refresh a term binder when it would capture or be substituted."""
+    terms = {k: v for k, v in terms.items() if k != x}
+    if x in _img_fvs(terms):
+        x2 = fresh(x)
+        terms[x] = Var(x2)
+        return x2, terms, ivars
+    return x, terms, ivars
+
+
+def _bind_ivars(xs: tuple[str, ...], terms: dict[str, Term],
+                ivars: dict[str, Interval]):
+    ivars = {k: v for k, v in ivars.items() if k not in xs}
+    clash = _img_ivs(terms, ivars)
+    out = []
+    for x in xs:
+        if x in clash:
+            x2 = fresh(x)
+            ivars[x] = IVar(x2)
+            out.append(x2)
+        else:
+            out.append(x)
+    return tuple(out), terms, ivars
+
+
+def _subst(t: Term, terms: dict[str, Term], ivars: dict[str, Interval]) -> Term:
+    match t:
+        case Var(x):
+            return terms.get(x, t)
+        case Pi(x, a, b):
+            a2 = _subst(a, terms, ivars)
+            x2, ts, vs = _bind_term(x, terms, ivars)
+            return Pi(x2, a2, _subst(b, ts, vs))
+        case Sigma(x, a, b):
+            a2 = _subst(a, terms, ivars)
+            x2, ts, vs = _bind_term(x, terms, ivars)
+            return Sigma(x2, a2, _subst(b, ts, vs))
+        case Lam(x, e):
+            x2, ts, vs = _bind_term(x, terms, ivars)
+            return Lam(x2, _subst(e, ts, vs))
+        case App(f, a):
+            return App(_subst(f, terms, ivars), _subst(a, terms, ivars))
+        case Pair(a, b):
+            return Pair(_subst(a, terms, ivars), _subst(b, terms, ivars))
+        case Fst(a):
+            return Fst(_subst(a, terms, ivars))
+        case Snd(a):
+            return Snd(_subst(a, terms, ivars))
+        case PathT(i, l, a, b):
+            a2 = _subst(a, terms, ivars)
+            b2 = _subst(b, terms, ivars)
+            (i2,), ts, vs = _bind_ivars((i,), terms, ivars)
+            return PathT(i2, _subst(l, ts, vs), a2, b2)
+        case PLam(i, e):
+            (i2,), ts, vs = _bind_ivars((i,), terms, ivars)
+            return PLam(i2, _subst(e, ts, vs))
+        case PApp(f, r):
+            return PApp(_subst(f, terms, ivars), subst_interval(r, ivars))
+        case U(_):
+            return t
+        case Comp(dirs, line, src, tgt, tube, cap):
+            src2 = tuple(subst_interval(r, ivars) for r in src)
+            tgt2 = tuple(subst_interval(r, ivars) for r in tgt)
+            dirs2, ts, vs = _bind_ivars(dirs, terms, ivars)
+            line2 = _subst(line, ts, vs)
+            tube2 = []
+            for br in tube:
+                g2 = subst_cof(br.guard, ivars)
+                bdirs2, bts, bvs = _bind_ivars(br.dirs, terms, ivars)
+                tube2.append(Branch(g2, bdirs2, _subst(br.body, bts, bvs)))
+            return Comp(dirs2, line2, src2, tgt2, tuple(tube2),
+                        _subst(cap, terms, ivars))
+        case Let(x, ann, bound, body):
+            ann2 = _subst(ann, terms, ivars)
+            bound2 = _subst(bound, terms, ivars)
+            x2, ts, vs = _bind_term(x, terms, ivars)
+            return Let(x2, ann2, bound2, _subst(body, ts, vs))
+    raise TypeError(t)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's slower routes
+
+_TOKEN_RE = re.compile(r"""
+    (?P<comment>--[^\n]*)
+  | (?P<ws>\s+)
+  | (?P<arrow>->)
+  | (?P<squig>~>)
+  | (?P<and>/\\)
+  | (?P<or>\\/)
+  | (?P<lam>\\)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<number>[0-9]+)
+  | (?P<sym>[()\[\]<>.,:=*@|^])
+""", re.VERBOSE)
+
+_KEYWORDS = {"def", "postulate", "Path", "comp", "let", "in", "tt", "ff"}
+
+
+def tokenize(src: str) -> list[Token]:
+    """The lexer as one anchored match per token, whitespace included,
+    counting columns token by token."""
+    toks: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(src):
+        m = _TOKEN_RE.match(src, i)
+        if not m:
+            raise SyntaxError_(f"unexpected character {src[i]!r}", (line, col))
+        text = m.group(0)
+        kind = m.lastgroup or "sym"
+        if kind == "ident" and text in _KEYWORDS:
+            kind = text
+        if kind not in ("ws", "comment"):
+            toks.append(Token(kind, text, (line, col)))
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        i = m.end()
+    toks.append(Token("eof", "", (line, col)))
+    return toks
+
+
+def reindexed_env(ctx: Context, assign: dict) -> Env:
+    """``Context.env`` reindexing the type of every term binding."""
+    terms: dict = {}
+    ivals: dict = {}
+    hyps: list = []
+    for e in ctx.entries:
+        if isinstance(e, IntervalBind):
+            ivals[e.name] = assign.get(e.name, IVar(e.name))
+        elif isinstance(e, TermBind):
+            ty = e.ty
+            if assign:
+                ty = eval_term(Env(dict(terms), dict(ivals), tuple(hyps)),
+                               quote_type(ty))
+            terms[e.name] = neutral_var(e.name, ty)
+        else:
+            hyps.append(subst_cof(e.cof, assign) if assign else e.cof)
+    return Env(terms, ivals, tuple(hyps))
+
+
+def convert_by_reevaluation(ctx: Context, ty, v1, v2) -> bool:
+    """Conversion with no reflexivity shortcut: under each DNF conjunct of
+    the restrictions, both readbacks are evaluated again in the fully
+    reindexed environment and read back again."""
+    dnf = cof.to_dnf(cof_and(*ctx.hyps))
+    if dnf == ():
+        return True
+    t1, t2 = quote(ty, v1), quote(ty, v2)
+    if dnf == (frozenset(),):
+        return terms_equal(t1, t2)
+    ty_t = quote_type(ty)
+    for conj in dnf:
+        env = reindexed_env(ctx, _assignment(conj))
+        ty_v = eval_term(env, ty_t)
+        if not terms_equal(quote(ty_v, eval_term(env, t1)),
+                           quote(ty_v, eval_term(env, t2))):
+            return False
+    return True
+
+
+def fill_derive(p: CompProblem, fresh_dirs: tuple[str, ...],
+                hyps=()):
+    """Unbiased filling: comp toward a tuple of fresh variables."""
+    return comp_eval(replace(p, target=tuple(IVar(j) for j in fresh_dirs)),
+                     hyps)
 
 
 # ---------------------------------------------------------------------------

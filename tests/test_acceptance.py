@@ -22,11 +22,11 @@ from eqctt.parser import Parser, parse_module
 from eqctt.semantics import (VU, Context, convert, eval_term, quote,
                              quote_type)
 from eqctt.syntax import (BOT, Branch, CAnd, CEq, Comp, Cof, COr, I0, I1,
-                          IVar, PLam, Term, Var, alpha_eq, cof_and,
-                          substitute)
+                          IVar, PLam, Term, Var, alpha_eq, cof_and)
 from eqctt.typecheck import Checker, Scope, check_module
 
 from conftest import CORPUS
+from oracles import substitute
 
 
 def _timed(criterion: str, limit: float, started: float, ok: bool,

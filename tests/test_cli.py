@@ -202,6 +202,25 @@ def test_lab_reports_release_a_redirected_stdout():
     assert ref() is None
 
 
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "human"])
+def test_check_reports_release_a_redirected_stdout(flags):
+    # the same holds for check, in both output modes
+    buf = io.StringIO()
+    ref = weakref.ref(buf)
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exit:
+        main([*flags, "check", str(CORPUS / "j.ectt")], standalone_mode=False)
+    assert exit.value.code == 0
+    out = buf.getvalue()
+    if flags:
+        assert {d["name"]: d["status"]
+                for d in json.loads(out)["decls"]}["J"] == "ok"
+    else:
+        assert "J: ok" in out.splitlines()
+    del buf
+    gc.collect()
+    assert ref() is None
+
+
 def test_lab_iso_json_golden():
     a = run("--json", "lab", "iso", "--lhs", "T(I2/S2)", "--rhs", "Delta2")
     b = run("--json", "lab", "iso", "--lhs", "T(I2/S2)", "--rhs", "Delta2")

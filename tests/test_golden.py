@@ -1,7 +1,8 @@
 """Golden outputs: the exit code and ``--json`` stdout of the corpus checks,
-the corpus normal forms, and the lab invocations the benchmark runs, each
-run in-process from the repository root so that reports carry relative
-paths.
+the corpus normal forms, the lab invocations the benchmark runs and the
+parse errors of two inline modules, each run in-process from the repository
+root (the inline modules from a directory that holds them) so that reports
+carry relative paths.
 
 ``golden.json`` is written by running this file as a script from the root
 of a checkout (``PYTHONPATH=src python tests/test_golden.py``).  The
@@ -13,8 +14,10 @@ lists the outputs that changed.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import re
+import tempfile
 
 import pytest
 from click.testing import CliRunner
@@ -23,6 +26,16 @@ from eqctt.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden.json"
+
+
+# parse errors: their positions come from the lexer and the depth guard
+INLINE = {
+    "tab-after-comment.ectt":
+        "postulate A : U0 -- the type\n-- a comment $ here\n\t$ postulate a : A\n",
+    "too-deep.ectt":
+        "postulate A : U0\npostulate f : (x : A) -> A\npostulate a : A\n"
+        "def t : A =\n  " + "f (" * 200 + "a" + ")" * 200 + "\n",
+}
 
 
 def _flags(dim: int) -> list[str]:
@@ -61,11 +74,22 @@ def invocations() -> list[list[str]]:
     out += [_flags(3) + ["lab", "ez-factor", "--dom", dom, "--cod", cod,
                          "--table", table]
             for dom, cod, table in (("2", "1", "1"), ("1", "2", "1,1"))]
+    out += [_flags(3) + ["check", name] for name in INLINE]
     return out
 
 
 def _run(args: list[str]) -> dict:
-    r = CliRunner().invoke(main, args)
+    if args[-1] not in INLINE:
+        r = CliRunner().invoke(main, args)
+        return {"exit_code": r.exit_code, "stdout": r.stdout}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        pathlib.Path(tmp, args[-1]).write_text(INLINE[args[-1]])
+        os.chdir(tmp)
+        try:
+            r = CliRunner().invoke(main, args)
+        finally:
+            os.chdir(cwd)
     return {"exit_code": r.exit_code, "stdout": r.stdout}
 
 

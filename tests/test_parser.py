@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from eqctt.parser import Parser, SyntaxError_, parse_cof, parse_module, parse_term
+from eqctt.parser import (Parser, SyntaxError_, parse_cof, parse_module,
+                          parse_term, tokenize)
 from eqctt.printer import print_cof, print_term
 from eqctt.syntax import (CAnd, CEq, COr, Comp, Pi, U, alpha_eq)
 
-from conftest import corpus_files
+import oracles
+from conftest import CORPUS, corpus_files
 
 
 def test_pi_over_universe():
@@ -110,3 +113,62 @@ def test_roundtrip_via_reprint(path):
         assert alpha_eq(d1.ty, d2.ty)
         if hasattr(d1, "body"):
             assert alpha_eq(d1.body, d2.body)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass lexer against the anchored match per token
+
+def _lexed(lex, src: str):
+    try:
+        return [(t.kind, t.text, t.pos) for t in lex(src)]
+    except SyntaxError_ as e:
+        return (e.message, e.pos)
+
+
+# one declaration of each shape the kernel benchmark generates: the five line
+# heads, k = 1..3, nested path lambdas, let, and pair projections
+GENERATED_SHAPES = [
+    "def d0 : A = comp^1 (u. A) [ m = 0 -> u. p @ u | 1 = 1 -> u. "
+    "(let y : A = a in y) ] (q @ 0) : 0 ~> 1",
+    "def d1 : (x : A) -> A = comp^2 (u v. (x : A) -> A) [ (0 = 0 \\/ 1 = 1)"
+    " -> u v. (\\x. let y : A = x in y) ] (\\z. z) : (1,0) ~> (1,1)",
+    "def d2 : Path (r. (y : A) * A) (comp^3 (u v w. (y : A) * A) "
+    "[ 0 = 0 -> u v w. (a , (q @ 0)) ] ((p @ 0) , a) : (0,1,1) ~> (0,0,0))\n"
+    "  (comp^3 (u v w. (y : A) * A) [] (a , a) : (0,1,1) ~> (1,1,1))\n"
+    "  = <r> comp^3 (u v w. (y : A) * A) [ r = r -> u v w. (a , (q @ 0)) ] "
+    "((p @ 0) , a) : (0,1,1) ~> (r,r,r)",
+    "def d3 : Path (mm. Path (nn. Path (j. A) a b) x y)\n"
+    "    (<nn> comp^2 (u v. Path (j. A) a b) [ (1 = nn /\\ nn = 1) -> u v. "
+    "(<h> p @ h) ] (comp^1 (e. Path (j. A) a b) [] (<j> p @ j) : nn ~> nn) "
+    ": (nn,0) ~> (0,1))\n  = <mm> <nn> comp^2 (u v. Path (j. A) a b) [] p "
+    ": (nn,mm) ~> (mm,1)",
+    "def d4 : L @ 1 = comp^1 (u. L @ u) [ i1 = 0 -> u. q @ u | i2 = 1 -> u. "
+    "q2 @ u ] a : 0 ~> 1",
+    "def d5 : A = (\\s. s.1) (a , b)\ndef d6 : A = (a , (b , a)).2.2",
+]
+
+EDGE_CASES = [
+    "", "\n", "\t", "def\tx :\tU0\t=\tU0", "postulate A : U0\r\n\r\ndef a : A",
+    "\r", "postulate A : U0 -- a comment at the end", "-- only a comment\n",
+    "postulate é : U0", "postulate A : U0\n-- two\n-- three\n$",
+    "postulate A : U0\n\n-- on line 3 \n  $", "postulate A : U0\n\t-- x\n\t$",
+    "~~", "a ~> b ~", "\\x. x", "a /\\ b \\/ c", "x' _y0 U12 def_ 007",
+]
+
+
+@pytest.mark.parametrize("src", [p.read_text() for p in
+                                 sorted(CORPUS.glob("*.ectt"))]
+                         + GENERATED_SHAPES + EDGE_CASES)
+def test_tokenize_matches_anchored_lexer(src):
+    assert _lexed(tokenize, src) == _lexed(oracles.tokenize, src)
+
+
+@given(st.text(alphabet="ab01 \t\r\n-~>/\\()[]<>.,:=*@|^$é_'", max_size=40))
+def test_tokenize_matches_anchored_lexer_on_any_text(src):
+    assert _lexed(tokenize, src) == _lexed(oracles.tokenize, src)
+
+
+def test_unexpected_character_position():
+    # a tab is one column, and a comment moves no position
+    assert _lexed(tokenize, "postulate A : U0\n-- c $\n\t$") == (
+        "unexpected character '$'", (3, 2))

@@ -5,18 +5,20 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
-from eqctt import config, semantics
+from eqctt import config, semantics, typecheck
 from eqctt.cli import main
 from eqctt.parser import Parser, parse_module, parse_term
 from eqctt.printer import print_term
 from eqctt.semantics import (Context, NComp, PermutationBoundExceeded, VNe,
-                             canonicalize_stuck_comp, convert, eval_term,
+                             VU, canonicalize_stuck_comp, convert, eval_term,
                              quote, quote_type, sigma_transform)
-from eqctt.syntax import (BOT, App, Branch, CEq, Comp, I0, I1, IVar, PApp,
-                          Pi, PLam, Var, alpha_eq, cof_and, cof_or, term_key)
+from eqctt.syntax import (BOT, App, Branch, CEq, Comp, Def, I0, I1, IVar,
+                          PApp, Pi, PLam, Var, alpha_eq, cof_and, cof_or,
+                          term_key)
 from eqctt.typecheck import Checker, Scope, check_module
 
-from conftest import corpus_files
+import oracles
+from conftest import CORPUS, corpus_files
 from test_acceptance import _corpus_comps, _sigma_transform_ast
 
 
@@ -255,7 +257,7 @@ def test_equivariance_all_sigma_k3(sig):
     t = Parser(base).parse_term()
     ty = Checker().check_comp_term(sig, t)
     v = eval_term(sig.env, t)
-    from eqctt.syntax import Comp, IVar as IV, substitute
+    from eqctt.syntax import Comp, IVar as IV
 
     def transform(c, perm):
         kk = len(c.dirs)
@@ -263,7 +265,7 @@ def test_equivariance_all_sigma_k3(sig):
         inv = [0] * kk
         for idx, pp in enumerate(perm):
             inv[pp] = idx
-        line = substitute(c.line, ivars={
+        line = oracles.substitute(c.line, ivars={
             c.dirs[m]: IV(names[perm[m]]) for m in range(kk)})
         src = tuple(c.source[inv[m]] for m in range(kk))
         tgt = tuple(c.target[inv[m]] for m in range(kk))
@@ -502,3 +504,91 @@ def test_split_guard_keeps_the_canonical_form(pair):
     c, split = pair
     assert (term_key(canonicalize_stuck_comp(c))
             == term_key(canonicalize_stuck_comp(split)))
+
+
+# ---------------------------------------------------------------------------
+# conversion's shortcuts: reflexivity, and reindexing only the moved suffix
+
+@pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
+def test_nbe_is_idempotent_on_corpus_defs(path):
+    # what conversion keeps instead of rebuilding reads back the same as its
+    # rebuilt copy: a definition's value, and its type
+    decls = parse_module(path.read_text())
+    mod = check_module(decls)
+    assert mod.report.ok
+    env = mod.scope.env
+    for name in (d.name for d in decls if isinstance(d, Def)):
+        ty, v = mod.types[name], mod.values[name]
+        n1 = quote(ty, v)
+        assert term_key(quote(ty, eval_term(env, n1))) == term_key(n1), name
+        t1 = quote_type(ty)
+        assert term_key(quote_type(eval_term(env, t1))) == term_key(t1), name
+
+
+TELESCOPE = """
+postulate X : U0
+postulate Y : U0
+"""
+
+
+def _telescope():
+    """A : U0, L : Path (i. U0) X Y, m : I, x : L @ m after two postulates."""
+    mod = check_module(parse_module(TELESCOPE))
+    sc = mod.scope
+    sc, _ = sc.bind_term("A", VU(0))
+    sc, lv = sc.bind_term("L", eval_term(sc.env, parse_term(
+        "Path (i. U0) X Y", known={"X", "Y"})))
+    sc, m = sc.bind_ivar("m")
+    sc, _ = sc.bind_term("x", semantics.do_papp(lv, m))
+    return sc.ctx, m
+
+
+def test_context_env_reindexes_only_after_the_moved_variable():
+    ctx, m = _telescope()
+    names = [e.name for e in ctx.entries]
+    assert names.index(m.name) == 4
+    env = ctx.env({m.name: I0})
+    assert env.ivals[m.name] == I0
+    for e in ctx.entries[:4]:
+        assert env.terms[e.name].ty is e.ty
+    x = ctx.entries[5]
+    assert x.ty is not env.terms[x.name].ty
+    assert term_key(quote_type(env.terms[x.name].ty)) == term_key(Var("X"))
+
+
+def test_context_env_keeps_every_type_when_nothing_moves():
+    ctx, m = _telescope()
+    for assign in ({m.name: IVar(m.name)}, {}, {"unbound": I1}):
+        env = ctx.env(assign)
+        for e in ctx.entries:
+            if isinstance(e, semantics.TermBind):
+                assert env.terms[e.name].ty is e.ty
+
+
+def test_a_value_converts_with_itself_without_evaluating(sig, monkeypatch):
+    sc, iv = sig.bind_ivar("i")
+    rc = sc.restrict(cof_or(CEq(iv, I0), CEq(iv, I1)))
+    v = eval_term(sc.env, Parser("p @ i").parse_term())
+    ty = sig.types["a"]
+
+    def no_eval(env, t):
+        raise AssertionError("conversion evaluated a term")
+    monkeypatch.setattr(semantics, "eval_term", no_eval)
+    assert convert(rc.ctx, ty, v, v)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.ectt")),
+                         ids=lambda p: p.name)
+def test_convert_agrees_with_reevaluation_on_the_corpus(path, monkeypatch):
+    seen = []
+
+    def recording(ctx, ty, v1, v2):
+        out = convert(ctx, ty, v1, v2)
+        seen.append((ctx, ty, v1, v2, out))
+        return out
+    monkeypatch.setattr(typecheck, "convert", recording)
+    check_module(parse_module(path.read_text()))
+    monkeypatch.undo()
+    assert seen
+    for ctx, ty, v1, v2, out in seen:
+        assert oracles.convert_by_reevaluation(ctx, ty, v1, v2) == out
