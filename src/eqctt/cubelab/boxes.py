@@ -27,7 +27,7 @@ from . import cubes
 from .cubes import (composites, count, cube_map, full_symmetric, hom_tables,
                     is_mono, maps, middles, mids_index)
 from .presheaf import (BudgetExceeded, Cell, FinPresheaf, build_presheaf,
-                       nondegenerate, product, representable_cube,
+                       gather, nondegenerate, product, representable_cube,
                        terminal_cube)
 
 
@@ -108,8 +108,8 @@ def build_open_box(n: int, k: int, C: dict[int, frozenset], zeta: int,
     return build_presheaf(
         cubes, D, {d: tuple(amb.levels[d][e] for e in cells)
                    for d, cells in levels.items()},
-        lambda a, b: [tuple(position[a][amb.action[f][e]] for e in levels[b])
-                      for f in maps(a, b)]), amb
+        lambda a, b, i: gather(position[a], gather(
+            amb.action[maps(a, b)[i]], levels[b]))), amb
 
 
 def horn_box_domain(D: int) -> FinPresheaf:

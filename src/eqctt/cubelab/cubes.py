@@ -143,6 +143,12 @@ def map_numbers(count, a: int, b: int, bound: int = 16) -> range:
     return range(a * w + b, (count(a, b) * w + a) * w + b, w * w)
 
 
+def map_of(number: int, bound: int = 16) -> tuple[int, int, int]:
+    """The inverse of ``map_numbers``: (i, a, b) for the i-th map a -> b."""
+    rest, b = divmod(number, bound + 1)
+    return (*divmod(rest, bound + 1), b)
+
+
 # ---------------------------------------------------------------------------
 # automorphisms and factorizations
 

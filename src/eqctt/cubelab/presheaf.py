@@ -1,11 +1,11 @@
-"""Dimension-truncated finite presheaves with materialized action tables.
+"""Dimension-truncated finite presheaves with action tables built when read.
 
-A ``FinPresheaf`` over a site stores, for every site morphism between levels
-<= D, the induced function on cells.  A site is the module of its category,
-``cubes`` or ``simplicial``, which provides ``maps(a, b)`` (the numbers of
-the morphisms dom=a -> cod=b, in hom-set order), ``count(a, b)`` (how many)
-and ``split_epis(d)`` (the numbers of the non-invertible split epis out of
-level d).
+A ``FinPresheaf`` over a site gives, for every site morphism between levels
+<= D, the induced function on cells, built when first read.  A site is the
+module of its category, ``cubes`` or ``simplicial``, which provides
+``maps(a, b)`` (the numbers of the morphisms dom=a -> cod=b, in hom-set
+order), ``count(a, b)`` (how many) and ``split_epis(d)`` (the numbers of
+the non-invertible split epis out of level d).
 
 Site maps and cells are integers: ``action[f]`` is the table of the map
 numbered f, and a cell at level d is its position in ``levels[d]``, that
@@ -18,15 +18,23 @@ exhaustive for the truncation D but say nothing beyond it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
 from types import ModuleType
 from typing import Callable, Hashable, Sequence
 
 from . import cubes
-from .cubes import CubeMap, GroupAction, HomSet, hom_tables
+from .cubes import CubeMap, GroupAction, HomSet, hom_tables, map_of
 
 Label = Hashable
 Cell = int
 Table = tuple[Cell, ...]  # the action of one site map, by cell
+
+
+def gather(t: Sequence, cells: Sequence[int]) -> tuple:
+    """The tuple of t[c] for each c in cells, gathered in C where it can."""
+    return itemgetter(*cells)(t) if len(cells) > 1 else tuple(
+        t[c] for c in cells)
 
 
 @dataclass(eq=False)
@@ -34,7 +42,7 @@ class FinPresheaf:
     site: ModuleType
     D: int
     levels: dict[int, Sequence[Label]]
-    action: dict[int, Table]  # map a -> b, by number: level b to level a
+    action: Action  # map a -> b, by number: level b to level a
 
     def act(self, f: int, cell: Cell) -> Cell:
         return self.action[f][cell]
@@ -46,28 +54,37 @@ class FinPresheaf:
         return [len(self.levels[d]) for d in range(self.D + 1)]
 
 
+class Action(dict):
+    """Tables by map number: the i-th map a -> b gets ``table(a, b, i)``,
+    checked to send level b into level a, the first time it is read."""
+
+    def __init__(self, site: ModuleType, sizes: list[int], table: Callable):
+        self.site, self.sizes, self.table = site, sizes, table
+
+    def __missing__(self, f: int) -> Table:
+        i, a, b = map_of(f)
+        sizes = self.sizes
+        if max(a, b) >= len(sizes) or not 0 <= i < self.site.count(a, b):
+            raise KeyError(f)
+        t = self.table(a, b, i)
+        if len(t) != sizes[b] or t and not (0 <= min(t) and max(t) < sizes[a]):
+            raise ValueError(f"action of map {f} ({a} -> {b}) "
+                             "leaves the level sets")
+        self[f] = t
+        return t
+
+
 def build_presheaf(site: ModuleType, D: int,
                    levels: dict[int, Sequence[Label]],
-                   tables: Callable[[int, int], list[Table]]) -> FinPresheaf:
-    """Materialize the action of every site map a -> b between levels <= D
-    from ``tables(a, b)``, the tables of those maps in hom-set order,
-    checking that each sends level b into level a."""
-    action = {}
-    sizes = [len(levels[d]) for d in range(D + 1)]
-    for a in range(D + 1):
-        for b in range(D + 1):
-            for f, t in zip(site.maps(a, b), tables(a, b), strict=True):
-                action[f] = t
-                if len(t) != sizes[b] or t and not (
-                        0 <= min(t) and max(t) < sizes[a]):
-                    raise ValueError(f"action of map {f} ({a} -> {b}) "
-                                     "leaves the level sets")
-    return FinPresheaf(site, D, levels, action)
+                   table: Callable[[int, int, int], Table]) -> FinPresheaf:
+    """The presheaf whose i-th site map a -> b acts by ``table(a, b, i)``."""
+    return FinPresheaf(site, D, levels, Action(
+        site, [len(levels[d]) for d in range(D + 1)], table))
 
 
 def table_size(site: ModuleType, sizes: list[int]) -> int:
-    """The entries ``build_presheaf`` materializes for levels of these
-    sizes: one per site map f and cell at level f.cod."""
+    """The entries of all action tables for levels of these sizes, had
+    every one been built: one per site map f and cell at level f.cod."""
     return sum(site.count(a, b) * sizes[b]
                for a in range(len(sizes)) for b in range(len(sizes)))
 
@@ -79,16 +96,15 @@ def representable_cube(n: int, D: int) -> FinPresheaf:
     """I^n: a cell I^d -> I^n is its index, its middles read in base
     d + 2.  A map f acts on each middle v as ``f.table[v]``, so f's table is
     the n-fold product of ``f.table``."""
-    def tables(a: int, b: int) -> list[Table]:
-        out = []
-        for ft in hom_tables(a, b):
-            t: Table = (0,)
-            for _ in range(n):
-                t = tuple(x * (a + 2) + v for x in t for v in ft)
-            out.append(t)
-        return out
+    hom = cache(lambda a, b: list(hom_tables(a, b)))  # by index
+
+    def table(a: int, b: int, i: int) -> Table:
+        ft, t = hom(a, b)[i], (0,)
+        for _ in range(n):
+            t = tuple([x * (a + 2) + v for x in t for v in ft])
+        return t
     return build_presheaf(cubes, D, {d: HomSet(d, n) for d in range(D + 1)},
-                          tables)
+                          table)
 
 
 def terminal_cube(D: int) -> FinPresheaf:
@@ -103,11 +119,10 @@ def product(X: FinPresheaf, Y: FinPresheaf) -> FinPresheaf:
     levels = {d: tuple((x, y) for x in X.levels[d] for y in Y.levels[d])
               for d in range(X.D + 1)}
 
-    def tables(a: int, b: int) -> list[Table]:
-        width = len(Y.levels[a])
-        return [tuple(x * width + y for x in X.action[f] for y in Y.action[f])
-                for f in X.site.maps(a, b)]
-    return build_presheaf(X.site, X.D, levels, tables)
+    def table(a: int, b: int, i: int) -> Table:
+        f, width = X.site.maps(a, b)[i], len(Y.levels[a])
+        return tuple([x * width + y for x in X.action[f] for y in Y.action[f]])
+    return build_presheaf(X.site, X.D, levels, table)
 
 
 # ---------------------------------------------------------------------------
@@ -157,32 +172,32 @@ def quotient_by_group(X: FinPresheaf, group: GroupAction,
     for d, tables in perm.items():
         if any(-1 in t for t in tables):
             raise ValueError(f"group action does not permute level {d}")
-    for a in range(X.D + 1):
-        for b in range(X.D + 1):
-            for f in X.site.maps(a, b):
-                ft = X.action[f]
-                for pa, pb in zip(perm[a], perm[b]):
-                    if any(ft[pb[c]] != pa[fc] for c, fc in enumerate(ft)):
-                        raise ValueError(
-                            "group action is not equivariant for the "
-                            f"presheaf action at map {f} ({a} -> {b})")
+    homs = [(a, b, f) for a in range(X.D + 1) for b in range(X.D + 1)
+            for f in X.site.maps(a, b)]
+    for a, b, f in homs:
+        ft = X.action[f]
+        for pa, pb in zip(perm[a], perm[b]):
+            if gather(ft, pb) != gather(pa, ft):
+                raise ValueError(
+                    "group action is not equivariant for the "
+                    f"presheaf action at map {f} ({a} -> {b})")
     orbit: dict[int, list[Cell]] = {}  # cell of X -> cell of the quotient
+    first: dict[int, list[Cell]] = {}  # cell of the quotient -> of X
     levels: dict[int, tuple[Label, ...]] = {}
     for d, tables in perm.items():
         rep = [min(t[c] for t in tables) for c in X.cells(d)]
         number = {r: i for i, r in enumerate(sorted(set(rep)))}
         orbit[d] = [number[r] for r in rep]
+        first[d] = list(map(orbit[d].index, range(len(number))))
         levels[d] = tuple(X.levels[d][r] for r in number)
-
-    def induced(f: int, a: int, b: int) -> Table:
-        image: dict[Cell, Cell] = {}  # per orbit, checked on every member
-        for q, fc in zip(orbit[b], X.action[f]):
-            if image.setdefault(q, orbit[a][fc]) != orbit[a][fc]:
-                raise ValueError("induced action is not well-defined")
-        return tuple(image[q] for q in range(len(image)))
-
-    return build_presheaf(X.site, X.D, levels, lambda a, b: [
-        induced(f, a, b) for f in X.site.maps(a, b)])
+    induced: dict[int, Table] = {}  # read at first members, checked on all
+    for a, b, f in homs:
+        image = gather(orbit[a], X.action[f])  # by cell of X
+        t = induced[f] = gather(image, first[b])
+        if gather(t, orbit[b]) != image:
+            raise ValueError("induced action is not well-defined")
+    return build_presheaf(X.site, X.D, levels,
+                          lambda a, b, i: induced[X.site.maps(a, b)[i]])
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import cubes
-from .presheaf import FinPresheaf, build_presheaf
+from .presheaf import FinPresheaf, build_presheaf, gather
 
 
 @dataclass(frozen=True, order=True)
@@ -27,12 +28,6 @@ class SimplexMap:
         assert len(self.table) == self.dom + 1
         assert all(0 <= v <= self.cod for v in self.table)
         assert all(a <= b for a, b in zip(self.table, self.table[1:]))
-
-
-def simplex_compose(g: SimplexMap, f: SimplexMap) -> SimplexMap:
-    if f.cod != g.dom:
-        raise ValueError("dimension mismatch")
-    return SimplexMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
 
 
 def enumerate_monotone(m: int, n: int) -> list[SimplexMap]:
@@ -64,12 +59,16 @@ def maps(m: int, n: int) -> range:
 
 def delta(n: int, D: int) -> FinPresheaf:
     """The standard n-simplex, truncated at dimension D."""
-    levels = {d: tuple(enumerate_monotone(d, n)) for d in range(D + 1)}
-    index = {d: {c: i for i, c in enumerate(cells)}
-             for d, cells in levels.items()}
-    return build_presheaf(SIMPLEX, D, levels, lambda a, b: [
-        tuple(index[a][simplex_compose(c, f)] for c in levels[b])
-        for f in enumerate_monotone(a, b)])
+    monotone = cache(lambda m, k: list(
+        itertools.combinations_with_replacement(range(k + 1), m + 1)))
+    index = cache(lambda d: {c: i for i, c in enumerate(monotone(d, n))})
+    columns = cache(lambda d: list(zip(*monotone(d, n))))  # c[v], by v
+
+    def table(a: int, b: int, i: int) -> tuple[int, ...]:  # c . f, by c
+        f = monotone(a, b)[i]
+        return gather(index(a), list(zip(*gather(columns(b), f))))
+    return build_presheaf(SIMPLEX, D, {d: tuple(enumerate_monotone(d, n))
+                                       for d in range(D + 1)}, table)
 
 
 def dual_middles(f: SimplexMap) -> tuple[int, ...]:
@@ -85,8 +84,8 @@ def triangulate(X: FinPresheaf) -> FinPresheaf:
     if X.site is not cubes:
         raise ValueError("triangulate expects a cubical set")
 
-    def tables(a: int, b: int) -> list:
-        numbers = cubes.maps(a, b)
-        return [X.action[numbers[cubes.mids_index(a, dual_middles(f))]]
-                for f in enumerate_monotone(a, b)]
-    return build_presheaf(SIMPLEX, X.D, dict(X.levels), tables)
+    duals = cache(lambda a, b: [  # the cube maps' numbers, by monotone map
+        cubes.maps(a, b)[cubes.mids_index(a, dual_middles(f))]
+        for f in enumerate_monotone(a, b)])
+    return build_presheaf(SIMPLEX, X.D, dict(X.levels),
+                          lambda a, b, i: X.action[duals(a, b)[i]])

@@ -21,8 +21,8 @@ from .semantics import (Context, Env, PermutationBoundExceeded, TermBind,
                         eval_cof, eval_interval, eval_term,
                         neutral_var, quote, quote_type)
 from .syntax import (Branch, Comp, Decl, Def, Fst, I0, I1, IVar, Interval,
-                     Lam, Let, Pair, PApp, PathT, Pi, PLam, Pos, Postulate,
-                     Sigma, Snd, Term, U, Var, App, cof_vars, interval_vars)
+                     Lam, Let, Pair, PApp, PathT, Pi, PLam, Pos, Sigma, Snd,
+                     Term, U, Var, App, cof_vars, interval_vars)
 
 UNBOUND = "UnboundVariable"
 MISMATCH = "TypeMismatch"

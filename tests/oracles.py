@@ -302,6 +302,12 @@ def simplex_identity(n: int) -> SimplexMap:
     return SimplexMap(n, n, tuple(range(n + 1)))
 
 
+def simplex_compose(g: SimplexMap, f: SimplexMap) -> SimplexMap:
+    if f.cod != g.dom:
+        raise ValueError("dimension mismatch")
+    return SimplexMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
+
+
 def dualize_simplex_map(f: SimplexMap) -> CubeMap:
     """The cube map of a monotone map, with bot = 0 and top = dom + 1;
     contravariantly functorial."""
@@ -326,9 +332,9 @@ def number(f) -> int:
 
 
 def label_table(levels: dict, maps, fn):
-    """``tables`` for ``build_presheaf`` from an action ``fn`` on labels and
-    the maps a -> b as labels, ``maps(a, b)``: the position of ``fn(f, c)``
-    for each label c at level b (-1 outside level a, which is rejected)."""
+    """The tables of the maps a -> b, in hom-set order, from an action
+    ``fn`` on labels and those maps as labels, ``maps(a, b)``: the position
+    of ``fn(f, c)`` for each label c at level b (-1 outside level a)."""
     index = {d: {c: i for i, c in enumerate(cells)}
              for d, cells in levels.items()}
     return lambda a, b: [tuple(index[a].get(fn(f, c), -1) for c in levels[b])
@@ -339,7 +345,7 @@ def check_functorial(X: FinPresheaf) -> bool:
     """Identity and composition laws, exhaustively over the truncation, with
     composites taken on labels."""
     s = X.site
-    compose_labels = compose if s is cubes else simplicial.simplex_compose
+    compose_labels = compose if s is cubes else simplex_compose
     identity = cube_identity if s is cubes else simplex_identity
     labels = {(a, b): site_maps(s, a, b)
               for a in range(X.D + 1) for b in range(X.D + 1)}

@@ -15,15 +15,12 @@ import math
 import random
 import time
 
-import pytest
-
 from eqctt import cof
-from eqctt.parser import Parser, parse_module
-from eqctt.semantics import (VU, Context, convert, eval_term, quote,
-                             quote_type)
-from eqctt.syntax import (BOT, Branch, CAnd, CEq, Comp, Cof, COr, I0, I1,
-                          IVar, PLam, Term, Var, alpha_eq, cof_and)
-from eqctt.typecheck import Checker, Scope, check_module
+from eqctt.parser import parse_module
+from eqctt.semantics import VU, convert, eval_term, quote, quote_type
+from eqctt.syntax import (BOT, Branch, CEq, Comp, Cof, COr, I0, I1, IVar,
+                          PLam, Var, alpha_eq, cof_and)
+from eqctt.typecheck import Checker, check_module
 
 from conftest import CORPUS
 from oracles import substitute

@@ -9,7 +9,8 @@ from eqctt.cubelab.cubes import (CubeMap, GroupAction, HomSet, automorphisms,
                                  index, is_iso, is_mono, make_cube_map,
                                  middles)
 from oracles import (degeneracy, face, invertible_endos, is_mono_by_probes,
-                     number, perm_cube_map, simplex_identity, site_maps)
+                     number, perm_cube_map, simplex_compose, simplex_identity,
+                     site_maps)
 
 
 def test_hom_counts():
@@ -115,7 +116,7 @@ def test_find_section_matches_bruteforce():
 def test_split_epis_match_bruteforce(site):
     # non-invertible split epis: maps to a lower level with a section
     comp, ident = ((compose, cube_identity) if site is cubes else
-                   (simplicial.simplex_compose, simplex_identity))
+                   (simplex_compose, simplex_identity))
     for d in range(4):
         slow = {number(e) for d2 in range(d) for e in site_maps(site, d, d2)
                 if any(comp(e, s) == ident(d2)

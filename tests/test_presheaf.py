@@ -3,10 +3,9 @@ import math
 import pytest
 from conftest import cell
 
-from eqctt.cubelab.cubes import (CubeMap, compose, enumerate_hom,
-                                 full_symmetric, index)
+from eqctt.cubelab.cubes import compose, enumerate_hom, full_symmetric, index
 from eqctt.cubelab import cubes, simplicial
-from eqctt.cubelab.presheaf import (FinPresheaf, iso_search, nondegenerate,
+from eqctt.cubelab.presheaf import (build_presheaf, iso_search, nondegenerate,
                                     product, quotient_by_group,
                                     representable_cube, table_size,
                                     terminal_cube)
@@ -44,8 +43,12 @@ def test_representable_tables_match_composition(n):
                            for g in enumerate_hom(b, n)), h
     for D in range(3):
         Y = representable_cube(n, D)
-        assert Y.action == {f: X.action[f] for a in range(D + 1)
-                            for b in range(D + 1) for f in cubes.maps(a, b)}
+        assert all(Y.action[f] == X.action[f] for a in range(D + 1)
+                   for b in range(D + 1) for f in cubes.maps(a, b))
+        # no map out of or into a level above D has a table
+        for f in (cubes.maps(D + 1, 0)[0], cubes.maps(0, D + 1)[0]):
+            with pytest.raises(KeyError):
+                Y.action[f]
 
 
 @pytest.mark.parametrize("site", [cubes, simplicial], ids=lambda s: s.__name__)
@@ -55,7 +58,41 @@ def test_table_size_counts_the_action_entries(site):
     assert all(site.count(a, b) == len(site.maps(a, b))
                for a in range(5) for b in range(5))
     assert table_size(site, X.level_sizes()) == sum(
-        len(t) for t in X.action.values())
+        len(X.action[f]) for a in range(4) for b in range(4)
+        for f in site.maps(a, b))
+
+
+def test_tables_are_built_when_first_read():
+    # T(I^3) acts by I^3's tables of the duals of monotone maps, and its
+    # nondegenerate cells need only the 1 + 3 + 7 split epis of levels 1..3
+    X = representable_cube(3, 3)
+    T = simplicial.triangulate(X)
+    assert len(X.action) == len(T.action) == 0
+    for d in range(4):
+        nondegenerate(T, d)
+    assert set(T.action) == {e for d in range(4)
+                             for e in simplicial.split_epis(d)}
+    assert len(X.action) == 11
+    assert sum(len(cubes.maps(a, b)) for a in range(4) for b in range(4)) \
+        == 296
+
+
+def test_a_table_is_built_once():
+    X = representable_cube(2, 3)
+    T = simplicial.triangulate(X)
+    f, g = cubes.maps(3, 1)[4], simplicial.maps(2, 1)[1]
+    assert X.action[f] is X.action[f]
+    assert T.action[g] is T.action[g]
+
+
+def test_a_table_leaving_the_level_sets_fails_when_read():
+    # the table of the i-th map a -> b is (a + b + i, ...): in range only
+    # for the identity of level 0
+    X = build_presheaf(cubes, 1, {0: (0,), 1: (0, 1)},
+                       lambda a, b, i: (a + b + i,) * (b + 1))
+    assert X.action[cubes.maps(0, 0)[0]] == (0,)
+    with pytest.raises(ValueError, match="leaves the level sets"):
+        X.action[cubes.maps(1, 1)[0]]
 
 
 def test_representable_functorial_dim2():

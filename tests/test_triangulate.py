@@ -5,9 +5,8 @@ import pytest
 from eqctt.cubelab.cubes import full_symmetric
 from eqctt.cubelab.presheaf import (iso_search, nondegenerate, product,
                                     quotient_by_group, representable_cube)
-from eqctt.cubelab.simplicial import (SimplexMap, delta, enumerate_monotone,
-                                      simplex_compose, triangulate)
-from oracles import dualize_simplex_map, simplex_identity
+from eqctt.cubelab.simplicial import delta, enumerate_monotone, triangulate
+from oracles import dualize_simplex_map, simplex_compose, simplex_identity
 
 
 def test_dualize_identity():
