@@ -165,18 +165,20 @@ class Parser:
         raise SyntaxError_(f"expected interval expression, found {t.text!r}", t.pos)
 
     def parse_cof(self) -> S.Cof:
-        out = self.parse_cof_and()
-        while self.peek().kind == "or":
+        return self.parse_chain("or", COr, self.parse_cof_and)
+
+    def parse_chain(self, kind: str, node, operand) -> S.Cof:
+        """A left-nested chain of ``operand``s joined by ``kind``."""
+        base, out = self.depth, operand()
+        while self.peek().kind == kind:
             self.next()
-            out = COr(out, self.parse_cof_and())
+            self.deeper(1)  # each operand nests the chain one level deeper
+            out = node(out, operand())
+        self.depth = base
         return out
 
     def parse_cof_and(self) -> S.Cof:
-        out = self.parse_cof_atom()
-        while self.peek().kind == "and":
-            self.next()
-            out = CAnd(out, self.parse_cof_atom())
-        return out
+        return self.parse_chain("and", CAnd, self.parse_cof_atom)
 
     def parse_cof_atom(self) -> S.Cof:
         t = self.peek()

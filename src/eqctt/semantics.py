@@ -31,7 +31,7 @@ from . import cof
 from .config import CONFIG
 from .syntax import (Branch, Cof, Comp, Fst, I0, I1, IVar, Interval, Lam,
                      Let, Pair, PApp, PathT, Pi, PLam, Sigma, Snd, Term, U,
-                     Var, App, alpha_eq, cof_and, fresh, subst_cof,
+                     Var, App, alpha_eq, fresh, subst_cof,
                      subst_interval, interval_key, term_key)
 
 
@@ -533,20 +533,6 @@ def make_stuck(dirs, line, source, target, tube, cap, hyps) -> VNe:
 terms_equal = alpha_eq
 
 
-def _interval(key) -> Interval:
-    """The interval an element key of ``cof`` stands for."""
-    return I0 if key == (0,) else I1 if key == (1,) else IVar(key[1])
-
-
-def _assignment(conj) -> dict[str, Interval]:
-    """The interval substitution a consistent conjunct forces: every variable
-    is sent to its congruence-class representative (0 and 1 win)."""
-    uf = cof.closure(conj)
-    if uf is None:
-        raise KernelError("inconsistent conjunct reached conversion")
-    return {k[1]: _interval(uf.find(k)) for k in list(uf.parent) if k[0] == 2}
-
-
 def convert(ctx: Context, ty: Value, v1: Value, v2: Value) -> bool:
     """Definitional equality under the context's restrictions: for each DNF
     conjunct of the restrictions, the readbacks under the interval
@@ -555,7 +541,7 @@ def convert(ctx: Context, ty: Value, v1: Value, v2: Value) -> bool:
     readbacks are compared, since normalization is idempotent."""
     if v1 is v2:
         return True
-    dnf = cof.to_dnf(cof_and(*ctx.hyps))
+    dnf = cof.conjoin(ctx.hyps)
     if dnf == ():
         return True  # inconsistent restriction: everything converts
     t1, t2 = quote(ty, v1), quote(ty, v2)
@@ -563,7 +549,7 @@ def convert(ctx: Context, ty: Value, v1: Value, v2: Value) -> bool:
         return terms_equal(t1, t2)
     ty_t = quote_type(ty)
     for conj in dnf:
-        env = ctx.env(_assignment(conj))
+        env = ctx.env(cof.assignment(conj))
         ty_v = eval_term(env, ty_t)
         if not terms_equal(quote(ty_v, eval_term(env, t1)),
                            quote(ty_v, eval_term(env, t2))):

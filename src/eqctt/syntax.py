@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 Pos = tuple[int, int]  # (line, column), 1-based
@@ -57,30 +58,38 @@ def interval_vars(r: Interval) -> set[str]:
 # ---------------------------------------------------------------------------
 # cofibrations
 
+class _Formula:
+    @cached_property
+    def dnf(self):
+        """The formula's DNF (``cof.to_dnf``), computed once."""
+        from .cof import dnf_of  # deferred: cof imports us
+        return dnf_of(self)
+
+
 @dataclass(frozen=True)
-class CTop:
+class CTop(_Formula):
     pass
 
 
 @dataclass(frozen=True)
-class CBot:
+class CBot(_Formula):
     pass
 
 
 @dataclass(frozen=True)
-class CEq:
+class CEq(_Formula):
     lhs: Interval
     rhs: Interval
 
 
 @dataclass(frozen=True)
-class CAnd:
+class CAnd(_Formula):
     lhs: "Cof"
     rhs: "Cof"
 
 
 @dataclass(frozen=True)
-class COr:
+class COr(_Formula):
     lhs: "Cof"
     rhs: "Cof"
 
@@ -444,27 +453,22 @@ def _system_key(tube: tuple[Branch, ...], env: dict[str, int], depth: int,
     """
     from . import cof  # deferred: cof imports us
 
-    def element(k):  # an element key of ``cof`` as an interval key here
-        if len(k) == 2:
-            k = (2, env[k[1]]) if k[1] in env else (3, k[1])
+    def element(k):  # a key of ``cof`` re-keyed if its variable is bound
+        if k[0] == 3 and k[1] in env:
+            k = (2, env[k[1]])
         return ident.get(k, k)
 
     conjuncts = []
     for br in tube:
         for conj in cof.to_dnf(br.guard):
-            uf = cof.UnionFind()
-            for a, b in conj:
-                uf.union(element(a), element(b))
-            rep = {x: uf.find(x) for x in list(uf.parent) if uf.find(x) != x}
-            if rep.get((1,)) != (0,):
+            rep = cof.close((element(a), element(b)) for a, b in conj)
+            if rep is not None:
                 conjuncts.append((rep, br))
-
-    def entails(r1: dict, r2: dict) -> bool:
-        return all(r1.get(m, m) == r1.get(r, r) for m, r in r2.items())
 
     out = set()
     for rep, br in conjuncts:
-        if any(r2 != rep and entails(rep, r2) for r2, _ in conjuncts):
+        if any(r2 != rep and cof.holds(rep, r2.items())
+               for r2, _ in conjuncts):
             continue
         inner = {k: rep.get(v, v) for k, v in ident.items()}
         inner.update(rep)

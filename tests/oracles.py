@@ -12,9 +12,8 @@ from dataclasses import dataclass, replace
 from eqctt import cof
 from eqctt.kan import CompProblem, comp_eval
 from eqctt.parser import SyntaxError_, Token
-from eqctt.semantics import (Context, Env, IntervalBind, TermBind,
-                             _assignment, eval_term, neutral_var, quote,
-                             quote_type, terms_equal)
+from eqctt.semantics import (Context, Env, IntervalBind, TermBind, eval_term,
+                             neutral_var, quote, quote_type, terms_equal)
 from eqctt.syntax import (App, Branch, Comp, Fst, Interval, IVar, Lam, Let,
                           PApp, Pair, PathT, Pi, PLam, Sigma, Snd, Term, U,
                           Var, cof_and, free_ivars, free_vars, fresh,
@@ -223,7 +222,7 @@ def convert_by_reevaluation(ctx: Context, ty, v1, v2) -> bool:
         return terms_equal(t1, t2)
     ty_t = quote_type(ty)
     for conj in dnf:
-        env = reindexed_env(ctx, _assignment(conj))
+        env = reindexed_env(ctx, cof.assignment(conj))
         ty_v = eval_term(env, ty_t)
         if not terms_equal(quote(ty_v, eval_term(env, t1)),
                            quote(ty_v, eval_term(env, t2))):

@@ -383,6 +383,36 @@ def test_check_deep_nesting(tmp_path, depth, code):
         assert [d["code"] for d in decl["diagnostics"]] == ["DepthLimit"]
 
 
+@pytest.mark.parametrize("op", ["\\/", "/\\"])
+@pytest.mark.parametrize("operands, code", [(100, 0), (600, 1)])
+def test_check_long_cof_chain(tmp_path, op, operands, code):
+    # each operand nests a chain one level deeper, so a guard past the
+    # parser's depth limit gets a DepthLimit diagnostic, not a RecursionError
+    guard = f" {op} ".join(["i = 0"] * operands)
+    p = tmp_path / "chain.ectt"
+    p.write_text("postulate A : U0\npostulate a : A\n"
+                 "def t : Path (k. A) a (comp^1 (j. A) [] a : 0 ~> 1)\n"
+                 f"  = <i> comp^1 (j. A) [{guard} -> j. a] a : 0 ~> 1\n")
+    r = run("--json", "check", str(p))
+    assert r.exit_code == code
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    [*_, decl] = json.loads(r.output)["decls"]
+    if code:
+        assert decl["name"] == "<parse>" and decl["status"] == "error"
+        assert [d["code"] for d in decl["diagnostics"]] == ["DepthLimit"]
+    else:
+        assert decl["name"] == "t" and decl["status"] == "ok"
+
+
+@pytest.mark.parametrize("operands, code, out", [
+    (100, 0, "true"), (600, 2, "terms nest deeper than")])
+def test_cof_entails_long_chain(operands, code, out):
+    r = run("cof", "entails", " \\/ ".join(["i = 0"] * operands), "i = 0")
+    assert r.exit_code == code
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert out in r.output
+
+
 @pytest.mark.parametrize("args", [
     ("lab", "triangulate", "T(horn)"), ("lab", "quotient", "horn", "S1"),
     ("lab", "iso", "--lhs", "horn", "--rhs", "horn"),

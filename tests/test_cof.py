@@ -1,13 +1,11 @@
 """Cofibration solver vs an independent congruence-enumeration oracle."""
 
-import itertools
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqctt import cof
 from eqctt.syntax import (BOT, TOP, CAnd, CBot, CEq, COr, CTop, Cof, I0, I1,
-                          IVar, cof_and, subst_cof)
+                          IOne, IVar, IZero, cof_and, interval_key, subst_cof,
+                          subst_interval)
 from oracles import equivalent, satisfiable
 
 
@@ -37,13 +35,10 @@ def separating_partitions(variables: list[str]):
 
 def _el(r) -> str:
     match r:
-        case cof.IZero() | None:
+        case IZero() | None:
             return "0"
-    from eqctt.syntax import IZero, IOne
-    if isinstance(r, IZero):
-        return "0"
-    if isinstance(r, IOne):
-        return "1"
+        case IOne():
+            return "1"
     return r.name
 
 
@@ -86,6 +81,29 @@ def test_dnf_shapes():
     assert len(two) == 2
     assert all(len(c) == 2 for c in two)
     assert cof.to_dnf(CAnd(BOT, CEq(i, I0))) == ()
+
+
+def test_a_partition_is_one_conjunct():
+    # conjuncts are stored closed, so two spellings of one partition agree
+    [c1] = cof.to_dnf(CAnd(CEq(i, j), CEq(j, k)))
+    [c2] = cof.to_dnf(CAnd(CEq(k, i), CEq(j, i)))
+    assert c1 == c2
+    assert cof.to_dnf(COr(CAnd(CEq(i, j), CEq(j, k)),
+                          CAnd(CEq(k, i), CEq(j, i)))) == (c1,)
+
+
+def test_close_merges_through_chains():
+    ki, kj, kk = map(interval_key, (i, j, k))
+    zero, one = interval_key(I0), interval_key(I1)
+    assert cof.close([(zero, ki), (kj, kk), (ki, kj), (kk, one)]) is None
+    assert cof.close([(kk, kj), (kj, ki)]) == {kj: ki, kk: ki}
+    assert cof.close([(kk, kj), (kj, one)]) == {kj: one, kk: one}
+    assert cof.close([(ki, ki)]) == {}
+
+
+def test_dnf_is_kept():
+    phi = COr(CAnd(CEq(i, j), CEq(k, I1)), CEq(j, I0))
+    assert cof.to_dnf(phi) is cof.to_dnf(phi)
 
 
 def test_entails_examples():
@@ -167,6 +185,21 @@ def test_subst_preserves_tautology(phi):
         for sub in ({"i": I0}, {"j": I1}, {"i": IVar("j")},
                     {"k": IVar("l"), "l": I0}):
             assert cof.entails([], subst_cof(phi, sub))
+
+
+INTERVALS = {interval_key(r): r for r in [I0, I1, *map(IVar, VARS5)]}
+
+
+@given(cof_strategy())
+@settings(max_examples=100, deadline=None)
+def test_assignment_satisfies_its_conjunct(phi):
+    for conj in cof.to_dnf(phi):
+        a = cof.assignment(conj)
+
+        def image(key):
+            return interval_key(subst_interval(INTERVALS[key], a))
+        assert all(image(r) == image(m) for r, m in conj)
+        assert cof.entails([], subst_cof(phi, a))
 
 
 def test_todnf_commutes_with_subst_up_to_equivalence():

@@ -3,11 +3,10 @@ import math
 import pytest
 
 from eqctt.cubelab import cubes, simplicial
-from eqctt.cubelab.cubes import (CubeMap, GroupAction, HomSet, automorphisms,
-                                 compose, composites, cube_identity, cube_map,
+from eqctt.cubelab.cubes import (GroupAction, HomSet, automorphisms, compose,
+                                 composites, cube_identity, cube_map,
                                  enumerate_hom, ez_factor, find_section,
-                                 index, is_iso, is_mono, make_cube_map,
-                                 middles)
+                                 index, is_iso, is_mono, middles)
 from oracles import (degeneracy, face, invertible_endos, is_mono_by_probes,
                      number, perm_cube_map, simplex_compose, simplex_identity,
                      site_maps)

@@ -4,10 +4,9 @@ import pytest
 
 from eqctt.kan import CompProblem, comp_eval, transport
 from eqctt.parser import Parser, parse_module
-from eqctt.printer import print_term
-from eqctt.semantics import (NComp, VLam, VNe, VPair, VPLam, Context, convert,
-                             do_app, do_fst, do_papp, eval_term, quote)
-from eqctt.syntax import CEq, I0, I1, IVar, TOP, fresh
+from eqctt.semantics import (NComp, VNe, VPair, VPLam, convert, do_app,
+                             do_fst, do_papp, eval_term)
+from eqctt.syntax import CEq, I0, I1, TOP, fresh
 from eqctt.typecheck import Checker, check_module
 
 from oracles import fill_derive

@@ -9,13 +9,12 @@ from eqctt import config, semantics, typecheck
 from eqctt.cli import main
 from eqctt.parser import Parser, parse_module, parse_term
 from eqctt.printer import print_term
-from eqctt.semantics import (Context, NComp, PermutationBoundExceeded, VNe,
-                             VU, canonicalize_stuck_comp, convert, eval_term,
+from eqctt.semantics import (NComp, PermutationBoundExceeded, VNe, VU,
+                             canonicalize_stuck_comp, convert, eval_term,
                              quote, quote_type, sigma_transform)
-from eqctt.syntax import (BOT, App, Branch, CEq, Comp, Def, I0, I1, IVar,
-                          PApp, Pi, PLam, Var, alpha_eq, cof_and, cof_or,
-                          term_key)
-from eqctt.typecheck import Checker, Scope, check_module
+from eqctt.syntax import (App, Branch, CEq, Comp, Def, I0, I1, IVar, PApp, Pi,
+                          PLam, Var, alpha_eq, cof_and, cof_or, term_key)
+from eqctt.typecheck import Checker, check_module
 
 import oracles
 from conftest import CORPUS, corpus_files

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from eqctt.parser import parse_term
-from eqctt.syntax import (I0, I1, IVar, Lam, PApp, Var, alpha_eq, free_vars,
+from eqctt.syntax import (I0, IVar, Lam, PApp, Var, alpha_eq, free_vars,
                           term_key)
 
 from oracles import substitute

@@ -5,7 +5,7 @@ from eqctt.printer import print_term
 from eqctt.semantics import VU, convert, eval_term, quote, quote_type
 from eqctt.typecheck import (ARITY, BOUNDARY, GUARD_NEVER, INCOMPATIBLE,
                              MISMATCH, PERM_BOUND, UNBOUND, CheckError,
-                             Checker, Scope, check_module)
+                             Checker, check_module)
 
 from conftest import corpus_files
 
