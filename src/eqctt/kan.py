@@ -13,7 +13,6 @@ a fresh variable tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from . import cof
@@ -23,14 +22,18 @@ from .semantics import (KernelError, Value, VNe, VPair, VPathT, VPi, VPLam,
 from .syntax import CEq, Cof, I0, I1, IVar, Interval, fresh
 
 
-@dataclass
 class CompProblem:
-    dirs: tuple[str, ...]
-    line: Callable[..., Value]
-    source: tuple[Interval, ...]
-    target: tuple[Interval, ...]
-    tube: tuple[tuple[Cof, Callable[..., Value]], ...]
-    cap: Value
+    """A comp to evaluate: the line and each tube branch are closures over
+    the directions, the cap a value at the source tuple.  A plain class, as
+    building a dataclass would add to every import of the kernel."""
+    __slots__ = ("dirs", "line", "source", "target", "tube", "cap")
+
+    def __init__(self, dirs: tuple[str, ...], line: Callable[..., Value],
+                 source: tuple[Interval, ...], target: tuple[Interval, ...],
+                 tube: tuple[tuple[Cof, Callable[..., Value]], ...],
+                 cap: Value):
+        self.dirs, self.line, self.source = dirs, line, source
+        self.target, self.tube, self.cap = target, tube, cap
 
 
 def comp_eval(p: CompProblem, hyps: tuple[Cof, ...] = ()) -> Value:

@@ -23,7 +23,6 @@ Comments run from ``--`` to end of line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import syntax as S
 from .syntax import (Branch, CAnd, CEq, COr, Comp, Def, Fst, I0, I1, IVar,
@@ -49,54 +48,41 @@ class DepthLimit(SyntaxError_):
 MAX_DEPTH = 160
 
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    pos: tuple[int, int]
+# a token is a tuple (kind, text, (line, column))
+Token = tuple[str, str, tuple[int, int]]
 
+# comments are cut off each line before it is lexed; whitespace matches no
+# alternative, so ``finditer`` steps over it
+_TOKEN_RE = re.compile(r"->|~>|/\\|\\/|\\|[A-Za-z_][A-Za-z0-9_']*|[0-9]+"
+                       r"|[()\[\]<>.,:=*@|^]|\S")
 
-_TOKEN_RE = re.compile(r"""
-    (?P<comment>--[^\n]*)
-  | (?P<ws>\s+)
-  | (?P<arrow>->)
-  | (?P<squig>~>)
-  | (?P<and>/\\)
-  | (?P<or>\\/)
-  | (?P<lam>\\)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<number>[0-9]+)
-  | (?P<sym>[()\[\]<>.,:=*@|^])
-  | (?P<bad>.)
-""", re.VERBOSE)
-
-_KEYWORDS = {"def", "postulate", "Path", "comp", "let", "in", "tt", "ff"}
+# the kind of every token spelt one way; any other token is an identifier
+# or a number by its first character, or a bad character
+_KINDS = {"->": "arrow", "~>": "squig", "/\\": "and", "\\/": "or",
+          "\\": "lam", **dict.fromkeys("()[]<>.,:=*@|^", "sym"),
+          **{w: w for w in ("def", "postulate", "Path", "comp", "let", "in",
+                            "tt", "ff")}}
+_FIRST = (dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_",
+                        "ident")
+          | dict.fromkeys("0123456789", "number"))
 
 
 def tokenize(src: str) -> list[Token]:
-    """One pass over the matches; only a newline moves the line, and a
-    column is counted from the start of its line."""
+    """Each line lexed with one ``finditer``; only a newline moves the line,
+    and a column is counted from the start of its line."""
     toks: list[Token] = []
-    line, start = 1, 0
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        if kind == "ws":
+    kinds, first = _KINDS, _FIRST
+    lines = src.split("\n")
+    for n, line in enumerate(lines, 1):
+        cut = line.find("--")
+        for m in _TOKEN_RE.finditer(line if cut < 0 else line[:cut]):
             text = m.group()
-            nl = text.count("\n")
-            if nl:
-                line += nl
-                start = m.start() + text.rfind("\n") + 1
-            continue
-        if kind == "comment":
-            continue
-        text = m.group()
-        pos = (line, m.start() - start + 1)
-        if kind == "bad":
-            raise SyntaxError_(f"unexpected character {text!r}", pos)
-        if kind == "ident" and text in _KEYWORDS:
-            kind = text
-        toks.append(Token(kind, text, pos))
-    toks.append(Token("eof", "", (line, len(src) - start + 1)))
+            kind = kinds.get(text) or first.get(text[0])
+            if kind is None:
+                raise SyntaxError_(f"unexpected character {text!r}",
+                                   (n, m.start() + 1))
+            toks.append((kind, text, (n, m.start() + 1)))
+    toks.append(("eof", "", (len(lines), len(lines[-1]) + 1)))
     return toks
 
 
@@ -112,7 +98,7 @@ class Parser:
         self.depth += levels
         if self.depth > MAX_DEPTH:
             raise DepthLimit(f"terms nest deeper than {MAX_DEPTH} levels",
-                             self.peek().pos)
+                             self.peek()[2])
 
     def nested(self, parse):
         self.deeper(1)
@@ -130,39 +116,39 @@ class Parser:
 
     def next(self) -> Token:
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.i += 1
         return t
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
+        if t[0] != kind or (text is not None and t[1] != text):
             want = text or kind
-            raise SyntaxError_(f"expected {want!r}, found {t.text!r}", t.pos)
+            raise SyntaxError_(f"expected {want!r}, found {t[1]!r}", t[2])
         return self.next()
 
     def expect_sym(self, text: str) -> Token:
         t = self.peek()
-        if t.text != text:
-            raise SyntaxError_(f"expected {text!r}, found {t.text!r}", t.pos)
+        if t[1] != text:
+            raise SyntaxError_(f"expected {text!r}, found {t[1]!r}", t[2])
         return self.next()
 
     def at_sym(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("sym", "arrow", "squig")
+        return self.peek()[1] == text and self.peek()[0] in ("sym", "arrow", "squig")
 
     # -- intervals and cofibrations ----------------------------------------
 
     def parse_interval(self) -> Interval:
         t = self.next()
-        if t.kind == "number":
-            if t.text == "0":
+        if t[0] == "number":
+            if t[1] == "0":
                 return I0
-            if t.text == "1":
+            if t[1] == "1":
                 return I1
-            raise SyntaxError_(f"interval literal must be 0 or 1, found {t.text}", t.pos)
-        if t.kind == "ident":
-            return IVar(t.text)
-        raise SyntaxError_(f"expected interval expression, found {t.text!r}", t.pos)
+            raise SyntaxError_(f"interval literal must be 0 or 1, found {t[1]}", t[2])
+        if t[0] == "ident":
+            return IVar(t[1])
+        raise SyntaxError_(f"expected interval expression, found {t[1]!r}", t[2])
 
     def parse_cof(self) -> S.Cof:
         return self.parse_chain("or", COr, self.parse_cof_and)
@@ -170,7 +156,7 @@ class Parser:
     def parse_chain(self, kind: str, node, operand) -> S.Cof:
         """A left-nested chain of ``operand``s joined by ``kind``."""
         base, out = self.depth, operand()
-        while self.peek().kind == kind:
+        while self.peek()[0] == kind:
             self.next()
             self.deeper(1)  # each operand nests the chain one level deeper
             out = node(out, operand())
@@ -182,13 +168,13 @@ class Parser:
 
     def parse_cof_atom(self) -> S.Cof:
         t = self.peek()
-        if t.kind == "tt":
+        if t[0] == "tt":
             self.next()
             return TOP
-        if t.kind == "ff":
+        if t[0] == "ff":
             self.next()
             return BOT
-        if t.text == "(":
+        if t[1] == "(":
             self.next()
             c = self.nested(self.parse_cof)
             self.expect_sym(")")
@@ -203,13 +189,13 @@ class Parser:
     def parse_term(self) -> Term:
         self.deeper(1)  # as ``nested`` would, with one stack frame less
         t = self.peek()
-        if t.kind == "lam":
+        if t[0] == "lam":
             out = self.parse_lambda()
-        elif t.text == "<":
+        elif t[1] == "<":
             out = self.parse_plam()
-        elif t.kind == "let":
+        elif t[0] == "let":
             out = self.parse_let()
-        elif t.kind == "comp":
+        elif t[0] == "comp":
             out = self.parse_comp()
         else:
             out = self.parse_arrow()
@@ -217,10 +203,10 @@ class Parser:
         return out
 
     def parse_lambda(self) -> Term:
-        pos = self.expect("lam").pos
-        names = [self.expect("ident").text]
-        while self.peek().kind == "ident":
-            names.append(self.next().text)
+        pos = self.expect("lam")[2]
+        names = [self.expect("ident")[1]]
+        while self.peek()[0] == "ident":
+            names.append(self.next()[1])
         self.expect_sym(".")
         body = self.parse_term()
         for x in reversed(names):
@@ -228,10 +214,10 @@ class Parser:
         return body
 
     def parse_plam(self) -> Term:
-        pos = self.expect_sym("<").pos
-        names = [self.expect("ident").text]
-        while self.peek().kind == "ident":
-            names.append(self.next().text)
+        pos = self.expect_sym("<")[2]
+        names = [self.expect("ident")[1]]
+        while self.peek()[0] == "ident":
+            names.append(self.next()[1])
         self.expect_sym(">")
         body = self.parse_term()
         for x in reversed(names):
@@ -239,8 +225,8 @@ class Parser:
         return body
 
     def parse_let(self) -> Term:
-        pos = self.expect("let").pos
-        x = self.expect("ident").text
+        pos = self.expect("let")[2]
+        x = self.expect("ident")[1]
         self.expect_sym(":")
         ann = self.parse_term()
         self.expect_sym("=")
@@ -250,20 +236,20 @@ class Parser:
         return Let(x, ann, bound, body).at(pos)
 
     def parse_comp(self) -> Term:
-        pos = self.expect("comp").pos
+        pos = self.expect("comp")[2]
         self.expect_sym("^")
         ktok = self.expect("number")
-        k = int(ktok.text)
+        k = int(ktok[1])
         if k < 1:
             raise SyntaxError_("comp requires at least one direction (k >= 1)",
-                               ktok.pos)
+                               ktok[2])
         self.expect_sym("(")
-        dirs = [self.expect("ident").text]
-        while self.peek().kind == "ident":
-            dirs.append(self.next().text)
+        dirs = [self.expect("ident")[1]]
+        while self.peek()[0] == "ident":
+            dirs.append(self.next()[1])
         if len(dirs) != k:
             raise SyntaxError_(f"comp^{k} binds {k} directions, found {len(dirs)}",
-                               ktok.pos)
+                               ktok[2])
         self.expect_sym(".")
         line = self.parse_term()
         self.expect_sym(")")
@@ -277,18 +263,18 @@ class Parser:
         self.expect_sym("]")
         cap = self.parse_spine()
         self.expect_sym(":")
-        source = self.parse_ituple(k, ktok.pos)
+        source = self.parse_ituple(k, ktok[2])
         self.expect("squig")
-        target = self.parse_ituple(k, ktok.pos)
+        target = self.parse_ituple(k, ktok[2])
         return Comp(tuple(dirs), line, source, target, tuple(tube), cap).at(pos)
 
     def parse_branch(self, k: int) -> Branch:
         guard = self.parse_cof()
         self.expect("arrow")
-        pos = self.peek().pos
-        dirs = [self.expect("ident").text]
-        while self.peek().kind == "ident":
-            dirs.append(self.next().text)
+        pos = self.peek()[2]
+        dirs = [self.expect("ident")[1]]
+        while self.peek()[0] == "ident":
+            dirs.append(self.next()[1])
         if len(dirs) != k:
             raise SyntaxError_(f"tube branch must bind {k} directions, found {len(dirs)}",
                                pos)
@@ -314,20 +300,20 @@ class Parser:
         if not self.at_sym("("):
             return False
         j = 1
-        while self.peek(j).kind == "ident":
+        while self.peek(j)[0] == "ident":
             j += 1
-        return j > 1 and self.peek(j).text == ":"
+        return j > 1 and self.peek(j)[1] == ":"
 
     def parse_arrow(self) -> Term:
         if self._binder_group_ahead():
-            pos = self.expect_sym("(").pos
-            names = [self.expect("ident").text]
-            while self.peek().kind == "ident":
-                names.append(self.next().text)
+            pos = self.expect_sym("(")[2]
+            names = [self.expect("ident")[1]]
+            while self.peek()[0] == "ident":
+                names.append(self.next()[1])
             self.expect_sym(":")
             dom = self.parse_term()
             self.expect_sym(")")
-            if self.peek().kind == "arrow":
+            if self.peek()[0] == "arrow":
                 self.next()
                 body = self.parse_term()
                 for x in reversed(names):
@@ -337,13 +323,13 @@ class Parser:
             body = self.nested(self.parse_sigma)
             for x in reversed(names):
                 body = Sigma(x, dom, body).at(pos)
-            if self.peek().kind == "arrow":
+            if self.peek()[0] == "arrow":
                 self.next()
                 return Pi("_", body, self.parse_term()).at(pos)
             return body
         t = self.parse_sigma()
-        if self.peek().kind == "arrow":
-            pos = self.next().pos
+        if self.peek()[0] == "arrow":
+            pos = self.next()[2]
             return Pi("_", t, self.parse_term()).at(pos)
         return t
 
@@ -352,7 +338,7 @@ class Parser:
             return self.parse_arrow()
         t = self.parse_spine()
         if self.at_sym("*"):
-            pos = self.next().pos
+            pos = self.next()[2]
             return Sigma("_", t, self.nested(self.parse_sigma)).at(pos)
         return t
 
@@ -361,88 +347,87 @@ class Parser:
         base = self.depth
         while True:
             nxt = self.peek()
-            if nxt.text == "@" and nxt.kind == "sym":
+            if nxt[1] == "@" and nxt[0] == "sym":
                 self.next()
-                t = PApp(t, self.parse_interval()).at(nxt.pos)
-            elif nxt.text == "." and self.peek(1).kind == "number":
+                t = PApp(t, self.parse_interval()).at(nxt[2])
+            elif nxt[1] == "." and self.peek(1)[0] == "number":
                 self.next()
                 n = self.next()
-                if n.text == "1":
-                    t = Fst(t).at(nxt.pos)
-                elif n.text == "2":
-                    t = Snd(t).at(nxt.pos)
+                if n[1] == "1":
+                    t = Fst(t).at(nxt[2])
+                elif n[1] == "2":
+                    t = Snd(t).at(nxt[2])
                 else:
-                    raise SyntaxError_("projection must be .1 or .2", n.pos)
+                    raise SyntaxError_("projection must be .1 or .2", n[2])
             elif self._starts_atom(nxt):
-                t = App(t, self.parse_atom()).at(nxt.pos)
+                t = App(t, self.parse_atom()).at(nxt[2])
             else:
                 self.depth = base
                 return t
             self.deeper(1)  # each eliminator nests t one level deeper
 
     def _starts_atom(self, t: Token) -> bool:
-        return (t.kind in ("ident", "Path")
-                or (t.kind == "sym" and t.text == "(" and not self._binder_group_ahead()))
+        return (t[0] in ("ident", "Path")
+                or (t[0] == "sym" and t[1] == "(" and not self._binder_group_ahead()))
 
     def parse_atom(self) -> Term:
         t = self.peek()
-        if t.kind == "ident":
+        if t[0] == "ident":
             self.next()
-            m = re.fullmatch(r"U([0-9]+)", t.text)
-            if m:
-                return U(int(m.group(1))).at(t.pos)
-            return Var(t.text).at(t.pos)
-        if t.kind == "Path":
+            if t[1][0] == "U" and t[1][1:].isdigit():  # identifiers are ASCII
+                return U(int(t[1][1:])).at(t[2])
+            return Var(t[1]).at(t[2])
+        if t[0] == "Path":
             self.next()
             self.expect_sym("(")
-            i = self.expect("ident").text
+            i = self.expect("ident")[1]
             self.expect_sym(".")
             line = self.parse_term()
             self.expect_sym(")")
             left = self.nested(self.parse_atom)
             right = self.nested(self.parse_atom)
-            return PathT(i, line, left, right).at(t.pos)
-        if t.text == "(":
+            return PathT(i, line, left, right).at(t[2])
+        if t[1] == "(":
             self.next()
             inner = self.parse_term()
             if self.at_sym(","):
                 self.next()
                 snd = self.parse_term()
                 self.expect_sym(")")
-                return Pair(inner, snd).at(t.pos)
+                return Pair(inner, snd).at(t[2])
             self.expect_sym(")")
             return inner
-        raise SyntaxError_(f"expected a term, found {t.text!r}", t.pos)
+        raise SyntaxError_(f"expected a term, found {t[1]!r}", t[2])
 
     # -- declarations --------------------------------------------------------
 
     def parse_module(self) -> list[S.Decl]:
         decls: list[S.Decl] = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             t = self.peek()
-            if t.kind == "def":
+            if t[0] == "def":
                 self.next()
-                name = self.expect("ident").text
+                name = self.expect("ident")[1]
                 self.expect_sym(":")
                 ty = self.parse_term()
                 self.expect_sym("=")
                 body = self.parse_term()
-                decls.append(Def(name, ty, body, pos=t.pos))
-            elif t.kind == "postulate":
+                decls.append(Def(name, ty, body, pos=t[2]))
+            elif t[0] == "postulate":
                 self.next()
-                name = self.expect("ident").text
+                name = self.expect("ident")[1]
                 self.expect_sym(":")
                 ty = self.parse_term()
-                decls.append(Postulate(name, ty, pos=t.pos))
+                decls.append(Postulate(name, ty, pos=t[2]))
             else:
                 raise SyntaxError_(
-                    f"expected 'def' or 'postulate', found {t.text!r}", t.pos)
+                    f"expected 'def' or 'postulate', found {t[1]!r}", t[2])
         return decls
 
     def finish(self):
         t = self.peek()
-        if t.kind != "eof":
-            raise SyntaxError_(f"trailing input {t.text!r}", t.pos)
+        if t[0] != "eof":
+            raise SyntaxError_(f"trailing input {t[1]!r}", t[2])
 
 
 def parse_term(src: str, known: set[str] | None = None) -> Term:

@@ -2,21 +2,24 @@
 
 Values are weak-head normal; binders become Python closures capturing an
 ``Env``.  Readback is type-directed and eta-long for Pi, Sigma and Path.
-A stuck comp is read back once, on construction, and stored as a canonical
-member of its Sigma_k orbit: the least readback under a fixed total term
-order, found by sorting the directions by a Sigma_k-invariant signature and
-searching only the groups of tied directions that are not symmetric.
-Sigma_k acts on the readback by permuting the binder tuples and the source
-and target tuples.  This turns the equivariance equations into definitional
-laws.
+A stuck comp is read back the first time its term is read, not when it is
+built, and kept as a canonical member of its Sigma_k orbit: the least
+readback under a fixed total term order, found by sorting the directions by
+a Sigma_k-invariant signature and searching only the groups of tied
+directions that are not symmetric.  Sigma_k acts on the readback by
+permuting the binder tuples and the source and target tuples.  This turns
+the equivariance equations into definitional laws.
 
-Conversion splits the ambient cofibration context into DNF conjuncts,
-renormalizes under the interval identifications each conjunct forces (not
-at all when nothing is restricted), and compares the readbacks' keys.
+Conversion decides whether the readbacks of two values have equal keys.
 ``term_key`` keys a system as the partial element it denotes, so the keys
-decide equality of systems too.  Two rules skip work that cannot change the
-answer: a value converts with itself at once (reflexivity), and a
-conjunct's environment reindexes only the types bound after the first
+decide equality of systems too.  It compares values, in the readback's own
+order: both sides are applied to one fresh variable or interval, and only
+neutrals are compared as syntax, their stuck comps by key.  A restricted
+context is split into the DNF conjuncts of its restrictions, and under each
+one both values are read back, evaluated again under the interval
+identifications it forces, and compared.  Two rules skip work that cannot
+change the answer: a value converts with itself at once (reflexivity), and
+a conjunct's environment reindexes only the types bound after the first
 interval variable it moves, since a type mentions only variables bound
 before it (the suffix rule).
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from . import cof
@@ -132,12 +136,19 @@ class NPApp:
     arg: Interval
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, match_args=False)
 class NComp:
-    """A stuck comp: the least readback of its Sigma_k orbit, and its type
-    (the line at the target tuple)."""
-    term: Comp
+    """A stuck comp and its type (the line at the target tuple).  ``term``,
+    the least readback of its Sigma_k orbit, is made by ``read`` the first
+    time it is read, and kept."""
+    read: Callable[[], Comp]
     ty: Value
+    __match_args__ = ("term", "ty")
+
+    @cached_property
+    def term(self) -> Comp:
+        term, self.read = self.read(), None  # let go of the closures
+        return term
 
 
 Ne = NVar | NApp | NFst | NSnd | NPApp | NComp
@@ -334,8 +345,6 @@ def eval_term(env: Env, t: Term) -> Value:
         case Let(x, _, bound, body):
             return eval_term(env.bind_term(x, eval_term(env, bound)), body)
         case Comp(dirs, line, src, tgt, tube, cap):
-            from .kan import CompProblem, comp_eval  # deferred: kan imports us
-
             def line_cl(*ivs, _line=line, _dirs=dirs):
                 return eval_term(env.bind_ivars(_dirs, ivs), _line)
 
@@ -344,14 +353,14 @@ def eval_term(env: Env, t: Term) -> Value:
                 def body_cl(*ivs, _b=br):
                     return eval_term(env.bind_ivars(_b.dirs, ivs), _b.body)
                 tube_cl.append((eval_cof(env, br.guard), body_cl))
-            problem = CompProblem(
+            problem = kan.CompProblem(
                 dirs=dirs,
                 line=line_cl,
                 source=tuple(eval_interval(env, r) for r in src),
                 target=tuple(eval_interval(env, r) for r in tgt),
                 tube=tuple(tube_cl),
                 cap=eval_term(env, cap))
-            return comp_eval(problem, env.hyps)
+            return kan.comp_eval(problem, env.hyps)
     raise TypeError(t)
 
 
@@ -517,13 +526,20 @@ def canonicalize_stuck_comp(c: Comp) -> Comp:
 
 
 def make_stuck(dirs, line, source, target, tube, cap, hyps) -> VNe:
-    # branches whose guard is inconsistent with the restrictions are pruned;
-    # the comp is read back once and stored as the least member of its orbit
-    live = tuple((g, u) for g, u in tube if cof.satisfiable_with(hyps, g))
-    term = canonicalize_stuck_comp(
-        quote_ncomp(dirs, line, source, target, live, cap))
+    """A stuck comp, read back the first time its term is read.  The bound
+    on k is checked here, when the comp is built."""
+    if len(dirs) > CONFIG.k_max:
+        raise PermutationBoundExceeded(len(dirs), CONFIG.k_max)
+
+    def read() -> Comp:
+        # branches whose guard is inconsistent with the restrictions are
+        # pruned, and the readback is the least member of its orbit
+        live = tuple((g, u) for g, u in tube if cof.satisfiable_with(hyps, g))
+        return canonicalize_stuck_comp(
+            quote_ncomp(dirs, line, source, target, live, cap))
+
     ty = line(*target)
-    return VNe(NComp(term, ty), ty)
+    return VNe(NComp(read, ty), ty)
 
 
 # ---------------------------------------------------------------------------
@@ -533,25 +549,119 @@ def make_stuck(dirs, line, source, target, tube, cap, hyps) -> VNe:
 terms_equal = alpha_eq
 
 
+def values_equal(ty: Value, v1: Value, v2: Value) -> bool:
+    """Do the readbacks of ``v1`` and ``v2`` at ``ty`` have equal keys?
+
+    Compares in the readback's own order: at a Pi or Path type both sides
+    are applied to one fresh variable or interval, pairs are compared
+    component by component, and only neutrals, stuck comps among them, are
+    read back and keyed.  Anything else is read back whole, which raises
+    where ``quote`` would."""
+    if v1 is v2:
+        return True
+    match ty:
+        case VPi(dom, cod, hint):
+            xv = neutral_var(fresh(hint), dom)
+            return values_equal(cod(xv), do_app(v1, xv), do_app(v2, xv))
+        case VSigma(dom, cod, _):
+            a1 = do_fst(v1)
+            return (values_equal(dom, a1, do_fst(v2))
+                    and values_equal(cod(a1), do_snd(v1), do_snd(v2)))
+        case VPathT(line, _, _, hint):
+            iv = IVar(fresh(hint))
+            return values_equal(line(iv), do_papp(v1, iv), do_papp(v2, iv))
+        case VU(_):
+            return types_equal(v1, v2)
+    if isinstance(v1, VNe) and isinstance(v2, VNe):
+        return neutrals_equal(v1.ne, v2.ne)[0]
+    return terms_equal(quote(ty, v1), quote(ty, v2))
+
+
+def types_equal(a: Value, b: Value) -> bool:
+    """``values_equal`` at a universe, in the order of ``quote_type``."""
+    if a is b:
+        return True
+    match a:
+        case VU(n) if isinstance(b, VU):
+            return n == b.level
+        case (VPi(dom, cod, hint) | VSigma(dom, cod, hint)) if type(b) is type(a):
+            if not types_equal(dom, b.dom):
+                return False
+            xv = neutral_var(fresh(hint), dom)
+            return types_equal(cod(xv), b.cod(xv))
+        case VPathT(line, left, right, hint) if isinstance(b, VPathT):
+            iv = IVar(fresh(hint))
+            return (types_equal(line(iv), b.line(iv))
+                    and values_equal(line(I0), left, b.left)
+                    and values_equal(line(I1), right, b.right))
+        case VNe(ne, _) if isinstance(b, VNe):
+            return neutrals_equal(ne, b.ne)[0]
+    return terms_equal(quote_type(a), quote_type(b))
+
+
+def neutrals_equal(n1: Ne, n2: Ne) -> tuple[bool, Optional[Value]]:
+    """``values_equal`` of two neutrals, in the order of ``quote_ne``: the
+    heads, then each eliminator outwards; with the type of ``n1`` that
+    ``quote_ne`` synthesizes.  Only stuck comps are read back and keyed."""
+    match n1:
+        case NVar(x, ty):
+            return isinstance(n2, NVar) and n2.name == x, ty
+        case NApp(fn, arg) if isinstance(n2, NApp):
+            eq, ty = neutrals_equal(fn, n2.fn)
+            if not eq:
+                return False, None
+            if not isinstance(ty, VPi):
+                raise KernelError("application head is not a Pi")
+            return values_equal(ty.dom, arg, n2.arg), ty.cod(arg)
+        case NFst(inner) if isinstance(n2, NFst):
+            eq, ty = neutrals_equal(inner, n2.arg)
+            if not eq:
+                return False, None
+            if not isinstance(ty, VSigma):
+                raise KernelError("projection head is not a Sigma")
+            return True, ty.dom
+        case NSnd(inner) if isinstance(n2, NSnd):
+            eq, ty = neutrals_equal(inner, n2.arg)
+            if not eq:
+                return False, None
+            if not isinstance(ty, VSigma):
+                raise KernelError("projection head is not a Sigma")
+            return True, ty.cod(do_fst(VNe(inner, ty)))
+        case NPApp(fn, r) if isinstance(n2, NPApp):
+            eq, ty = neutrals_equal(fn, n2.fn)
+            if not eq:
+                return False, None
+            if not isinstance(ty, VPathT):
+                raise KernelError("path application head is not a Path")
+            return r == n2.arg, ty.line(r)
+        case NComp() if isinstance(n2, NComp):  # read both only here
+            return terms_equal(n1.term, n2.term), n1.ty
+    return False, None
+
+
 def convert(ctx: Context, ty: Value, v1: Value, v2: Value) -> bool:
     """Definitional equality under the context's restrictions: for each DNF
     conjunct of the restrictions, the readbacks under the interval
     assignment it forces have equal keys.  A value converts with itself
-    at once, by reflexivity.  When nothing is restricted the first
-    readbacks are compared, since normalization is idempotent."""
+    at once, by reflexivity.  When nothing is restricted the values are
+    compared as their first readbacks would be (``values_equal``), since
+    normalization is idempotent."""
     if v1 is v2:
         return True
     dnf = cof.conjoin(ctx.hyps)
     if dnf == ():
         return True  # inconsistent restriction: everything converts
-    t1, t2 = quote(ty, v1), quote(ty, v2)
     if dnf == (frozenset(),):
-        return terms_equal(t1, t2)
+        return values_equal(ty, v1, v2)
+    t1, t2 = quote(ty, v1), quote(ty, v2)
     ty_t = quote_type(ty)
     for conj in dnf:
         env = ctx.env(cof.assignment(conj))
-        ty_v = eval_term(env, ty_t)
-        if not terms_equal(quote(ty_v, eval_term(env, t1)),
-                           quote(ty_v, eval_term(env, t2))):
+        if not values_equal(eval_term(env, ty_t), eval_term(env, t1),
+                            eval_term(env, t2)):
             return False
     return True
+
+
+# kan imports this module's names, so it is imported once they are defined
+from . import kan  # noqa: E402

@@ -62,8 +62,7 @@ class _Formula:
     @cached_property
     def dnf(self):
         """The formula's DNF (``cof.to_dnf``), computed once."""
-        from .cof import dnf_of  # deferred: cof imports us
-        return dnf_of(self)
+        return cof.dnf_of(self)
 
 
 @dataclass(frozen=True)
@@ -119,15 +118,17 @@ def cof_or(*cs: Cof) -> Cof:
 
 
 def subst_cof(phi: Cof, ivars: dict[str, Interval]) -> Cof:
+    """``phi`` with ``ivars`` substituted; ``phi`` itself, and so its kept
+    DNF, when no atom changes."""
     match phi:
         case CTop() | CBot():
             return phi
         case CEq(l, r):
-            return CEq(subst_interval(l, ivars), subst_interval(r, ivars))
-        case CAnd(l, r):
-            return CAnd(subst_cof(l, ivars), subst_cof(r, ivars))
-        case COr(l, r):
-            return COr(subst_cof(l, ivars), subst_cof(r, ivars))
+            l2, r2 = subst_interval(l, ivars), subst_interval(r, ivars)
+            return phi if l2 == l and r2 == r else CEq(l2, r2)
+        case CAnd(l, r) | COr(l, r):
+            l2, r2 = subst_cof(l, ivars), subst_cof(r, ivars)
+            return phi if l2 is l and r2 is r else type(phi)(l2, r2)
     raise TypeError(phi)
 
 
@@ -451,8 +452,6 @@ def _system_key(tube: tuple[Branch, ...], env: dict[str, int], depth: int,
     the system, and is not entailed by it, drops out.  A body is keyed with
     every identified interval keyed as its representative.
     """
-    from . import cof  # deferred: cof imports us
-
     def element(k):  # a key of ``cof`` re-keyed if its variable is bound
         if k[0] == 3 and k[1] in env:
             k = (2, env[k[1]])
@@ -481,3 +480,7 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
     """Equal keys: equality up to renaming of bound variables, with each
     system compared as the partial element it denotes."""
     return term_key(t1) == term_key(t2)
+
+
+# cof imports this module's names, so it is imported once they are defined
+from . import cof  # noqa: E402

@@ -7,11 +7,11 @@ shortcut that replaced it."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from eqctt import cof
 from eqctt.kan import CompProblem, comp_eval
-from eqctt.parser import SyntaxError_, Token
+from eqctt.parser import SyntaxError_
 from eqctt.semantics import (Context, Env, IntervalBind, TermBind, eval_term,
                              neutral_var, quote, quote_type, terms_equal)
 from eqctt.syntax import (App, Branch, Comp, Fst, Interval, IVar, Lam, Let,
@@ -164,10 +164,10 @@ _TOKEN_RE = re.compile(r"""
 _KEYWORDS = {"def", "postulate", "Path", "comp", "let", "in", "tt", "ff"}
 
 
-def tokenize(src: str) -> list[Token]:
+def tokenize(src: str) -> list[tuple]:
     """The lexer as one anchored match per token, whitespace included,
-    counting columns token by token."""
-    toks: list[Token] = []
+    counting columns token by token: tokens (kind, text, (line, col))."""
+    toks: list[tuple] = []
     line, col = 1, 1
     i = 0
     while i < len(src):
@@ -179,7 +179,7 @@ def tokenize(src: str) -> list[Token]:
         if kind == "ident" and text in _KEYWORDS:
             kind = text
         if kind not in ("ws", "comment"):
-            toks.append(Token(kind, text, (line, col)))
+            toks.append((kind, text, (line, col)))
         nl = text.count("\n")
         if nl:
             line += nl
@@ -187,7 +187,7 @@ def tokenize(src: str) -> list[Token]:
         else:
             col += len(text)
         i = m.end()
-    toks.append(Token("eof", "", (line, col)))
+    toks.append(("eof", "", (line, col)))
     return toks
 
 
@@ -230,11 +230,34 @@ def convert_by_reevaluation(ctx: Context, ty, v1, v2) -> bool:
     return True
 
 
+def convert_by_readback(ctx: Context, ty, v1, v2) -> bool:
+    """Conversion as both values read back whole and keyed: under no
+    restriction the first readbacks, under each DNF conjunct of the
+    restrictions the readbacks of the values evaluated again."""
+    if v1 is v2:
+        return True
+    dnf = cof.conjoin(ctx.hyps)
+    if dnf == ():
+        return True
+    t1, t2 = quote(ty, v1), quote(ty, v2)
+    if dnf == (frozenset(),):
+        return terms_equal(t1, t2)
+    ty_t = quote_type(ty)
+    for conj in dnf:
+        env = ctx.env(cof.assignment(conj))
+        ty_v = eval_term(env, ty_t)
+        if not terms_equal(quote(ty_v, eval_term(env, t1)),
+                           quote(ty_v, eval_term(env, t2))):
+            return False
+    return True
+
+
 def fill_derive(p: CompProblem, fresh_dirs: tuple[str, ...],
                 hyps=()):
     """Unbiased filling: comp toward a tuple of fresh variables."""
-    return comp_eval(replace(p, target=tuple(IVar(j) for j in fresh_dirs)),
-                     hyps)
+    return comp_eval(CompProblem(p.dirs, p.line, p.source,
+                                 tuple(IVar(j) for j in fresh_dirs), p.tube,
+                                 p.cap), hyps)
 
 
 # ---------------------------------------------------------------------------

@@ -490,7 +490,7 @@ def test_lab_fuzz_exits_cleanly(dim, json_output, args):
                        "lab", *args))
 
 
-_CORPUS_TOKENS = [[t.text for t in tokenize(p.read_text())]
+_CORPUS_TOKENS = [[text for _, text, _ in tokenize(p.read_text())]
                   for p in sorted(CORPUS.glob("*.ectt"))]
 _VOCAB = sorted({t for ts in _CORPUS_TOKENS for t in ts}) + ["%", "#", "0x"]
 

@@ -126,6 +126,17 @@ def test_subst_examples():
     assert cof.entails([], subst_cof(CEq(i, j), {"j": i}))
 
 
+def test_subst_that_moves_no_atom_returns_the_formula():
+    # so a formula keeps its DNF through evaluation
+    phi = COr(CAnd(CEq(i, j), CEq(k, I1)), CEq(j, I0))
+    dnf = cof.to_dnf(phi)
+    for sub in ({}, {"m": I0}, {"i": IVar("i"), "j": IVar("j")}):
+        assert subst_cof(phi, sub) is phi
+    assert cof.to_dnf(subst_cof(phi, {"m": I1})) is dnf
+    moved = subst_cof(phi, {"k": I0})
+    assert moved is not phi and moved.rhs is phi.rhs
+
+
 # ---------------------------------------------------------------------------
 # randomized agreement with the oracle, up to 5 variables
 

@@ -120,7 +120,7 @@ def test_roundtrip_via_reprint(path):
 
 def _lexed(lex, src: str):
     try:
-        return [(t.kind, t.text, t.pos) for t in lex(src)]
+        return lex(src)
     except SyntaxError_ as e:
         return (e.message, e.pos)
 

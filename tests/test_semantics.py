@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -245,7 +246,9 @@ def test_comp7_builds_at_most_seven_candidates(tmp_path, monkeypatch, ends):
     p.write_text("postulate A : U0\npostulate a : A\n"
                  "def c : A = comp^7 (d1 d2 d3 d4 d5 d6 d7. A) [] a"
                  f" : ({ends[0]}) ~> ({ends[1]})\n")
-    r = CliRunner().invoke(main, ["--kmax", "7", "check", str(p)])
+    # checking never reads the comp back; normalizing it does
+    r = CliRunner().invoke(main, ["--kmax", "7", "normalize", str(p),
+                                  "--def", "c"])
     assert r.exit_code == 0, r.output
     assert 0 < len(built) <= 7
 
@@ -576,9 +579,8 @@ def test_a_value_converts_with_itself_without_evaluating(sig, monkeypatch):
     assert convert(rc.ctx, ty, v, v)
 
 
-@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.ectt")),
-                         ids=lambda p: p.name)
-def test_convert_agrees_with_reevaluation_on_the_corpus(path, monkeypatch):
+def _corpus_conversions(path, monkeypatch) -> list:
+    """Every conversion checking the file makes, with its verdict."""
     seen = []
 
     def recording(ctx, ty, v1, v2):
@@ -589,5 +591,160 @@ def test_convert_agrees_with_reevaluation_on_the_corpus(path, monkeypatch):
     check_module(parse_module(path.read_text()))
     monkeypatch.undo()
     assert seen
-    for ctx, ty, v1, v2, out in seen:
+    return seen
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.ectt")),
+                         ids=lambda p: p.name)
+def test_convert_agrees_with_reevaluation_on_the_corpus(path, monkeypatch):
+    for ctx, ty, v1, v2, out in _corpus_conversions(path, monkeypatch):
         assert oracles.convert_by_reevaluation(ctx, ty, v1, v2) == out
+
+
+# ---------------------------------------------------------------------------
+# conversion on values, against both readbacks keyed; stuck comps read back
+# only when something reads them
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.ectt")),
+                         ids=lambda p: p.name)
+def test_convert_agrees_with_readback_on_the_corpus(path, monkeypatch):
+    for ctx, ty, v1, v2, out in _corpus_conversions(path, monkeypatch):
+        assert oracles.convert_by_readback(ctx, ty, v1, v2) == out
+
+
+# the signature, then an interval i and a variable x : A in scope
+VALUE_SIG = SIG + "postulate q : (y : A) * A\n"
+
+_TYPES = ["A", "(y : A) -> A", "(y : A) * A", "Path (j. A) a b", "U0"]
+_ENDS = st.sampled_from(["0", "1", "i"])
+
+
+def _at_a(names: tuple[str, ...], depth: int):
+    """Sources of terms of type A over ``names``: neutrals, redexes and
+    stuck comps, each comp with its directions in either order."""
+    leaves = st.sampled_from(["a", "b", "p @ i", "p @ 0", "q.1", "q.2",
+                              *names])
+    if depth == 0:
+        return leaves
+    sub = _at_a(names, depth - 1)
+    comp2 = st.builds(
+        lambda s, t1, t2, swap: (
+            f"comp^2 (v u. A) [ i = 0 -> v u. p @ u ] a : ({s}, 0) ~> "
+            f"({t2}, {t1})" if swap else
+            f"comp^2 (u v. A) [ i = 0 -> u v. p @ u ] a : (0, {s}) ~> "
+            f"({t1}, {t2})"), _ENDS, _ENDS, _ENDS, st.booleans())
+    comp1 = st.builds(
+        lambda t, e: f"comp^1 (u. A) [ i = 1 -> u. {t} ] ({t}) : 0 ~> {e}",
+        sub, _ENDS)
+    return st.one_of(
+        leaves, comp2, comp1,
+        sub.map(lambda t: f"f ({t})"),
+        st.tuples(sub, sub).map(
+            lambda ts: f"(let r : (y : A) * A = ({ts[0]} , {ts[1]}) in r).2"),
+        sub.map(lambda t: f"let z : A = a in {t}"))
+
+
+def _at(ty: str, depth: int = 2):
+    names = ("x",)
+    match ty:
+        case "A":
+            return _at_a(names, depth)
+        case "(y : A) -> A":
+            return st.one_of(st.just("f"), _at_a(names + ("y",), depth).map(
+                lambda t: f"\\y. {t}"))
+        case "(y : A) * A":
+            return st.one_of(st.just("q"), st.tuples(
+                _at_a(names, depth), _at_a(names, depth)).map(
+                lambda ts: f"({ts[0]} , {ts[1]})"))
+        case "Path (j. A) a b":
+            return st.sampled_from(["p", "<j> p @ j"])
+        case "U0":
+            return st.one_of(
+                st.sampled_from(["A", "(y : A) -> A", "(y : A) * A"]),
+                _at_a(names, depth - 1).map(lambda t: f"B ({t})"),
+                st.tuples(_at_a(names, depth - 1), _at_a(names, depth - 1)).map(
+                    lambda ts: f"Path (j. A) ({ts[0]}) ({ts[1]})"))
+    raise ValueError(ty)
+
+
+_COMP2 = re.compile(r"comp\^2 \(u v\. A\) \[ i = 0 -> u v\. p @ u \] a : "
+                    r"\(0, (\w)\) ~> \((\w), (\w)\)")
+
+
+def _variant(ty: str, t: str) -> list[str]:
+    """Sources equal to ``t`` by beta or eta at ``ty``, or with the
+    directions of its comp^2s exchanged (equivariance)."""
+    ann = f"(let w : {ty} = {t} in w)"
+    out = [t, ann, _COMP2.sub(r"comp^2 (v u. A) [ i = 0 -> v u. p @ u ] a : "
+                              r"(\1, 0) ~> (\3, \2)", t)]
+    match ty:
+        case "(y : A) -> A":
+            out.append(f"\\z. {ann} z")
+        case "(y : A) * A":
+            out.append(f"({ann}.1 , {ann}.2)")
+        case "Path (j. A) a b":
+            out.append(f"<k> {ann} @ k")
+    return out
+
+
+@st.composite
+def _value_pairs(draw):
+    """A type and two sources at it: equal by construction, or drawn
+    apart."""
+    ty = draw(st.sampled_from(_TYPES))
+    t1 = draw(_at(ty))
+    t2 = draw(st.one_of(st.sampled_from(_variant(ty, t1)), _at(ty)))
+    return ty, t1, t2
+
+
+@pytest.fixture(scope="module")
+def value_scope():
+    mod = check_module(parse_module(VALUE_SIG))
+    assert mod.report.ok
+    sc, _ = mod.scope.bind_ivar("i")
+    sc, _ = sc.bind_term("x", mod.types["a"])
+    return sc
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_value_pairs())
+def test_convert_agrees_with_readback_on_values(value_scope, pair):
+    ty_src, t1, t2 = pair
+    sc = value_scope
+    ty = eval_term(sc.env, Parser(ty_src).parse_term())
+    vs = []
+    for src in (t1, t2):
+        t = Parser(src).parse_term()
+        Checker().check(sc, t, ty)
+        vs.append(eval_term(sc.env, t))
+    with _k_max(4):
+        assert convert(sc.ctx, ty, *vs) == oracles.convert_by_readback(
+            sc.ctx, ty, *vs)
+
+
+UNREAD_COMP = """postulate A : U0
+postulate a : A
+def c : A = comp^3 (d1 d2 d3. A) [] a : (1,0,0) ~> (0,1,1)
+"""
+
+
+def test_a_stuck_comp_no_conversion_reads_is_not_canonicalized(
+        tmp_path, monkeypatch):
+    built = []
+
+    def counted(c, perm):
+        built.append(perm)
+        return sigma_transform(c, perm)
+    monkeypatch.setattr(semantics, "sigma_transform", counted)
+    mod = check_module(parse_module(UNREAD_COMP))
+    assert mod.report.ok
+    v = mod.values["c"]
+    assert isinstance(v, VNe) and isinstance(v.ne, NComp)
+    assert built == []
+    monkeypatch.undo()
+    p = tmp_path / "c.ectt"
+    p.write_text(UNREAD_COMP)
+    r = CliRunner().invoke(main, ["--kmax", "4", "normalize", str(p),
+                                  "--def", "c"])
+    assert r.exit_code == 0, r.output
+    assert r.output == "comp^3 (d2 d3 d1. A) [] a : (0, 0, 1) ~> (1, 1, 0)\n"
