@@ -20,7 +20,7 @@ from .parser import SyntaxError_, parse_cof, parse_module
 from .printer import print_term
 from .semantics import quote
 from .typecheck import check_module
-from .cubelab import cubes
+from .cubelab import cubes, simplicial
 from .cubelab.boxes import (PresheafMap, build_open_box,
                             check_equivariant_lifting, horn_box_domain,
                             presheaf_map_to_terminal, sub_empty, sub_full,
@@ -176,10 +176,16 @@ def _charge(site, sizes: list[int], what: str) -> None:
                              f"over budget {CONFIG.budget}")
 
 
+def _charge_representable(site, n: int, D: int, what: str) -> None:
+    """Charge the representable of ``n`` on ``site`` at truncation D."""
+    _charge(site, [site.count(d, n) for d in range(D + 1)], what)
+
+
 def parse_lab_object(expr: str, D: int) -> FinPresheaf:
     """Object expressions: I<n>, Delta<n>, 1, horn, T(X), X*Y, I<n>/S<n>.
-    Representables and products are charged to the budget before they are
-    built (``BudgetExceeded``)."""
+    Representables, products, ``1`` (charged as I0) and ``horn`` (charged as
+    the I2 it sits in) are charged to the budget before they are built
+    (``BudgetExceeded``)."""
     pos = 0
 
     def peek():
@@ -199,13 +205,17 @@ def parse_lab_object(expr: str, D: int) -> FinPresheaf:
         advance()
         if tok.startswith("I"):
             n = int(tok[1:])
-            _charge(cubes, [cubes.count(d, n) for d in range(D + 1)], tok)
+            _charge_representable(cubes, n, D, tok)
             X = representable_cube(n, D)
         elif tok.startswith("Delta"):
-            return delta(int(tok[5:]), D)
+            n = int(tok[5:])
+            _charge_representable(simplicial, n, D, tok)
+            return delta(n, D)
         elif tok == "1":
+            _charge_representable(cubes, 0, D, tok)
             X = terminal_cube(D)
         elif tok == "horn":
+            _charge_representable(cubes, 2, D, tok)
             X = _usage_on_value_error(horn_box_domain, D)
         elif tok == "T(":
             inner = obj()

@@ -20,7 +20,6 @@ per-square lift choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from . import cubes
@@ -121,11 +120,12 @@ def horn_box_domain(D: int) -> FinPresheaf:
 # ---------------------------------------------------------------------------
 # natural transformations
 
-@dataclass
 class PresheafMap:
-    src: FinPresheaf
-    dst: FinPresheaf
-    components: dict[int, dict[Cell, Cell]]
+    __slots__ = ("src", "dst", "components")
+
+    def __init__(self, src: FinPresheaf, dst: FinPresheaf,
+                 components: dict[int, dict[Cell, Cell]]):
+        self.src, self.dst, self.components = src, dst, components
 
     def __call__(self, d: int, cell: Cell) -> Cell:
         return self.components[d][cell]
@@ -217,7 +217,6 @@ def _xi(m: int, alpha: tuple[int, ...], zeta: tuple[int, ...],
                           for j in range(1, len(p) + 1)])
 
 
-@dataclass
 class Box:
     """An open box in I^N, N = n + k, of the ``sub``-th subobject C of I^n
     and the map I^n -> I^k with index ``zeta``.  A generator (m, g) is the
@@ -227,14 +226,14 @@ class Box:
     the cell gens[i] . h.  Every cell is e . t with e nondegenerate and t a
     split epi, and generators are monos, so agreeing at e means agreeing at
     e . t."""
-    n: int
-    k: int
-    sub: int
-    C: dict[int, frozenset]
-    zeta: int
-    gens: list[tuple[int, int]]
-    relations: list[list[tuple[int, int, int]]]
-    cells: list[tuple[int, int]]
+    __slots__ = ("n", "k", "sub", "C", "zeta", "gens", "relations", "cells")
+
+    def __init__(self, n: int, k: int, sub: int, C: dict[int, frozenset],
+                 zeta: int, gens: list[tuple[int, int]],
+                 relations: list[list[tuple[int, int, int]]],
+                 cells: list[tuple[int, int]]):
+        self.n, self.k, self.sub, self.C, self.zeta = n, k, sub, C, zeta
+        self.gens, self.relations, self.cells = gens, relations, cells
 
     @staticmethod
     def make(n: int, k: int, sub: int, C: dict[int, frozenset], zeta: int,
@@ -334,15 +333,15 @@ def _refutation(box: Box, X: FinPresheaf, top: tuple) -> dict:
                     for d, t in box.top_map(X, top).items()}}
 
 
-@dataclass
 class LiftReport:
-    passed: bool
-    D: int
-    bounds: dict
-    boxes: int = 0
-    squares: int = 0
-    refutation: dict | None = None
-    detail: str = ""
+    __slots__ = ("passed", "D", "bounds", "boxes", "squares", "refutation",
+                 "detail")
+
+    def __init__(self, passed: bool, D: int, bounds: dict):
+        self.passed, self.D, self.bounds = passed, D, bounds
+        self.boxes = self.squares = 0
+        self.refutation: dict | None = None
+        self.detail = ""
 
     def to_json(self) -> dict:
         out = {"passed": self.passed, "D": self.D, "bounds": self.bounds,

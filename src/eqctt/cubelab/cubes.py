@@ -12,19 +12,38 @@ is built only to parse, print and factor maps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
-class CubeMap:
-    dom: int                 # m, the domain cube I^m
-    cod: int                 # n, the codomain cube I^n
-    table: tuple[int, ...]   # <cod> -> <dom>, length cod + 2
+class TableMap:
+    """A map ``dom -> cod`` given by a table of integers.  Maps of one class
+    compare, hash and sort as the tuple (dom, cod, table)."""
+    __slots__ = ("dom", "cod", "table")
 
-    def __post_init__(self):
-        assert len(self.table) == self.cod + 2
-        assert self.table[0] == 0 and self.table[-1] == self.dom + 1
-        assert all(0 <= v <= self.dom + 1 for v in self.table)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.dom, self.cod, self.table)
+                    == (other.dom, other.cod, other.table))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.table))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.dom, self.cod, self.table)
+                    < (other.dom, other.cod, other.table))
+        return NotImplemented
+
+
+class CubeMap(TableMap):
+    """I^dom -> I^cod, by its table <cod> -> <dom> of length cod + 2."""
+    __slots__ = ()
+
+    def __init__(self, dom: int, cod: int, table: tuple[int, ...]):
+        assert len(table) == cod + 2
+        assert table[0] == 0 and table[-1] == dom + 1
+        assert all(0 <= v <= dom + 1 for v in table)
+        self.dom, self.cod, self.table = dom, cod, table
 
     def __repr__(self):
         mids = ",".join(_show_el(self.table[j], self.dom)
@@ -119,8 +138,7 @@ def composites(N: int, m: int, g: int, d: int) -> list[int]:
 
 class HomSet:
     """The labels of a level of I^cod: Hom(I^dom, I^cod) in index order,
-    each ``CubeMap`` built when it is read.  A plain class, since a frozen
-    dataclass adds about 0.7 ms to every import of this module."""
+    each ``CubeMap`` built when it is read."""
     def __init__(self, dom: int, cod: int):
         self.dom, self.cod = dom, cod
 
@@ -152,22 +170,21 @@ def map_of(number: int, bound: int = 16) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # automorphisms and factorizations
 
-@dataclass(frozen=True)
 class GroupAction:
-    """A subgroup of Sigma_n given by its permutations of {1..n}."""
-    n: int
-    perms: tuple[tuple[int, ...], ...]
+    """A subgroup of Sigma_n given by its permutations of {1..n}, checked
+    to be closed under identity, inverses and composition."""
+    __slots__ = ("n", "perms")
 
-    def __post_init__(self):
-        """Closure under identity, inverses and composition."""
-        perms = frozenset(self.perms)
-        ident = tuple(range(1, self.n + 1))
-        if ident not in perms or any(
-                tuple(sorted(ident, key=lambda j: p[j - 1])) not in perms
-                or any(tuple(p[i - 1] for i in q) not in perms
-                       for q in self.perms)
-                for p in self.perms):
+    def __init__(self, n: int, perms: tuple[tuple[int, ...], ...]):
+        members = frozenset(perms)
+        ident = tuple(range(1, n + 1))
+        if ident not in members or any(
+                tuple(sorted(ident, key=lambda j: p[j - 1])) not in members
+                or any(tuple(p[i - 1] for i in q) not in members
+                       for q in perms)
+                for p in perms):
             raise ValueError("the permutations are not a group")
+        self.n, self.perms = n, perms
 
 
 def full_symmetric(n: int) -> GroupAction:

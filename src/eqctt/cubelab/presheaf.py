@@ -17,7 +17,6 @@ exhaustive for the truncation D but say nothing beyond it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
 from types import ModuleType
@@ -37,12 +36,13 @@ def gather(t: Sequence, cells: Sequence[int]) -> tuple:
         t[c] for c in cells)
 
 
-@dataclass(eq=False)
 class FinPresheaf:
-    site: ModuleType
-    D: int
-    levels: dict[int, Sequence[Label]]
-    action: Action  # map a -> b, by number: level b to level a
+    __slots__ = ("site", "D", "levels", "action")
+
+    def __init__(self, site: ModuleType, D: int,
+                 levels: dict[int, Sequence[Label]], action: Action):
+        self.site, self.D, self.levels = site, D, levels
+        self.action = action  # map a -> b, by number: level b to level a
 
     def act(self, f: int, cell: Cell) -> Cell:
         return self.action[f][cell]
@@ -214,12 +214,14 @@ def nondegenerate(X: FinPresheaf, d: int) -> tuple[Cell, ...]:
 # ---------------------------------------------------------------------------
 # isomorphism search
 
-@dataclass
 class IsoResult:
-    found: bool
-    witness: dict[int, Table] | None = None  # level -> X's cell -> Y's
-    reason: str = ""
-    nodes: int = 0
+    __slots__ = ("found", "witness", "reason", "nodes")
+
+    def __init__(self, found: bool, witness: dict[int, Table] | None = None,
+                 reason: str = "", nodes: int = 0):
+        self.found = found
+        self.witness = witness  # level -> X's cell -> Y's
+        self.reason, self.nodes = reason, nodes
 
 
 def iso_search(X: FinPresheaf, Y: FinPresheaf,

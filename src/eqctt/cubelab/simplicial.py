@@ -11,23 +11,26 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 from . import cubes
 from .presheaf import FinPresheaf, build_presheaf, gather
 
 
-@dataclass(frozen=True, order=True)
-class SimplexMap:
-    dom: int                 # [dom] -> [cod], monotone
-    cod: int
-    table: tuple[int, ...]   # length dom + 1, values in 0..cod
+class SimplexMap(cubes.TableMap):
+    """A monotone map [dom] -> [cod], by its table of length dom + 1 with
+    values in 0..cod."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert len(self.table) == self.dom + 1
-        assert all(0 <= v <= self.cod for v in self.table)
-        assert all(a <= b for a, b in zip(self.table, self.table[1:]))
+    def __init__(self, dom: int, cod: int, table: tuple[int, ...]):
+        assert len(table) == dom + 1
+        assert all(0 <= v <= cod for v in table)
+        assert all(a <= b for a, b in zip(table, table[1:]))
+        self.dom, self.cod, self.table = dom, cod, table
+
+    def __repr__(self):
+        return (f"SimplexMap(dom={self.dom!r}, cod={self.cod!r}, "
+                f"table={self.table!r})")
 
 
 def enumerate_monotone(m: int, n: int) -> list[SimplexMap]:

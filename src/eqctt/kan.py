@@ -24,8 +24,7 @@ from .syntax import CEq, Cof, I0, I1, IVar, Interval, fresh
 
 class CompProblem:
     """A comp to evaluate: the line and each tube branch are closures over
-    the directions, the cap a value at the source tuple.  A plain class, as
-    building a dataclass would add to every import of the kernel."""
+    the directions, the cap a value at the source tuple."""
     __slots__ = ("dirs", "line", "source", "target", "tube", "cap")
 
     def __init__(self, dirs: tuple[str, ...], line: Callable[..., Value],

@@ -27,7 +27,6 @@ before it (the suffix rule).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -54,96 +53,111 @@ class PermutationBoundExceeded(Exception):
 # ---------------------------------------------------------------------------
 # values
 
-@dataclass(eq=False)
 class VPi:
-    dom: "Value"
-    cod: Callable[["Value"], "Value"]
-    hint: str = "x"
+    __slots__ = __match_args__ = ("dom", "cod", "hint")
+
+    def __init__(self, dom: Value, cod: Callable[[Value], Value],
+                 hint: str = "x"):
+        self.dom, self.cod, self.hint = dom, cod, hint
 
 
-@dataclass(eq=False)
 class VSigma:
-    dom: "Value"
-    cod: Callable[["Value"], "Value"]
-    hint: str = "x"
+    __slots__ = __match_args__ = ("dom", "cod", "hint")
+
+    def __init__(self, dom: Value, cod: Callable[[Value], Value],
+                 hint: str = "x"):
+        self.dom, self.cod, self.hint = dom, cod, hint
 
 
-@dataclass(eq=False)
 class VPathT:
-    line: Callable[[Interval], "Value"]
-    left: "Value"
-    right: "Value"
-    hint: str = "i"
+    __slots__ = __match_args__ = ("line", "left", "right", "hint")
+
+    def __init__(self, line: Callable[[Interval], Value], left: Value,
+                 right: Value, hint: str = "i"):
+        self.line, self.left, self.right, self.hint = line, left, right, hint
 
 
-@dataclass(eq=False)
 class VLam:
-    fn: Callable[["Value"], "Value"]
-    hint: str = "x"
+    __slots__ = __match_args__ = ("fn", "hint")
+
+    def __init__(self, fn: Callable[[Value], Value], hint: str = "x"):
+        self.fn, self.hint = fn, hint
 
 
-@dataclass(eq=False)
 class VPair:
-    fst: "Value"
-    snd: "Value"
+    __slots__ = __match_args__ = ("fst", "snd")
+
+    def __init__(self, fst: Value, snd: Value):
+        self.fst, self.snd = fst, snd
 
 
-@dataclass(eq=False)
 class VPLam:
-    fn: Callable[[Interval], "Value"]
-    hint: str = "i"
+    __slots__ = __match_args__ = ("fn", "hint")
+
+    def __init__(self, fn: Callable[[Interval], Value], hint: str = "i"):
+        self.fn, self.hint = fn, hint
 
 
-@dataclass(eq=False)
 class VU:
-    level: int
+    __slots__ = __match_args__ = ("level",)
+
+    def __init__(self, level: int):
+        self.level = level
 
 
-@dataclass(eq=False)
 class VNe:
-    ne: "Ne"
-    ty: Optional["Value"]
+    __slots__ = __match_args__ = ("ne", "ty")
+
+    def __init__(self, ne: Ne, ty: Optional[Value]):
+        self.ne, self.ty = ne, ty
 
 
 Value = VPi | VSigma | VPathT | VLam | VPair | VPLam | VU | VNe
 
 
-@dataclass(eq=False)
 class NVar:
-    name: str
-    ty: Optional[Value]
+    __slots__ = __match_args__ = ("name", "ty")
+
+    def __init__(self, name: str, ty: Optional[Value]):
+        self.name, self.ty = name, ty
 
 
-@dataclass(eq=False)
 class NApp:
-    fn: "Ne"
-    arg: Value
+    __slots__ = __match_args__ = ("fn", "arg")
+
+    def __init__(self, fn: Ne, arg: Value):
+        self.fn, self.arg = fn, arg
 
 
-@dataclass(eq=False)
 class NFst:
-    arg: "Ne"
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: Ne):
+        self.arg = arg
 
 
-@dataclass(eq=False)
 class NSnd:
-    arg: "Ne"
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: Ne):
+        self.arg = arg
 
 
-@dataclass(eq=False)
 class NPApp:
-    fn: "Ne"
-    arg: Interval
+    __slots__ = __match_args__ = ("fn", "arg")
+
+    def __init__(self, fn: Ne, arg: Interval):
+        self.fn, self.arg = fn, arg
 
 
-@dataclass(eq=False, match_args=False)
 class NComp:
     """A stuck comp and its type (the line at the target tuple).  ``term``,
     the least readback of its Sigma_k orbit, is made by ``read`` the first
     time it is read, and kept."""
-    read: Callable[[], Comp]
-    ty: Value
     __match_args__ = ("term", "ty")
+
+    def __init__(self, read: Callable[[], Comp], ty: Value):
+        self.read, self.ty = read, ty
 
     @cached_property
     def term(self) -> Comp:
@@ -161,11 +175,15 @@ def neutral_var(name: str, ty: Optional[Value]) -> VNe:
 # ---------------------------------------------------------------------------
 # environments and contexts
 
-@dataclass(slots=True)
 class Env:
-    terms: dict[str, Value] = field(default_factory=dict)
-    ivals: dict[str, Interval] = field(default_factory=dict)
-    hyps: tuple[Cof, ...] = ()
+    __slots__ = ("terms", "ivals", "hyps")
+
+    def __init__(self, terms: dict[str, Value] | None = None,
+                 ivals: dict[str, Interval] | None = None,
+                 hyps: tuple[Cof, ...] = ()):
+        self.terms = {} if terms is None else terms
+        self.ivals = {} if ivals is None else ivals
+        self.hyps = hyps
 
     def bind_term(self, x: str, v: Value) -> "Env":
         return Env({**self.terms, x: v}, self.ivals, self.hyps)
@@ -177,29 +195,36 @@ class Env:
         return Env(self.terms, self.ivals, self.hyps + (phi,))
 
 
-@dataclass(frozen=True)
 class TermBind:
-    name: str
-    ty: Value
+    __slots__ = ("name", "ty")
+
+    def __init__(self, name: str, ty: Value):
+        self.name, self.ty = name, ty
 
 
-@dataclass(frozen=True)
 class IntervalBind:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
 class CofRestriction:
-    cof: Cof
+    __slots__ = ("cof",)
+
+    def __init__(self, cof: Cof):
+        self.cof = cof
 
 
 Entry = TermBind | IntervalBind | CofRestriction
 
 
-@dataclass(frozen=True)
 class Context:
     """Telescope of semantic bindings and restrictions."""
-    entries: tuple[Entry, ...] = ()
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[Entry, ...] = ()):
+        self.entries = entries
 
     @property
     def hyps(self) -> tuple[Cof, ...]:

@@ -4,37 +4,63 @@ Terms, interval expressions and cofibrations are immutable trees.  Bound
 variables are plain names; comparison renames binders on the fly, so
 shadowing in the input is harmless.  Generated names contain a ``%`` which the lexer rejects, keeping
 them disjoint from anything a source file can mention.
+
+Interval expressions and cofibrations compare and hash by value: an
+instance equals another of its own class with equal fields, and hashes as
+the tuple of its fields.  Terms compare by identity.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 Pos = tuple[int, int]  # (line, column), 1-based
 
 
+class _Nullary:
+    """A constant: equal to every instance of its own class."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+
 # ---------------------------------------------------------------------------
 # interval expressions
 
-@dataclass(frozen=True)
 class IVar:
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self):
         return f"IVar({self.name})"
 
 
-@dataclass(frozen=True)
-class IZero:
+class IZero(_Nullary):
+    __slots__ = ()
+
     def __repr__(self):
         return "I0"
 
 
-@dataclass(frozen=True)
-class IOne:
+class IOne(_Nullary):
+    __slots__ = ()
+
     def __repr__(self):
         return "I1"
 
@@ -65,56 +91,47 @@ class _Formula:
         return cof.dnf_of(self)
 
 
-@dataclass(frozen=True)
-class CTop(_Formula):
+class CTop(_Nullary, _Formula):
     pass
 
 
-@dataclass(frozen=True)
-class CBot(_Formula):
+class CBot(_Nullary, _Formula):
     pass
 
 
-@dataclass(frozen=True)
-class CEq(_Formula):
-    lhs: Interval
-    rhs: Interval
+class _Binary(_Formula):
+    """Two sides: intervals for ``CEq``, cofibrations for ``CAnd`` and
+    ``COr``."""
+    __match_args__ = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs):
+        self.lhs, self.rhs = lhs, rhs
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lhs, self.rhs))
 
 
-@dataclass(frozen=True)
-class CAnd(_Formula):
-    lhs: "Cof"
-    rhs: "Cof"
+class CEq(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class COr(_Formula):
-    lhs: "Cof"
-    rhs: "Cof"
+class CAnd(_Binary):
+    pass
+
+
+class COr(_Binary):
+    pass
 
 
 Cof = CTop | CBot | CEq | CAnd | COr
 
 TOP = CTop()
 BOT = CBot()
-
-
-def cof_and(*cs: Cof) -> Cof:
-    acc: Cof = TOP
-    for c in cs:
-        if isinstance(c, CTop):
-            continue
-        acc = c if isinstance(acc, CTop) else CAnd(acc, c)
-    return acc
-
-
-def cof_or(*cs: Cof) -> Cof:
-    acc: Cof = BOT
-    for c in cs:
-        if isinstance(c, CBot):
-            continue
-        acc = c if isinstance(acc, CBot) else COr(acc, c)
-    return acc
 
 
 def subst_cof(phi: Cof, ivars: dict[str, Interval]) -> Cof:
@@ -146,129 +163,139 @@ def cof_vars(phi: Cof) -> set[str]:
 # ---------------------------------------------------------------------------
 # terms
 
-@dataclass(eq=False)
 class Term:
-    pos: Optional[Pos] = field(default=None, init=False, repr=False)
+    pos: Optional[Pos] = None  # where the parser found it; see ``at``
 
     def at(self, pos: Optional[Pos]) -> "Term":
         self.pos = pos
         return self
 
 
-@dataclass(eq=False)
 class Var(Term):
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(eq=False)
 class Pi(Term):
-    binder: str
-    dom: Term
-    cod: Term
+    __match_args__ = ("binder", "dom", "cod")
+
+    def __init__(self, binder: str, dom: Term, cod: Term):
+        self.binder, self.dom, self.cod = binder, dom, cod
 
 
-@dataclass(eq=False)
 class Lam(Term):
-    binder: str
-    body: Term
+    __match_args__ = ("binder", "body")
+
+    def __init__(self, binder: str, body: Term):
+        self.binder, self.body = binder, body
 
 
-@dataclass(eq=False)
 class App(Term):
-    fn: Term
-    arg: Term
+    __match_args__ = ("fn", "arg")
+
+    def __init__(self, fn: Term, arg: Term):
+        self.fn, self.arg = fn, arg
 
 
-@dataclass(eq=False)
 class Sigma(Term):
-    binder: str
-    fst_ty: Term
-    snd_ty: Term
+    __match_args__ = ("binder", "fst_ty", "snd_ty")
+
+    def __init__(self, binder: str, fst_ty: Term, snd_ty: Term):
+        self.binder, self.fst_ty, self.snd_ty = binder, fst_ty, snd_ty
 
 
-@dataclass(eq=False)
 class Pair(Term):
-    fst: Term
-    snd: Term
+    __match_args__ = ("fst", "snd")
+
+    def __init__(self, fst: Term, snd: Term):
+        self.fst, self.snd = fst, snd
 
 
-@dataclass(eq=False)
 class Fst(Term):
-    arg: Term
+    __match_args__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        self.arg = arg
 
 
-@dataclass(eq=False)
 class Snd(Term):
-    arg: Term
+    __match_args__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        self.arg = arg
 
 
-@dataclass(eq=False)
 class PathT(Term):
-    binder: str
-    line: Term
-    left: Term
-    right: Term
+    __match_args__ = ("binder", "line", "left", "right")
+
+    def __init__(self, binder: str, line: Term, left: Term, right: Term):
+        self.binder, self.line, self.left, self.right = binder, line, left, right
 
 
-@dataclass(eq=False)
 class PLam(Term):
-    binder: str
-    body: Term
+    __match_args__ = ("binder", "body")
+
+    def __init__(self, binder: str, body: Term):
+        self.binder, self.body = binder, body
 
 
-@dataclass(eq=False)
 class PApp(Term):
-    fn: Term
-    arg: Interval
+    __match_args__ = ("fn", "arg")
+
+    def __init__(self, fn: Term, arg: Interval):
+        self.fn, self.arg = fn, arg
 
 
-@dataclass(eq=False)
 class U(Term):
-    level: int
+    __match_args__ = ("level",)
+
+    def __init__(self, level: int):
+        self.level = level
 
 
-@dataclass(eq=False)
 class Branch:
     """One tube branch ``guard -> dirs. body``; binds the comp's directions."""
-    guard: Cof
-    dirs: tuple[str, ...]
-    body: Term
+    __slots__ = ("guard", "dirs", "body")
+
+    def __init__(self, guard: Cof, dirs: tuple[str, ...], body: Term):
+        self.guard, self.dirs, self.body = guard, dirs, body
 
 
-@dataclass(eq=False)
 class Comp(Term):
     """k-ary composition ``comp^k (dirs. line) [tube] cap : source ~> target``."""
-    dirs: tuple[str, ...]
-    line: Term
-    source: tuple[Interval, ...]
-    target: tuple[Interval, ...]
-    tube: tuple[Branch, ...]
-    cap: Term
+    __match_args__ = ("dirs", "line", "source", "target", "tube", "cap")
+
+    def __init__(self, dirs: tuple[str, ...], line: Term,
+                 source: tuple[Interval, ...], target: tuple[Interval, ...],
+                 tube: tuple[Branch, ...], cap: Term):
+        self.dirs, self.line, self.source = dirs, line, source
+        self.target, self.tube, self.cap = target, tube, cap
 
 
-@dataclass(eq=False)
 class Let(Term):
-    binder: str
-    ann: Term
-    bound: Term
-    body: Term
+    __match_args__ = ("binder", "ann", "bound", "body")
+
+    def __init__(self, binder: str, ann: Term, bound: Term, body: Term):
+        self.binder, self.ann, self.bound, self.body = binder, ann, bound, body
 
 
 # declarations
 
-@dataclass(eq=False)
 class Def:
-    name: str
-    ty: Term
-    body: Term
-    pos: Optional[Pos] = None
+    __slots__ = ("name", "ty", "body", "pos")
+
+    def __init__(self, name: str, ty: Term, body: Term,
+                 pos: Optional[Pos] = None):
+        self.name, self.ty, self.body, self.pos = name, ty, body, pos
 
 
-@dataclass(eq=False)
 class Postulate:
-    name: str
-    ty: Term
-    pos: Optional[Pos] = None
+    __slots__ = ("name", "ty", "pos")
+
+    def __init__(self, name: str, ty: Term, pos: Optional[Pos] = None):
+        self.name, self.ty, self.pos = name, ty, pos
 
 
 Decl = Def | Postulate

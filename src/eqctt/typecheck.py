@@ -11,7 +11,6 @@ the line at the *target* tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import cof
@@ -35,13 +34,13 @@ SYNTAX = "SyntaxError"
 INTERNAL = "InternalError"
 
 
-@dataclass
 class Diagnostic:
-    code: str
-    message: str
-    pos: Optional[Pos] = None
-    expected: Optional[str] = None
-    actual: Optional[str] = None
+    __slots__ = ("code", "message", "pos", "expected", "actual")
+
+    def __init__(self, code: str, message: str, pos: Optional[Pos] = None,
+                 expected: Optional[str] = None, actual: Optional[str] = None):
+        self.code, self.message, self.pos = code, message, pos
+        self.expected, self.actual = expected, actual
 
     def to_json(self) -> dict:
         out = {"code": self.code, "message": self.message}
@@ -72,12 +71,15 @@ def _fail(code: str, message: str, pos=None, expected=None, actual=None):
                                 expected=expected, actual=actual))
 
 
-@dataclass(frozen=True)
 class Scope:
     """User-level names paired with the semantic telescope."""
-    ctx: Context = field(default_factory=Context)
-    env: Env = field(default_factory=Env)
-    types: dict = field(default_factory=dict)  # user name -> type Value
+    __slots__ = ("ctx", "env", "types")
+
+    def __init__(self, ctx: Context | None = None, env: Env | None = None,
+                 types: dict | None = None):
+        self.ctx = Context() if ctx is None else ctx
+        self.env = Env() if env is None else env
+        self.types = {} if types is None else types  # user name -> type Value
 
     def bind_term(self, x: str, ty: Value) -> tuple["Scope", Value]:
         ctx2, xv = self.ctx.bind_term(x, ty)
@@ -342,20 +344,23 @@ class Checker:
 # ---------------------------------------------------------------------------
 # declarations
 
-@dataclass
 class DeclReport:
-    name: str
-    status: str  # "ok" | "error"
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("name", "status", "diagnostics")
+
+    def __init__(self, name: str, status: str):
+        self.name, self.status = name, status  # status: "ok" | "error"
+        self.diagnostics: list[Diagnostic] = []
 
     def to_json(self) -> dict:
         return {"name": self.name, "status": self.status,
                 "diagnostics": [d.to_json() for d in self.diagnostics]}
 
 
-@dataclass
 class Report:
-    decls: list[DeclReport] = field(default_factory=list)
+    __slots__ = ("decls",)
+
+    def __init__(self):
+        self.decls: list[DeclReport] = []
 
     @property
     def ok(self) -> bool:
@@ -365,12 +370,14 @@ class Report:
         return {"file": file, "decls": [d.to_json() for d in self.decls]}
 
 
-@dataclass
 class CheckedModule:
-    report: Report
-    scope: Scope
-    values: dict[str, Value]  # definitions and postulated constants
-    types: dict[str, Value]
+    __slots__ = ("report", "scope", "values", "types")
+
+    def __init__(self, report: Report, scope: Scope,
+                 values: dict[str, Value], types: dict[str, Value]):
+        self.report, self.scope = report, scope
+        self.values = values  # definitions and postulated constants
+        self.types = types
 
 
 def check_module(decls: list[Decl]) -> CheckedModule:

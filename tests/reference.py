@@ -2,7 +2,8 @@
 program took on ``CubeMap`` labels before site maps and cells were numbers,
 and the kernel's slower routes before it skipped work that cannot change an
 answer.  Each one is kept to check the closed form, the integer route or the
-shortcut that replaced it."""
+shortcut that replaced it.  ``cof_and`` and ``cof_or`` build the
+conjunction and disjunction of any number of cofibrations."""
 
 from __future__ import annotations
 
@@ -14,10 +15,11 @@ from eqctt.kan import CompProblem, comp_eval
 from eqctt.parser import SyntaxError_
 from eqctt.semantics import (Context, Env, IntervalBind, TermBind, eval_term,
                              neutral_var, quote, quote_type, terms_equal)
-from eqctt.syntax import (App, Branch, Comp, Fst, Interval, IVar, Lam, Let,
-                          PApp, Pair, PathT, Pi, PLam, Sigma, Snd, Term, U,
-                          Var, cof_and, free_ivars, free_vars, fresh,
-                          interval_vars, subst_cof, subst_interval)
+from eqctt.syntax import (BOT, TOP, App, Branch, CAnd, CBot, Comp, COr, CTop,
+                          Fst, Interval, IVar, Lam, Let, PApp, Pair, PathT,
+                          Pi, PLam, Sigma, Snd, Term, U, Var, free_ivars,
+                          free_vars, fresh, interval_vars, subst_cof,
+                          subst_interval)
 from eqctt.cubelab import cubes, simplicial
 from eqctt.cubelab.boxes import build_open_box
 from eqctt.cubelab.cubes import (CubeMap, compose, cube_identity,
@@ -28,6 +30,24 @@ from eqctt.cubelab.simplicial import SimplexMap, dual_middles
 
 # ---------------------------------------------------------------------------
 # cofibrations
+
+def cof_and(*cs: cof.Cof) -> cof.Cof:
+    acc: cof.Cof = TOP
+    for c in cs:
+        if isinstance(c, CTop):
+            continue
+        acc = c if isinstance(acc, CTop) else CAnd(acc, c)
+    return acc
+
+
+def cof_or(*cs: cof.Cof) -> cof.Cof:
+    acc: cof.Cof = BOT
+    for c in cs:
+        if isinstance(c, CBot):
+            continue
+        acc = c if isinstance(acc, CBot) else COr(acc, c)
+    return acc
+
 
 def satisfiable(phi: cof.Cof) -> bool:
     return cof.to_dnf(phi) != ()

@@ -14,8 +14,9 @@ from eqctt.cubelab.cubes import (CubeMap, compose, cube_map, enumerate_hom,
 from eqctt.cubelab.presheaf import (iso_search, nondegenerate,
                                     quotient_by_group, representable_cube,
                                     terminal_cube)
-from oracles import (LabelBox, OpenBoxSpec, check_functorial,
-                     nondegenerate_map, number, pair, perm_cube_map, product)
+from reference import (LabelBox, OpenBoxSpec, check_functorial,
+                       nondegenerate_map, number, pair, perm_cube_map,
+                       product)
 
 
 def test_subpresheaves_of_interval():

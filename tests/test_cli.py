@@ -304,6 +304,17 @@ def test_lab_objects_are_charged_before_they_are_built(obj):
     assert "7780859 action-table entries" in report["detail"]
 
 
+@pytest.mark.parametrize("obj, dim, entries", [
+    ("I0", "7", 9197344), ("1", "7", 9197344), ("horn", "5", 1611709),
+    ("Delta1", "8", 848143)])
+def test_every_lab_object_is_charged(obj, dim, entries):
+    # 1 is charged as I0, horn as the I2 it sits in, Delta<n> by the table
+    # size of the simplex site
+    r = run("--json", "--dim", dim, "lab", "triangulate", obj)
+    assert r.exit_code == 3
+    assert f"{entries} action-table entries" in json.loads(r.output)["detail"]
+
+
 @pytest.mark.parametrize("budget, code", [("31866", 0), ("31865", 3)])
 def test_lab_object_budget_is_the_table_size(budget, code):
     # I3 at --dim 3: the sum over maps f of |I3 at f.cod| is 31 866
@@ -356,11 +367,13 @@ def test_lab_dimensions_out_of_range_are_usage_errors(args):
 
 
 def test_lab_lift_budget_covers_subobjects():
-    # the subobjects of I^2 cost 306 units; tops and lifts come after
-    r = run("--dim", "3", "--budget", "100", "lab", "lift-check",
+    # the object 1 costs 296 action-table entries at --dim 3, within the
+    # budget; the subobjects of I^2 cost 306 units, and tops and lifts come
+    # after
+    r = run("--dim", "3", "--budget", "300", "lab", "lift-check",
             "--map", "1->1", "--nmax", "2", "--kmax", "1")
     assert r.exit_code == 3
-    assert "lift check exceeded budget 100" in r.output
+    assert "lift check exceeded budget 300" in r.output
 
 
 @pytest.mark.parametrize("depth, code", [(150, 0), (600, 1)])

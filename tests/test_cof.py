@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from eqctt import cof
 from eqctt.syntax import (BOT, TOP, CAnd, CBot, CEq, COr, CTop, Cof, I0, I1,
-                          IOne, IVar, IZero, cof_and, interval_key, subst_cof,
+                          IOne, IVar, IZero, interval_key, subst_cof,
                           subst_interval)
-from oracles import equivalent, satisfiable
+from reference import cof_and, equivalent, satisfiable
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 import math
+import random
 
 import pytest
 
 from eqctt.cubelab import cubes, simplicial
-from eqctt.cubelab.cubes import (GroupAction, HomSet, automorphisms, compose,
-                                 composites, cube_identity, cube_map,
-                                 enumerate_hom, ez_factor, find_section,
-                                 index, is_iso, is_mono, middles)
-from oracles import (degeneracy, face, invertible_endos, is_mono_by_probes,
-                     number, perm_cube_map, simplex_compose, simplex_identity,
-                     site_maps)
+from eqctt.cubelab.cubes import (CubeMap, GroupAction, HomSet,
+                                 automorphisms, compose, composites,
+                                 cube_identity, cube_map, enumerate_hom,
+                                 ez_factor, find_section, index, is_iso,
+                                 is_mono, middles)
+from eqctt.cubelab.simplicial import SimplexMap, enumerate_monotone
+from reference import (degeneracy, face, invertible_endos,
+                       is_mono_by_probes, number, perm_cube_map,
+                       simplex_compose, simplex_identity, site_maps)
 
 
 def test_hom_counts():
@@ -82,6 +85,31 @@ def test_group_action_must_be_closed():
         GroupAction(3, ((1, 2, 3), (2, 1, 3), (1, 3, 2)))
     with pytest.raises(ValueError, match="not a group"):
         GroupAction(2, ((2, 1),))
+
+
+def test_maps_compare_hash_and_sort_by_their_fields():
+    cube_maps = [f for m in range(3) for n in range(3)
+                 for f in enumerate_hom(m, n)]
+    simplex_maps = [f for m in range(3) for n in range(3)
+                    for f in enumerate_monotone(m, n)]
+    for maps in (cube_maps, simplex_maps):
+        for f in maps:
+            assert hash(f) == hash((f.dom, f.cod, f.table))
+        shuffled = random.Random(0).sample(maps, len(maps))
+        assert sorted(shuffled) == sorted(
+            shuffled, key=lambda f: (f.dom, f.cod, f.table)) == maps
+    # a cube map and a simplex map with equal fields are not equal
+    assert CubeMap(0, 0, (0, 1)) != SimplexMap(0, 0, (0,))
+    assert CubeMap(1, 0, (0, 2)) != SimplexMap(1, 0, (0, 0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CubeMap(1, 1, (0, 1)), lambda: CubeMap(1, 1, (0, 1, 1)),
+    lambda: CubeMap(1, 1, (0, 3, 2)), lambda: SimplexMap(1, 1, (0,)),
+    lambda: SimplexMap(1, 1, (1, 0)), lambda: SimplexMap(1, 1, (0, 2))])
+def test_bad_tables_are_refused(make):
+    with pytest.raises(AssertionError):
+        make()
 
 
 def test_automorphisms_match_bruteforce():

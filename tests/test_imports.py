@@ -1,7 +1,7 @@
 """Every imported name is read: a name imported into a module of the
 package or of the tests and never read there fails this test.  Names in a
 module's ``__all__`` count as read (re-exports), and ``from __future__``
-imports are exempt."""
+imports are exempt.  No module of the package imports ``dataclasses``."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "eqctt").rglob("*.py"),
-                *(ROOT / "tests").glob("*.py")])
+SRC = sorted((ROOT / "src" / "eqctt").rglob("*.py"))
+FILES = sorted([*SRC, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +48,18 @@ def test_an_unread_import_is_found():
            "__all__ = ['d']\n"
            "def f(x: os.PathLike) -> None: pass\n")
     assert unused_imports(src) == ["b (line 3)", "sys (line 2)"]
+
+
+def test_no_module_imports_dataclasses():
+    """Every run of the program imports every module before it reads its
+    input, and building a dataclass costs far more import time than
+    writing out a plain class, so the package writes plain classes."""
+    importers = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names:
+                importers.append(str(path.relative_to(ROOT)))
+    assert importers == []

@@ -9,7 +9,7 @@ from eqctt.semantics import (NComp, VNe, VPair, VPLam, convert, do_app,
 from eqctt.syntax import CEq, I0, I1, TOP, fresh
 from eqctt.typecheck import Checker, check_module
 
-from oracles import fill_derive
+from reference import fill_derive
 
 SIG = """
 postulate A : U0

@@ -6,7 +6,7 @@ from eqctt.parser import (Parser, SyntaxError_, parse_cof, parse_module,
 from eqctt.printer import print_cof, print_term
 from eqctt.syntax import (CAnd, CEq, COr, Comp, Pi, U, alpha_eq)
 
-import oracles
+import reference
 from conftest import CORPUS, corpus_files
 
 
@@ -160,12 +160,12 @@ EDGE_CASES = [
                                  sorted(CORPUS.glob("*.ectt"))]
                          + GENERATED_SHAPES + EDGE_CASES)
 def test_tokenize_matches_anchored_lexer(src):
-    assert _lexed(tokenize, src) == _lexed(oracles.tokenize, src)
+    assert _lexed(tokenize, src) == _lexed(reference.tokenize, src)
 
 
 @given(st.text(alphabet="ab01 \t\r\n-~>/\\()[]<>.,:=*@|^$é_'", max_size=40))
 def test_tokenize_matches_anchored_lexer_on_any_text(src):
-    assert _lexed(tokenize, src) == _lexed(oracles.tokenize, src)
+    assert _lexed(tokenize, src) == _lexed(reference.tokenize, src)
 
 
 def test_unexpected_character_position():

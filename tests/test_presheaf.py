@@ -10,8 +10,8 @@ from eqctt.cubelab.presheaf import (build_presheaf, iso_search, nondegenerate,
                                     representable_cube, table_size,
                                     terminal_cube)
 from eqctt.cubelab.boxes import close_cells, sub_vertex
-from oracles import (check_functorial, label_table, number, perm_cube_map,
-                     vertex_cell)
+from reference import (check_functorial, label_table, number,
+                       perm_cube_map, vertex_cell)
 
 
 def test_representable_zero_is_terminal():

@@ -14,10 +14,11 @@ from eqctt.semantics import (NComp, PermutationBoundExceeded, VNe, VU,
                              canonicalize_stuck_comp, convert, eval_term,
                              quote, quote_type, sigma_transform)
 from eqctt.syntax import (App, Branch, CEq, Comp, Def, I0, I1, IVar, PApp, Pi,
-                          PLam, Var, alpha_eq, cof_and, cof_or, term_key)
+                          PLam, Var, alpha_eq, term_key)
 from eqctt.typecheck import Checker, check_module
 
-import oracles
+import reference
+from reference import cof_and, cof_or
 from conftest import CORPUS, corpus_files
 from test_acceptance import _corpus_comps, _sigma_transform_ast
 
@@ -267,7 +268,7 @@ def test_equivariance_all_sigma_k3(sig):
         inv = [0] * kk
         for idx, pp in enumerate(perm):
             inv[pp] = idx
-        line = oracles.substitute(c.line, ivars={
+        line = reference.substitute(c.line, ivars={
             c.dirs[m]: IV(names[perm[m]]) for m in range(kk)})
         src = tuple(c.source[inv[m]] for m in range(kk))
         tgt = tuple(c.target[inv[m]] for m in range(kk))
@@ -598,7 +599,7 @@ def _corpus_conversions(path, monkeypatch) -> list:
                          ids=lambda p: p.name)
 def test_convert_agrees_with_reevaluation_on_the_corpus(path, monkeypatch):
     for ctx, ty, v1, v2, out in _corpus_conversions(path, monkeypatch):
-        assert oracles.convert_by_reevaluation(ctx, ty, v1, v2) == out
+        assert reference.convert_by_reevaluation(ctx, ty, v1, v2) == out
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +610,7 @@ def test_convert_agrees_with_reevaluation_on_the_corpus(path, monkeypatch):
                          ids=lambda p: p.name)
 def test_convert_agrees_with_readback_on_the_corpus(path, monkeypatch):
     for ctx, ty, v1, v2, out in _corpus_conversions(path, monkeypatch):
-        assert oracles.convert_by_readback(ctx, ty, v1, v2) == out
+        assert reference.convert_by_readback(ctx, ty, v1, v2) == out
 
 
 # the signature, then an interval i and a variable x : A in scope
@@ -718,7 +719,7 @@ def test_convert_agrees_with_readback_on_values(value_scope, pair):
         Checker().check(sc, t, ty)
         vs.append(eval_term(sc.env, t))
     with _k_max(4):
-        assert convert(sc.ctx, ty, *vs) == oracles.convert_by_readback(
+        assert convert(sc.ctx, ty, *vs) == reference.convert_by_readback(
             sc.ctx, ty, *vs)
 
 

@@ -3,10 +3,10 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from eqctt.parser import parse_term
-from eqctt.syntax import (I0, IVar, Lam, PApp, Var, alpha_eq, free_vars,
-                          term_key)
+from eqctt.syntax import (BOT, I0, I1, TOP, CAnd, CEq, COr, IVar, Lam, PApp,
+                          Var, alpha_eq, free_vars, term_key)
 
-from oracles import substitute
+from reference import substitute
 
 
 def test_alpha_eq_lambdas():
@@ -18,6 +18,17 @@ def test_alpha_eq_comp_binder_names(checked_comps):
     a = parse_term("comp^2 (i j. A) [] a : (0,0) ~> (1,1)")
     b = parse_term("comp^2 (u v. A) [] a : (0,0) ~> (1,1)")
     assert alpha_eq(a, b)
+
+
+def test_intervals_and_cofibrations_compare_by_value():
+    i, j = IVar("i"), IVar("j")
+    eq = CEq(i, I0)
+    values = [i, eq, CAnd(eq, CEq(j, I1)), COr(eq, TOP), CAnd(BOT, eq)]
+    for v in values:
+        assert hash(v) == hash(tuple(getattr(v, f) for f in v.__match_args__))
+        assert v == type(v)(*(getattr(v, f) for f in v.__match_args__))
+    assert CAnd(eq, TOP) != COr(eq, TOP)
+    assert I0 != I1 and CEq(i, j) != CEq(j, i)
 
 
 def test_interval_substitution():

@@ -6,7 +6,7 @@ from eqctt.cubelab.cubes import full_symmetric
 from eqctt.cubelab.presheaf import (iso_search, nondegenerate, product,
                                     quotient_by_group, representable_cube)
 from eqctt.cubelab.simplicial import delta, enumerate_monotone, triangulate
-from oracles import dualize_simplex_map, simplex_compose, simplex_identity
+from reference import dualize_simplex_map, simplex_compose, simplex_identity
 
 
 def test_dualize_identity():
@@ -85,7 +85,7 @@ def test_quotient_triangulate_commutes_for_sigma2():
     TQ = triangulate(Q)
     TX = triangulate(X)
     from eqctt.cubelab.cubes import compose
-    from oracles import perm_cube_map
+    from reference import perm_cube_map
     for d in range(4):
         orbits = set()
         for c in TX.levels[d]:
@@ -96,5 +96,5 @@ def test_quotient_triangulate_commutes_for_sigma2():
 
 
 def test_simplicial_identities_hold_after_triangulation():
-    from oracles import check_functorial
+    from reference import check_functorial
     assert check_functorial(triangulate(representable_cube(2, 2)))
