@@ -1,24 +1,28 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 semantic failure, 2 usage or I/O error, 3 budget
-exceeded.  Flags override the EQCTT_* environment variables, which override
-defaults.  With ``--json`` every command prints a single machine-readable
-report with sorted keys, suitable for golden-file comparison.
+exceeded.  Each setting comes from its flag, else from its EQCTT_*
+environment variable, else from its default; ``main`` resolves them once
+per invocation into the ``Settings`` that the command reads.  With
+``--json`` every command prints a single machine-readable report with
+sorted keys, suitable for golden-file comparison.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import json
+import math
+import os
 import re
 import sys
 
-import click
-
 from . import cof as coflogic
-from .config import CONFIG, Config
 from .parser import SyntaxError_, parse_cof, parse_module
 from .printer import print_term
-from .semantics import quote
+from .semantics import K_MAX, quote
+from .syntax import reset_fresh
 from .typecheck import check_module
 from .cubelab import cubes, simplicial
 from .cubelab.boxes import (PresheafMap, build_open_box,
@@ -34,56 +38,140 @@ from .cubelab.presheaf import (BudgetExceeded, FinPresheaf, iso_search,
 from .cubelab.simplicial import delta, triangulate
 
 
-def _emit(report: dict, human: str | None = None) -> None:
-    # click.echo's default stream is cached, keeping alive every buffer an
-    # in-process caller swaps in for stdout; an explicit one is not
-    out = click.get_text_stream("stdout")
-    if CONFIG.json_output:
-        click.echo(json.dumps(report, sort_keys=True), file=out)
-    else:
-        click.echo(human if human is not None else
-                   json.dumps(report, sort_keys=True, indent=2), file=out)
+class UsageError(Exception):
+    """A command line that cannot run: exit 2 with an ``Error:`` line."""
 
 
-@click.group()
-@click.option("--json", "json_output", is_flag=True, envvar="EQCTT_JSON",
-              help="machine-readable output")
-@click.option("--kmax", type=click.IntRange(min=1), default=Config.k_max,
-              envvar="EQCTT_KMAX", show_default=True,
-              help="permutation bound for stuck comps")
-@click.option("--dim", type=click.IntRange(min=1), default=Config.dim,
-              envvar="EQCTT_DIM", show_default=True,
-              help="cubelab truncation dimension")
-@click.option("--budget", type=click.IntRange(min=1), default=Config.budget,
-              envvar="EQCTT_BUDGET", show_default=True,
-              help="combinatorial search node cap; also caps the "
-                   "action-table entries of each lab object")
-def main(json_output, kmax, dim, budget):
-    """eqctt: equivariant cartesian cubical type checker and cube lab."""
-    CONFIG.json_output = json_output
-    CONFIG.k_max, CONFIG.dim, CONFIG.budget = kmax, dim, budget
+class _Parser(argparse.ArgumentParser):
+    """Takes no abbreviated option, and raises its errors with its usage,
+    so that ``main`` reports every usage error one way."""
+
+    def __init__(self, **options):
+        super().__init__(allow_abbrev=False, **options)
+
+    def error(self, message: str):
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-def _read(path: str) -> str:
+def _count(low: int):
+    """The argument type of an integer that is at least ``low``."""
+    def count(raw: str) -> int:
+        if re.fullmatch(r"\s*[-+]?[0-9]+\s*", raw) and int(raw) >= low:
+            return int(raw)
+        raise argparse.ArgumentTypeError(f"{raw!r} is not an integer >= {low}")
+    return count
+
+
+def _boolean(raw: str) -> bool:
+    word, true = raw.strip().lower(), ("1", "true", "t", "yes", "y", "on")
+    if word not in true + ("0", "false", "f", "no", "n", "off"):
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a boolean")
+    return word in true
+
+
+# each setting: its flag, its variable, its type, its default and its help
+SETTINGS = {
+    "json": ("--json", "EQCTT_JSON", _boolean, False,
+             "machine-readable output"),
+    "k_max": ("--kmax", "EQCTT_KMAX", _count(1), K_MAX,
+              "permutation bound for stuck comps"),
+    "dim": ("--dim", "EQCTT_DIM", _count(1), 3,
+            "cubelab truncation dimension"),
+    "budget": ("--budget", "EQCTT_BUDGET", _count(1), 500_000,
+               "combinatorial search node cap; also caps the action-table "
+               "entries of each lab object"),
+}
+
+
+class Settings:
+    """The settings of one invocation: each from its flag, else from its
+    variable (an empty one is unset), else its default."""
+    __slots__ = tuple(SETTINGS)
+
+    def __init__(self, flags: argparse.Namespace):
+        for name, (flag, var, convert, default, _) in SETTINGS.items():
+            raw, source = getattr(flags, name), flag
+            if raw is None:
+                raw, source = os.environ.get(var) or None, var
+            try:
+                setattr(self, name, default if raw is None else convert(raw))
+            except argparse.ArgumentTypeError as e:
+                raise UsageError(f"invalid value for {source}: {e}")
+
+    def emit(self, report: dict, human: str) -> None:
+        # sys.stdout is looked up per call, so nothing keeps a buffer that an
+        # in-process caller swaps in for it
+        print(json.dumps(report, sort_keys=True) if self.json else human,
+              file=sys.stdout)
+
+    def charge(self, need: int, what: str,
+               unit: str = "action-table entries") -> None:
+        """Refuse to build what needs more than the budget."""
+        if need > self.budget:
+            raise BudgetExceeded(f"{what} needs {need} {unit}, over budget "
+                                 f"{self.budget}")
+
+    @contextlib.contextmanager
+    def budget_exit(self, report: dict):
+        """Exit 3 with ``report`` as budget-exceeded if the block exceeds
+        the budget."""
+        try:
+            yield
+        except BudgetExceeded as e:
+            self.emit({**report, "result": "budget-exceeded",
+                       "detail": str(e)}, human=f"budget exceeded: {e}")
+            sys.exit(3)
+
+
+# built once per process: the settings' flags, then each group's commands
+PARSER = _Parser(prog="eqctt", description="eqctt: equivariant cartesian "
+                 "cubical type checker and cube lab.")
+for _name, (_flag, _var, _, _default, _text) in SETTINGS.items():
+    PARSER.add_argument(_flag, dest=_name,
+                        help=f"{_text} (${_var}; default {_default})",
+                        **({"action": "store_const", "const": "true"}
+                           if _name == "json" else {"metavar": "N"}))
+_GROUPS = {"": PARSER.add_subparsers(required=True, metavar="COMMAND")}
+for _group, _text in (("cof", "Cofibration solver utilities."),
+                      ("lab", "Finite cube-combinatorics laboratory.")):
+    _GROUPS[_group] = _GROUPS[""].add_parser(
+        _group, help=_text, description=_text).add_subparsers(
+        required=True, metavar="COMMAND")
+
+
+def command(path: str, *arguments: tuple):
+    """Add ``f(settings, args)`` to the parser as the command at this
+    space-separated path, with the ``(names, options)`` of its arguments."""
+    def add(fn):
+        group, _, name = path.rpartition(" ")
+        p = _GROUPS[group].add_parser(name, help=fn.__doc__,
+                                        description=fn.__doc__)
+        for names, options in arguments:
+            p.add_argument(*names, **options)
+        p.set_defaults(run=fn)
+        return fn
+    return add
+
+
+def arg(*names: str, **options) -> tuple:
+    return names, options
+
+
+def _check_file(path: str, k_max: int):
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            src = fh.read()
     except OSError as e:
-        click.echo(f"error: {e}", err=True)
+        print(f"error: {e}", file=sys.stderr)
         sys.exit(2)
-
-
-def _check_file(path: str):
-    src = _read(path)
     try:
         decls = parse_module(src)
     except SyntaxError_ as e:
-        report = {"file": path, "decls": [
+        return None, {"file": path, "decls": [
             {"name": "<parse>", "status": "error",
              "diagnostics": [{"code": e.code, "message": e.message,
                               "line": e.pos[0], "col": e.pos[1]}]}]}
-        return None, report
-    mod = check_module(decls)
+    mod = check_module(decls, k_max)
     return mod, mod.report.to_json(path)
 
 
@@ -99,57 +187,43 @@ def _report_lines(report: dict):
                 yield f"    actual:   {diag['actual']}"
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-def check(path):
+@command("check", arg("path"))
+def check(s: Settings, a):
     """Type check every declaration in an .ectt file."""
-    mod, report = _check_file(path)
-    ok = mod is not None and mod.report.ok
-    if CONFIG.json_output:
-        _emit(report)
-    elif report["decls"]:
-        _emit(report, "\n".join(_report_lines(report)))
-    sys.exit(0 if ok else 1)
+    mod, report = _check_file(a.path, s.k_max)
+    if s.json or report["decls"]:
+        s.emit(report, "\n".join(_report_lines(report)))
+    sys.exit(0 if mod is not None and mod.report.ok else 1)
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-@click.option("--def", "name", required=True, help="definition to normalize")
-def normalize(path, name):
+@command("normalize", arg("path"),
+         arg("--def", dest="name", required=True,
+             help="definition to normalize"))
+def normalize(s: Settings, a):
     """Print the eta-long beta-normal form of a definition."""
-    mod, report = _check_file(path)
+    mod, report = _check_file(a.path, s.k_max)
     if mod is None or not mod.report.ok:
-        click.echo("file does not type check:", err=True)
-        for d in report["decls"]:
-            for diag in d["diagnostics"]:
-                click.echo(f"  {d['name']}: {diag['message']}", err=True)
+        print("file does not type check:", *_report_lines(report),
+              sep="\n", file=sys.stderr)
         sys.exit(1)
-    if name not in mod.values:
-        click.echo(f"error: unknown name {name!r}", err=True)
+    if a.name not in mod.values:
+        print(f"error: unknown name {a.name!r}", file=sys.stderr)
         sys.exit(1)
-    nf = print_term(quote(mod.types[name], mod.values[name]))
-    _emit({"operation": "normalize", "inputs": {"file": path, "def": name},
-           "result": nf}, human=nf)
+    nf = print_term(quote(mod.types[a.name], mod.values[a.name]))
+    s.emit({"operation": "normalize",
+            "inputs": {"file": a.path, "def": a.name}, "result": nf}, human=nf)
 
 
-@main.group(name="cof")
-def cofib():
-    """Cofibration solver utilities."""
-
-
-@cofib.command("entails")
-@click.argument("hyp")
-@click.argument("goal")
-def cof_entails(hyp, goal):
+@command("cof entails", arg("hyp"), arg("goal"))
+def cof_entails(s: Settings, a):
     """Decide whether HYP entails GOAL (cofibration formulas)."""
     try:
-        h = parse_cof(hyp)
-        g = parse_cof(goal)
+        res = coflogic.entails([parse_cof(a.hyp)], parse_cof(a.goal))
     except SyntaxError_ as e:
-        raise click.UsageError(str(e))
-    res = coflogic.entails([h], g)
-    _emit({"operation": "cof-entails", "inputs": {"hyp": hyp, "goal": goal},
-           "result": res}, human=str(res).lower())
+        raise UsageError(str(e))
+    s.emit({"operation": "cof-entails",
+            "inputs": {"hyp": a.hyp, "goal": a.goal}, "result": res},
+           human=str(res).lower())
 
 
 # ---------------------------------------------------------------------------
@@ -161,94 +235,72 @@ def _usage_on_value_error(fn, *args):
     try:
         return fn(*args)
     except ValueError as e:
-        raise click.UsageError(str(e))
+        raise UsageError(str(e))
 
 
 _OBJ_RE = re.compile(r"\s*(I[0-9]+|Delta[0-9]+|1|T\(|horn|\(|\)|\*|/S[0-9]+)")
 
 
-def _charge(site, sizes: list[int], what: str) -> None:
-    """Refuse to build an object whose action tables, for levels of these
-    sizes, would hold more entries than the budget."""
-    need = table_size(site, sizes)
-    if need > CONFIG.budget:
-        raise BudgetExceeded(f"{what} needs {need} action-table entries, "
-                             f"over budget {CONFIG.budget}")
-
-
-def _charge_representable(site, n: int, D: int, what: str) -> None:
-    """Charge the representable of ``n`` on ``site`` at truncation D."""
-    _charge(site, [site.count(d, n) for d in range(D + 1)], what)
-
-
-def parse_lab_object(expr: str, D: int) -> FinPresheaf:
-    """Object expressions: I<n>, Delta<n>, 1, horn, T(X), X*Y, I<n>/S<n>.
-    Representables, products, ``1`` (charged as I0) and ``horn`` (charged as
-    the I2 it sits in) are charged to the budget before they are built
-    (``BudgetExceeded``)."""
-    pos = 0
-
-    def peek():
-        m = _OBJ_RE.match(expr, pos)
-        return m.group(1) if m else None
-
-    def advance():
-        nonlocal pos
-        m = _OBJ_RE.match(expr, pos)
+def parse_lab_object(expr: str, s: Settings) -> FinPresheaf:
+    """Object expressions: I<n>, Delta<n>, 1, horn, T(X), X*Y, I<n>/S<n>,
+    truncated at ``s.dim``.  Representables, products, ``1`` (charged as
+    I0) and ``horn`` (charged as the I2 it sits in) are charged to the
+    budget before they are built (``BudgetExceeded``)."""
+    D, toks, pos = s.dim, [], 0
+    while m := _OBJ_RE.match(expr, pos):
+        toks.append(m.group(1))
         pos = m.end()
-        return m.group(1)
+    toks.append(None)  # where the tokens end: the end, or input none starts
+
+    def charge(site, n: int, what: str) -> None:
+        s.charge(table_size(site, [site.count(d, n) for d in range(D + 1)]),
+                 what)
+
+    def closed(X: FinPresheaf) -> FinPresheaf:
+        if toks.pop(0) != ")":
+            raise UsageError("expected ')'")
+        return X
 
     def atom() -> FinPresheaf:
-        tok = peek()
+        tok = toks.pop(0)
         if tok is None:
-            raise click.UsageError(f"cannot parse object {expr!r}")
-        advance()
-        if tok.startswith("I"):
-            n = int(tok[1:])
-            _charge_representable(cubes, n, D, tok)
-            X = representable_cube(n, D)
-        elif tok.startswith("Delta"):
-            n = int(tok[5:])
-            _charge_representable(simplicial, n, D, tok)
-            return delta(n, D)
+            raise UsageError(f"cannot parse object {expr!r}")
+        if tok.startswith("Delta"):
+            charge(simplicial, int(tok[5:]), tok)
+            return delta(int(tok[5:]), D)
+        if tok == "T(":
+            return _usage_on_value_error(triangulate, closed(obj()))
+        if tok == "(":
+            X = closed(obj())
         elif tok == "1":
-            _charge_representable(cubes, 0, D, tok)
+            charge(cubes, 0, tok)
             X = terminal_cube(D)
         elif tok == "horn":
-            _charge_representable(cubes, 2, D, tok)
+            charge(cubes, 2, tok)
             X = _usage_on_value_error(horn_box_domain, D)
-        elif tok == "T(":
-            inner = obj()
-            if peek() != ")":
-                raise click.UsageError("expected ')'")
-            advance()
-            return _usage_on_value_error(triangulate, inner)
-        elif tok == "(":
-            X = obj()
-            if peek() != ")":
-                raise click.UsageError("expected ')'")
-            advance()
+        elif tok.startswith("I"):
+            charge(cubes, int(tok[1:]), tok)
+            X = representable_cube(int(tok[1:]), D)
         else:
-            raise click.UsageError(f"unexpected {tok!r}")
-        if peek() and peek().startswith("/S"):
-            k = int(advance()[2:])
+            raise UsageError(f"unexpected {tok!r}")
+        if toks[0] and toks[0].startswith("/S"):
+            k = int(toks.pop(0)[2:])
             X = _usage_on_value_error(quotient_by_group, X, full_symmetric(k))
         return X
 
     def obj() -> FinPresheaf:
         X = atom()
-        while peek() == "*":
-            advance()
+        while toks[0] == "*":
+            toks.pop(0)
             Y = atom()
-            _charge(X.site, [x * y for x, y in zip(X.level_sizes(),
-                                                   Y.level_sizes())],
-                    "product")
+            s.charge(table_size(X.site, [x * y for x, y in zip(
+                X.level_sizes(), Y.level_sizes())]), "product")
             X = _usage_on_value_error(product, X, Y)
         return X
 
     out = obj()
-    if expr[pos:].strip():
-        raise click.UsageError(f"trailing input in object {expr!r}")
+    if toks[0] is not None or expr[pos:].strip():
+        raise UsageError(f"trailing input in object {expr!r}")
     return out
 
 
@@ -258,119 +310,93 @@ def _parse_map(text: str, dom: int, cod: int, what: str):
     toks = [t.strip() for t in text.split(",")] if text.strip() else []
     for tok in toks:
         if tok not in entries:
-            raise click.UsageError(
+            raise UsageError(
                 f"table entry {tok!r} is not b, t or an axis 1..{dom}")
     if len(toks) != cod:
-        raise click.UsageError(f"need {cod} {what} entries")
+        raise UsageError(f"need {cod} {what} entries")
     return make_cube_map(dom, cod, tuple(entries[t] for t in toks))
 
 
-def _within_budget(report: dict, search, *args, **kwargs):
-    """Run a bounded search; if it exceeds the budget, emit ``report`` as
-    budget-exceeded and exit 3."""
-    try:
-        return search(*args, **kwargs)
-    except BudgetExceeded as e:
-        _emit({**report, "result": "budget-exceeded", "detail": str(e)},
-              human=f"budget exceeded: {e}")
-        sys.exit(3)
-
-
-@main.group()
-def lab():
-    """Finite cube-combinatorics laboratory."""
-
-
-@lab.command("hom-count")
-@click.argument("m", type=click.IntRange(min=0))
-@click.argument("n", type=click.IntRange(min=0))
-def hom_count(m, n):
+@command("lab hom-count", arg("m", type=_count(0)), arg("n", type=_count(0)))
+def hom_count(s: Settings, a):
     """|Hom(I^m, I^n)|."""
-    count = _usage_on_value_error(count_hom, m, n)
-    _emit({"operation": "hom-count", "inputs": {"m": m, "n": n},
-           "result": count}, human=str(count))
+    count = _usage_on_value_error(count_hom, a.m, a.n)
+    s.emit({"operation": "hom-count", "inputs": {"m": a.m, "n": a.n},
+            "result": count}, human=str(count))
 
 
-@lab.command("automorphisms")
-@click.argument("n", type=click.IntRange(min=1))
-def lab_automorphisms(n):
+@command("lab automorphisms", arg("n", type=_count(1)))
+def lab_automorphisms(s: Settings, a):
     """The automorphism group of I^n."""
-    g = automorphisms(n)
-    _emit({"operation": "automorphisms", "inputs": {"n": n},
-           "result": len(g.perms),
-           "witness": [list(p) for p in g.perms]},
-          human=f"{len(g.perms)} automorphisms: "
-                + " ".join(str(list(p)) for p in g.perms))
+    report = {"operation": "automorphisms", "inputs": {"n": a.n}}
+    with s.budget_exit(report):  # its n! permutations, before they are built
+        s.charge(math.factorial(a.n), f"Aut(I^{a.n})", "permutations")
+    perms = automorphisms(a.n).perms
+    s.emit({**report, "result": len(perms),
+            "witness": [list(p) for p in perms]},
+           human=f"{len(perms)} automorphisms: "
+                 + " ".join(str(list(p)) for p in perms))
 
 
-@lab.command("ez-factor")
-@click.option("--dom", type=click.IntRange(min=0), required=True)
-@click.option("--cod", type=click.IntRange(min=0), required=True)
-@click.option("--table", required=True,
-              help="comma-separated middles of the bipointed table "
-                   "<cod> -> <dom>; entries b, t or an axis number")
-def lab_ez(dom, cod, table):
+@command("lab ez-factor", arg("--dom", type=_count(0), required=True),
+         arg("--cod", type=_count(0), required=True),
+         arg("--table", required=True,
+             help="comma-separated middles of the bipointed table "
+                  "<cod> -> <dom>; entries b, t or an axis number"))
+def lab_ez(s: Settings, a):
     """Factor a cube map as a split epi followed by a mono."""
-    f = _parse_map(table, dom, cod, "table")
+    f = _parse_map(a.table, a.dom, a.cod, "table")
     e, m = ez_factor(f)
     ok = compose(m, e) == f
     sec = find_section(e)
-    _emit({"operation": "ez-factor",
-           "inputs": {"dom": dom, "cod": cod, "table": list(f.table)},
-           "result": {"epi": list(e.table), "mid_dim": e.cod,
-                      "mono": list(m.table),
-                      "composes": ok,
-                      "section": list(sec.table) if sec else None,
-                      "mono_cancellable": is_mono(m.dom, m.table)}},
-          human=f"{f!r} = {m!r} . {e!r} (composes: {ok})")
+    s.emit({"operation": "ez-factor",
+            "inputs": {"dom": a.dom, "cod": a.cod, "table": list(f.table)},
+            "result": {"epi": list(e.table), "mid_dim": e.cod,
+                       "mono": list(m.table), "composes": ok,
+                       "section": list(sec.table) if sec else None,
+                       "mono_cancellable": is_mono(m.dom, m.table)}},
+           human=f"{f!r} = {m!r} . {e!r} (composes: {ok})")
 
 
-@lab.command("quotient")
-@click.argument("obj")
-@click.argument("group")
-def lab_quotient(obj, group):
+@command("lab quotient", arg("obj"), arg("group"))
+def lab_quotient(s: Settings, a):
     """Quotient a representable I<n> by its axis permutations S<n>."""
-    D = CONFIG.dim
-    m = re.fullmatch(r"S([0-9]+)", group)
+    m = re.fullmatch(r"S([0-9]+)", a.group)
     if not m:
-        raise click.UsageError("group must be S<k>")
-    report = {"operation": "quotient", "inputs": {"obj": obj, "group": group},
-              "bounds": {"D": D}}
-    X = _within_budget(report, parse_lab_object, obj, D)
+        raise UsageError("group must be S<k>")
+    report = {"operation": "quotient", "bounds": {"D": s.dim},
+              "inputs": {"obj": a.obj, "group": a.group}}
+    with s.budget_exit(report):
+        X = parse_lab_object(a.obj, s)
     Q = _usage_on_value_error(quotient_by_group, X,
                               full_symmetric(int(m.group(1))))
-    _emit({**report, "cell-counts": Q.level_sizes()},
-          human=f"levels: {Q.level_sizes()}")
+    s.emit({**report, "cell-counts": Q.level_sizes()},
+           human=f"levels: {Q.level_sizes()}")
 
 
-@lab.command("triangulate")
-@click.argument("obj")
-def lab_triangulate(obj):
+@command("lab triangulate", arg("obj"))
+def lab_triangulate(s: Settings, a):
     """Triangulate a cubical set; reports level sizes and nondegeneracies."""
-    D = CONFIG.dim
-    report = {"operation": "triangulate", "inputs": {"obj": obj},
-              "bounds": {"D": D}}
-    T = _usage_on_value_error(
-        triangulate, _within_budget(report, parse_lab_object, obj, D))
-    nd = [len(nondegenerate(T, d)) for d in range(D + 1)]
-    _emit({**report, "cell-counts": T.level_sizes(),
-           "result": {"nondegenerate": nd}},
-          human=f"levels: {T.level_sizes()} nondegenerate: {nd}")
+    report = {"operation": "triangulate", "inputs": {"obj": a.obj},
+              "bounds": {"D": s.dim}}
+    with s.budget_exit(report):
+        T = _usage_on_value_error(triangulate, parse_lab_object(a.obj, s))
+    nd = [len(nondegenerate(T, d)) for d in range(s.dim + 1)]
+    s.emit({**report, "cell-counts": T.level_sizes(),
+            "result": {"nondegenerate": nd}},
+           human=f"levels: {T.level_sizes()} nondegenerate: {nd}")
 
 
-@lab.command("iso")
-@click.option("--lhs", required=True)
-@click.option("--rhs", required=True)
-def lab_iso(lhs, rhs):
+@command("lab iso", arg("--lhs", required=True), arg("--rhs", required=True))
+def lab_iso(s: Settings, a):
     """Search for an isomorphism between two objects."""
-    D = CONFIG.dim
-    base = {"operation": "iso", "inputs": {"lhs": lhs, "rhs": rhs},
-            "bounds": {"D": D}}
-    X = _within_budget(base, parse_lab_object, lhs, D)
-    Y = _within_budget(base, parse_lab_object, rhs, D)
-    r = _within_budget(base, iso_search, X, Y, budget=CONFIG.budget)
-    report = {**base, "cell-counts": X.level_sizes(),
-              "result": "isomorphic" if r.found else "not-isomorphic"}
+    report = {"operation": "iso", "inputs": {"lhs": a.lhs, "rhs": a.rhs},
+              "bounds": {"D": s.dim}}
+    with s.budget_exit(report):
+        X, Y = parse_lab_object(a.lhs, s), parse_lab_object(a.rhs, s)
+        r = iso_search(X, Y, budget=s.budget)
+    report["cell-counts"] = X.level_sizes()
+    report["result"] = "isomorphic" if r.found else "not-isomorphic"
     if r.found:
         report["witness"] = {
             str(d): {str(X.levels[d][x]): str(Y.levels[d][y])
@@ -380,72 +406,82 @@ def lab_iso(lhs, rhs):
     else:
         report["refutation"] = r.reason
         human = f"not isomorphic: {r.reason}"
-    _emit(report, human=human)
+    s.emit(report, human=human)
 
 
-def _cubical_object(expr: str, D: int) -> FinPresheaf:
-    X = parse_lab_object(expr, D)
-    if X.site is not cubes:
-        raise click.UsageError(
-            f"lift-check needs a cubical object; {expr!r} is simplicial")
-    return X
-
-
-@lab.command("lift-check")
-@click.option("--map", "map_expr", required=True,
-              help="a map expression X->1 (unique map to the terminal) "
-                   "or id(X)")
-@click.option("--nmax", type=click.IntRange(min=0), required=True)
-@click.option("--kmax", type=click.IntRange(min=1), required=True)
-def lab_lift(map_expr, nmax, kmax):
+# this --kmax has its own dest, so that it leaves the setting as it is
+@command("lab lift-check",
+         arg("--map", dest="map_expr", required=True,
+             help="a map expression X->1 (unique map to the terminal) "
+                  "or id(X)"),
+         arg("--nmax", type=_count(0), required=True),
+         arg("--kmax", dest="lift_kmax", metavar="KMAX", type=_count(1),
+             required=True))
+def lab_lift(s: Settings, a):
     """Bounded equivariant-lifting certificate for a map."""
-    D = CONFIG.dim
-    base = {"operation": "lift-check", "inputs": {"map": map_expr},
-            "bounds": {"n_max": nmax, "k_max": kmax, "D": D}}
-    m = re.fullmatch(r"\s*id\((.+)\)\s*", map_expr)
-    if m:
-        X = _within_budget(base, _cubical_object, m.group(1), D)
-        f = PresheafMap(X, X, {d: {c: c for c in X.cells(d)}
-                               for d in range(D + 1)})
-    else:
-        m = re.fullmatch(r"\s*(.+?)\s*->\s*1\s*", map_expr)
-        if not m:
-            raise click.UsageError("map must be 'X->1' or 'id(X)'")
-        X = _within_budget(base, _cubical_object, m.group(1), D)
-        f = presheaf_map_to_terminal(X)
-    rep = _within_budget(base, check_equivariant_lifting, f, nmax, kmax, D,
-                         budget=CONFIG.budget)
-    out = rep.to_json()
-    out["operation"] = "lift-check"
-    out["inputs"] = {"map": map_expr}
-    _emit(out, human=("pass: " if rep.passed else "fail: ") + rep.detail)
+    D = s.dim
+    ident = re.fullmatch(r"\s*id\((.+)\)\s*", a.map_expr)
+    m = ident or re.fullmatch(r"\s*(.+?)\s*->\s*1\s*", a.map_expr)
+    if not m:
+        raise UsageError("map must be 'X->1' or 'id(X)'")
+    report = {"operation": "lift-check", "inputs": {"map": a.map_expr},
+              "bounds": {"n_max": a.nmax, "k_max": a.lift_kmax, "D": D}}
+    with s.budget_exit(report):
+        X = parse_lab_object(m.group(1), s)
+        if X.site is not cubes:
+            raise UsageError("lift-check needs a cubical object; "
+                             f"{m.group(1)!r} is simplicial")
+        f = (PresheafMap(X, X, {d: {c: c for c in X.cells(d)}
+                                for d in range(D + 1)})
+             if ident else presheaf_map_to_terminal(X))
+        rep = check_equivariant_lifting(f, a.nmax, a.lift_kmax, D,
+                                        budget=s.budget)
+    s.emit({**rep.to_json(), "operation": "lift-check",
+            "inputs": report["inputs"]},
+           human=("pass: " if rep.passed else "fail: ") + rep.detail)
 
 
-@lab.command("open-box")
-@click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--k", type=click.IntRange(min=1), required=True)
-@click.option("--zeta", required=True,
-              help="middles of the table <k> -> <n> (b, t or axis number), "
-                   "comma separated")
-@click.option("--sub", default="empty",
-              type=click.Choice(["empty", "full", "v0", "v1"]),
-              help="the subobject C of I^n")
-def lab_open_box(n, k, zeta, sub):
+@command("lab open-box", arg("--n", type=_count(0), required=True),
+         arg("--k", type=_count(1), required=True),
+         arg("--zeta", required=True,
+             help="middles of the table <k> -> <n> (b, t or axis number), "
+                  "comma separated"),
+         arg("--sub", default="empty", choices=["empty", "full", "v0", "v1"],
+             help="the subobject C of I^n"))
+def lab_open_box(s: Settings, a):
     """Build an open box and report its levelwise cell counts."""
-    D = CONFIG.dim
-    z = _parse_map(zeta, n, k, "zeta")
-    C = {"empty": sub_empty, "full": sub_full,
-         "v0": lambda a, b: sub_vertex(a, b, 0),
-         "v1": lambda a, b: sub_vertex(a, b, 1)}[sub](n, D)
+    D, n, k = s.dim, a.n, a.k
+    z = _parse_map(a.zeta, n, k, "zeta")
+    C = (sub_empty(n, D) if a.sub == "empty" else sub_full(n, D)
+         if a.sub == "full" else sub_vertex(n, D, int(a.sub[1])))
     dom, amb = _usage_on_value_error(build_open_box, n, k, C, index(z), D)
     inj = all(set(dom.levels[d]) <= set(amb.levels[d]) for d in range(D + 1))
-    _emit({"operation": "open-box",
-           "inputs": {"n": n, "k": k, "zeta": list(z.table), "sub": sub},
-           "bounds": {"D": D},
-           "cell-counts": {"domain": dom.level_sizes(),
-                           "ambient": amb.level_sizes()},
-           "result": {"levelwise-injective": inj}},
-          human=f"dom {dom.level_sizes()} in amb {amb.level_sizes()}")
+    s.emit({"operation": "open-box",
+            "inputs": {"n": n, "k": k, "zeta": list(z.table), "sub": a.sub},
+            "bounds": {"D": D},
+            "cell-counts": {"domain": dom.level_sizes(),
+                            "ambient": amb.level_sizes()},
+            "result": {"levelwise-injective": inj}},
+           human=f"dom {dom.level_sizes()} in amb {amb.level_sizes()}")
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """eqctt: equivariant cartesian cubical type checker and cube lab.
+
+    Runs one invocation on ``args`` (by default the process's arguments)
+    with its own supply of fresh names.  A usage error exits 2 with an
+    ``Error:`` line on stderr; without ``standalone_mode`` it raises
+    ``UsageError`` instead."""
+    try:
+        flags = PARSER.parse_args(args)
+        settings = Settings(flags)
+        reset_fresh()
+        flags.run(settings, flags)
+    except UsageError as e:
+        if not standalone_mode:
+            raise
+        print(f"Error: {e}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ is built only to parse, print and factor maps.
 from __future__ import annotations
 
 import itertools
+import math
 
 
 class TableMap:
@@ -172,17 +173,20 @@ def map_of(number: int, bound: int = 16) -> tuple[int, int, int]:
 
 class GroupAction:
     """A subgroup of Sigma_n given by its permutations of {1..n}, checked
-    to be closed under identity, inverses and composition."""
+    to be closed under identity, inverses and composition; n! distinct ones
+    are all of Sigma_n, so only a proper subset has its pairs composed."""
     __slots__ = ("n", "perms")
 
     def __init__(self, n: int, perms: tuple[tuple[int, ...], ...]):
         members = frozenset(perms)
         ident = tuple(range(1, n + 1))
-        if ident not in members or any(
+        if any(sorted(p) != list(ident) for p in members):
+            raise ValueError(f"a member is not a permutation of 1..{n}")
+        if len(members) < math.factorial(n) and (ident not in members or any(
                 tuple(sorted(ident, key=lambda j: p[j - 1])) not in members
                 or any(tuple(p[i - 1] for i in q) not in members
                        for q in perms)
-                for p in perms):
+                for p in perms)):
             raise ValueError("the permutations are not a group")
         self.n, self.perms = n, perms
 

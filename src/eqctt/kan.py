@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import Callable
 
 from . import cof
-from .semantics import (KernelError, Value, VNe, VPair, VPathT, VPi, VPLam,
-                        VSigma, VU, VLam, do_app, do_fst, do_papp, do_snd,
-                        make_stuck)
+from .semantics import (Env, KernelError, Value, VNe, VPair, VPathT, VPi,
+                        VPLam, VSigma, VU, VLam, do_app, do_fst, do_papp,
+                        do_snd, make_stuck)
 from .syntax import CEq, Cof, I0, I1, IVar, Interval, fresh
 
 
@@ -35,64 +35,51 @@ class CompProblem:
         self.target, self.tube, self.cap = target, tube, cap
 
 
-def comp_eval(p: CompProblem, hyps: tuple[Cof, ...] = ()) -> Value:
+def comp_eval(p: CompProblem, env: Env) -> Value:
     for guard, branch in p.tube:
-        if cof.entails(hyps, guard):
+        if cof.entails(env.hyps, guard):
             return branch(*p.target)
-    if all(cof.interval_eq(hyps, r, s) for r, s in zip(p.source, p.target)):
+    if all(cof.interval_eq(env.hyps, r, s) for r, s in zip(p.source, p.target)):
         return p.cap
     generic = tuple(IVar(fresh(d)) for d in p.dirs)
     head = p.line(*generic)
     match head:
         case VPi():
-            return _comp_pi(p, hyps, head.hint)
+            return _comp_pi(p, env, head.hint)
         case VSigma():
-            return _comp_sigma(p, hyps)
+            return _comp_sigma(p, env)
         case VPathT():
-            return _comp_path(p, hyps, head.hint)
+            return _comp_path(p, env, head.hint)
         case VU() | VNe():
-            return make_stuck(p.dirs, p.line, p.source, p.target, p.tube,
-                              p.cap, hyps)
+            return make_stuck(p, env)
     raise KernelError(f"comp at a non-type head {head!r}")
 
 
-def transport(dirs, line, source, target, cap: Value,
-              hyps: tuple[Cof, ...] = ()) -> Value:
+def transport(dirs, line, source, target, cap: Value, env: Env) -> Value:
     """comp restricted to the partial section with the false cofibration."""
-    return comp_eval(CompProblem(dirs, line, source, target, (), cap), hyps)
+    return comp_eval(CompProblem(dirs, line, source, target, (), cap), env)
 
 
-def _as_pi(v: Value) -> VPi:
-    if not isinstance(v, VPi):
-        raise KernelError("Pi dispatch on a non-Pi line")
+def _as(kind: type, v: Value):
+    """The line's value ``v``, which comp dispatched on as a ``kind``."""
+    if not isinstance(v, kind):
+        raise KernelError(f"{kind.__name__} dispatch on another head")
     return v
 
 
-def _as_sigma(v: Value) -> VSigma:
-    if not isinstance(v, VSigma):
-        raise KernelError("Sigma dispatch on a non-Sigma line")
-    return v
-
-
-def _as_path(v: Value) -> VPathT:
-    if not isinstance(v, VPathT):
-        raise KernelError("Path dispatch on a non-Path line")
-    return v
-
-
-def _comp_pi(p: CompProblem, hyps, hint: str) -> Value:
+def _comp_pi(p: CompProblem, env: Env, hint: str) -> Value:
     """Frobenius: apply to an argument at the target, transport it backwards
     along the domain line, compose in the codomain family over that section."""
     def dom_line(*ivs):
-        return _as_pi(p.line(*ivs)).dom
+        return _as(VPi, p.line(*ivs)).dom
 
     def result(a_s: Value) -> Value:
         def a_tilde(*ivs):
             # section through a_s over the target tuple
-            return transport(p.dirs, dom_line, p.target, ivs, a_s, hyps)
+            return transport(p.dirs, dom_line, p.target, ivs, a_s, env)
 
         def cod_line(*ivs):
-            return _as_pi(p.line(*ivs)).cod(a_tilde(*ivs))
+            return _as(VPi, p.line(*ivs)).cod(a_tilde(*ivs))
 
         tube = tuple(
             (g, (lambda *ivs, _u=u: do_app(_u(*ivs), a_tilde(*ivs))))
@@ -100,15 +87,15 @@ def _comp_pi(p: CompProblem, hyps, hint: str) -> Value:
         cap = do_app(p.cap, a_tilde(*p.source))
         return comp_eval(
             CompProblem(p.dirs, cod_line, p.source, p.target, tube, cap),
-            hyps)
+            env)
 
     return VLam(result, hint)
 
 
-def _comp_sigma(p: CompProblem, hyps) -> Value:
+def _comp_sigma(p: CompProblem, env: Env) -> Value:
     """Fill the first component, compose the second over the filler."""
     def dom_line(*ivs):
-        return _as_sigma(p.line(*ivs)).dom
+        return _as(VSigma, p.line(*ivs)).dom
 
     fst_tube = tuple(
         (g, (lambda *ivs, _u=u: do_fst(_u(*ivs)))) for g, u in p.tube)
@@ -117,10 +104,10 @@ def _comp_sigma(p: CompProblem, hyps) -> Value:
         return comp_eval(
             CompProblem(p.dirs, dom_line, p.source, ivs, fst_tube,
                         do_fst(p.cap)),
-            hyps)
+            env)
 
     def cod_line(*ivs):
-        return _as_sigma(p.line(*ivs)).cod(w(*ivs))
+        return _as(VSigma, p.line(*ivs)).cod(w(*ivs))
 
     snd_tube = tuple(
         (g, (lambda *ivs, _u=u: do_snd(_u(*ivs)))) for g, u in p.tube)
@@ -128,26 +115,26 @@ def _comp_sigma(p: CompProblem, hyps) -> Value:
     c2 = comp_eval(
         CompProblem(p.dirs, cod_line, p.source, p.target, snd_tube,
                     do_snd(p.cap)),
-        hyps)
+        env)
     return VPair(c1, c2)
 
 
-def _comp_path(p: CompProblem, hyps, hint: str) -> Value:
+def _comp_path(p: CompProblem, env: Env, hint: str) -> Value:
     """Extension-type composition: the endpoint constraints join the tube."""
     def result(jv: Interval) -> Value:
         def line(*ivs):
-            return _as_path(p.line(*ivs)).line(jv)
+            return _as(VPathT, p.line(*ivs)).line(jv)
 
         tube = tuple(
             (g, (lambda *ivs, _u=u: do_papp(_u(*ivs), jv)))
             for g, u in p.tube)
         extra = (
-            (CEq(jv, I0), lambda *ivs: _as_path(p.line(*ivs)).left),
-            (CEq(jv, I1), lambda *ivs: _as_path(p.line(*ivs)).right),
+            (CEq(jv, I0), lambda *ivs: _as(VPathT, p.line(*ivs)).left),
+            (CEq(jv, I1), lambda *ivs: _as(VPathT, p.line(*ivs)).right),
         )
         cap = do_papp(p.cap, jv)
         return comp_eval(
             CompProblem(p.dirs, line, p.source, p.target, tube + extra, cap),
-            hyps)
+            env)
 
     return VPLam(result, hint)

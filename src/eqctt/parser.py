@@ -133,6 +133,13 @@ class Parser:
             raise SyntaxError_(f"expected {text!r}, found {t[1]!r}", t[2])
         return self.next()
 
+    def idents(self) -> list[str]:
+        """One identifier or more, as binders are written."""
+        names = [self.expect("ident")[1]]
+        while self.peek()[0] == "ident":
+            names.append(self.next()[1])
+        return names
+
     def at_sym(self, text: str) -> bool:
         return self.peek()[1] == text and self.peek()[0] in ("sym", "arrow", "squig")
 
@@ -190,9 +197,9 @@ class Parser:
         self.deeper(1)  # as ``nested`` would, with one stack frame less
         t = self.peek()
         if t[0] == "lam":
-            out = self.parse_lambda()
+            out = self.parse_binders(Lam, ".")
         elif t[1] == "<":
-            out = self.parse_plam()
+            out = self.parse_binders(PLam, ">")
         elif t[0] == "let":
             out = self.parse_let()
         elif t[0] == "comp":
@@ -202,26 +209,15 @@ class Parser:
         self.deeper(-1)
         return out
 
-    def parse_lambda(self) -> Term:
-        pos = self.expect("lam")[2]
-        names = [self.expect("ident")[1]]
-        while self.peek()[0] == "ident":
-            names.append(self.next()[1])
-        self.expect_sym(".")
+    def parse_binders(self, node, close: str) -> Term:
+        """``\\x y. t`` or ``<i j> t``: one ``node`` per name, the first
+        outermost; the opening token is the current one."""
+        pos = self.next()[2]
+        names = self.idents()
+        self.expect_sym(close)
         body = self.parse_term()
         for x in reversed(names):
-            body = Lam(x, body).at(pos)
-        return body
-
-    def parse_plam(self) -> Term:
-        pos = self.expect_sym("<")[2]
-        names = [self.expect("ident")[1]]
-        while self.peek()[0] == "ident":
-            names.append(self.next()[1])
-        self.expect_sym(">")
-        body = self.parse_term()
-        for x in reversed(names):
-            body = PLam(x, body).at(pos)
+            body = node(x, body).at(pos)
         return body
 
     def parse_let(self) -> Term:
@@ -244,9 +240,7 @@ class Parser:
             raise SyntaxError_("comp requires at least one direction (k >= 1)",
                                ktok[2])
         self.expect_sym("(")
-        dirs = [self.expect("ident")[1]]
-        while self.peek()[0] == "ident":
-            dirs.append(self.next()[1])
+        dirs = self.idents()
         if len(dirs) != k:
             raise SyntaxError_(f"comp^{k} binds {k} directions, found {len(dirs)}",
                                ktok[2])
@@ -272,9 +266,7 @@ class Parser:
         guard = self.parse_cof()
         self.expect("arrow")
         pos = self.peek()[2]
-        dirs = [self.expect("ident")[1]]
-        while self.peek()[0] == "ident":
-            dirs.append(self.next()[1])
+        dirs = self.idents()
         if len(dirs) != k:
             raise SyntaxError_(f"tube branch must bind {k} directions, found {len(dirs)}",
                                pos)
@@ -307,9 +299,7 @@ class Parser:
     def parse_arrow(self) -> Term:
         if self._binder_group_ahead():
             pos = self.expect_sym("(")[2]
-            names = [self.expect("ident")[1]]
-            while self.peek()[0] == "ident":
-                names.append(self.next()[1])
+            names = self.idents()
             self.expect_sym(":")
             dom = self.parse_term()
             self.expect_sym(")")
@@ -404,24 +394,18 @@ class Parser:
     def parse_module(self) -> list[S.Decl]:
         decls: list[S.Decl] = []
         while self.peek()[0] != "eof":
-            t = self.peek()
-            if t[0] == "def":
-                self.next()
-                name = self.expect("ident")[1]
-                self.expect_sym(":")
-                ty = self.parse_term()
-                self.expect_sym("=")
-                body = self.parse_term()
-                decls.append(Def(name, ty, body, pos=t[2]))
-            elif t[0] == "postulate":
-                self.next()
-                name = self.expect("ident")[1]
-                self.expect_sym(":")
-                ty = self.parse_term()
-                decls.append(Postulate(name, ty, pos=t[2]))
-            else:
+            t = self.next()
+            if t[0] not in ("def", "postulate"):
                 raise SyntaxError_(
                     f"expected 'def' or 'postulate', found {t[1]!r}", t[2])
+            name = self.expect("ident")[1]
+            self.expect_sym(":")
+            ty = self.parse_term()
+            if t[0] == "postulate":
+                decls.append(Postulate(name, ty, pos=t[2]))
+                continue
+            self.expect_sym("=")
+            decls.append(Def(name, ty, self.parse_term(), pos=t[2]))
         return decls
 
     def finish(self):

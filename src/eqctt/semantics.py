@@ -27,15 +27,18 @@ before it (the suffix rule).
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 from typing import Callable, Optional
 
 from . import cof
-from .config import CONFIG
 from .syntax import (Branch, Cof, Comp, Fst, I0, I1, IVar, Interval, Lam,
                      Let, Pair, PApp, PathT, Pi, PLam, Sigma, Snd, Term, U,
                      Var, App, alpha_eq, fresh, subst_cof,
                      subst_interval, interval_key, term_key)
+
+
+K_MAX = 4  # the default bound on the directions of a stuck comp
 
 
 class KernelError(Exception):
@@ -176,23 +179,25 @@ def neutral_var(name: str, ty: Optional[Value]) -> VNe:
 # environments and contexts
 
 class Env:
-    __slots__ = ("terms", "ivals", "hyps")
+    """Variable values, restrictions, and ``k_max``, the stuck-comp bound."""
+    __slots__ = ("terms", "ivals", "hyps", "k_max")
 
     def __init__(self, terms: dict[str, Value] | None = None,
                  ivals: dict[str, Interval] | None = None,
-                 hyps: tuple[Cof, ...] = ()):
+                 hyps: tuple[Cof, ...] = (), k_max: float = K_MAX):
         self.terms = {} if terms is None else terms
         self.ivals = {} if ivals is None else ivals
-        self.hyps = hyps
+        self.hyps, self.k_max = hyps, k_max
 
     def bind_term(self, x: str, v: Value) -> "Env":
-        return Env({**self.terms, x: v}, self.ivals, self.hyps)
+        return Env({**self.terms, x: v}, self.ivals, self.hyps, self.k_max)
 
     def bind_ivars(self, xs: tuple[str, ...], rs: tuple[Interval, ...]) -> "Env":
-        return Env(self.terms, {**self.ivals, **dict(zip(xs, rs))}, self.hyps)
+        return Env(self.terms, {**self.ivals, **dict(zip(xs, rs))}, self.hyps,
+                   self.k_max)
 
     def with_hyp(self, phi: Cof) -> "Env":
-        return Env(self.terms, self.ivals, self.hyps + (phi,))
+        return Env(self.terms, self.ivals, self.hyps + (phi,), self.k_max)
 
 
 class TermBind:
@@ -249,7 +254,9 @@ class Context:
         substitution and the types of term variables are reindexed along it.
         A type mentions only variables bound before it, so only the types
         after the first interval variable that ``assign`` moves are
-        reindexed; every earlier one is kept as it is.
+        reindexed; every earlier one is kept as it is.  It evaluates
+        readbacks again, whose stuck comps ``make_stuck`` bounded when it
+        built them, so it bounds none.
         """
         assign = assign or {}
         terms: dict[str, Value] = {}
@@ -264,12 +271,12 @@ class Context:
             elif isinstance(e, TermBind):
                 ty = e.ty
                 if moved:
-                    ty = eval_term(Env(dict(terms), dict(ivals), tuple(hyps)),
-                                   quote_type(ty))
+                    ty = eval_term(Env(dict(terms), dict(ivals), tuple(hyps),
+                                       math.inf), quote_type(ty))
                 terms[e.name] = neutral_var(e.name, ty)
             else:
                 hyps.append(subst_cof(e.cof, assign) if assign else e.cof)
-        return Env(terms, ivals, tuple(hyps))
+        return Env(terms, ivals, tuple(hyps), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +392,7 @@ def eval_term(env: Env, t: Term) -> Value:
                 target=tuple(eval_interval(env, r) for r in tgt),
                 tube=tuple(tube_cl),
                 cap=eval_term(env, cap))
-            return kan.comp_eval(problem, env.hyps)
+            return kan.comp_eval(problem, env)
     raise TypeError(t)
 
 
@@ -448,15 +455,12 @@ def quote_ne(ne: Ne) -> tuple[Term, Optional[Value]]:
             if not isinstance(ty, VPi):
                 raise KernelError("application head is not a Pi")
             return App(t, quote(ty.dom, arg)), ty.cod(arg)
-        case NFst(inner):
+        case NFst(inner) | NSnd(inner):
             t, ty = quote_ne(inner)
             if not isinstance(ty, VSigma):
                 raise KernelError("projection head is not a Sigma")
-            return Fst(t), ty.dom
-        case NSnd(inner):
-            t, ty = quote_ne(inner)
-            if not isinstance(ty, VSigma):
-                raise KernelError("projection head is not a Sigma")
+            if isinstance(ne, NFst):
+                return Fst(t), ty.dom
             return Snd(t), ty.cod(do_fst(VNe(inner, ty)))
         case NPApp(fn, r):
             t, ty = quote_ne(fn)
@@ -521,8 +525,6 @@ def canonicalize_stuck_comp(c: Comp) -> Comp:
     found wins.
     """
     k = len(c.dirs)
-    if k > CONFIG.k_max:
-        raise PermutationBoundExceeded(k, CONFIG.k_max)
     if k == 1:
         return c
 
@@ -550,20 +552,21 @@ def canonicalize_stuck_comp(c: Comp) -> Comp:
                 for seq in itertools.product(*choices)), key=term_key)
 
 
-def make_stuck(dirs, line, source, target, tube, cap, hyps) -> VNe:
+def make_stuck(p: kan.CompProblem, env: Env) -> VNe:
     """A stuck comp, read back the first time its term is read.  The bound
-    on k is checked here, when the comp is built."""
-    if len(dirs) > CONFIG.k_max:
-        raise PermutationBoundExceeded(len(dirs), CONFIG.k_max)
+    on k, ``env.k_max``, is checked here and only here, when it is built."""
+    if len(p.dirs) > env.k_max:
+        raise PermutationBoundExceeded(len(p.dirs), env.k_max)
 
     def read() -> Comp:
         # branches whose guard is inconsistent with the restrictions are
         # pruned, and the readback is the least member of its orbit
-        live = tuple((g, u) for g, u in tube if cof.satisfiable_with(hyps, g))
+        live = tuple((g, u) for g, u in p.tube
+                     if cof.satisfiable_with(env.hyps, g))
         return canonicalize_stuck_comp(
-            quote_ncomp(dirs, line, source, target, live, cap))
+            quote_ncomp(p.dirs, p.line, p.source, p.target, live, p.cap))
 
-    ty = line(*target)
+    ty = p.line(*p.target)
     return VNe(NComp(read, ty), ty)
 
 
@@ -638,19 +641,14 @@ def neutrals_equal(n1: Ne, n2: Ne) -> tuple[bool, Optional[Value]]:
             if not isinstance(ty, VPi):
                 raise KernelError("application head is not a Pi")
             return values_equal(ty.dom, arg, n2.arg), ty.cod(arg)
-        case NFst(inner) if isinstance(n2, NFst):
+        case NFst(inner) | NSnd(inner) if type(n2) is type(n1):
             eq, ty = neutrals_equal(inner, n2.arg)
             if not eq:
                 return False, None
             if not isinstance(ty, VSigma):
                 raise KernelError("projection head is not a Sigma")
-            return True, ty.dom
-        case NSnd(inner) if isinstance(n2, NSnd):
-            eq, ty = neutrals_equal(inner, n2.arg)
-            if not eq:
-                return False, None
-            if not isinstance(ty, VSigma):
-                raise KernelError("projection head is not a Sigma")
+            if isinstance(n1, NFst):
+                return True, ty.dom
             return True, ty.cod(do_fst(VNe(inner, ty)))
         case NPApp(fn, r) if isinstance(n2, NPApp):
             eq, ty = neutrals_equal(fn, n2.fn)

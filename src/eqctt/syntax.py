@@ -313,6 +313,13 @@ def fresh(hint: str = "x") -> str:
     return f"{base}%{next(_counter)}"
 
 
+def reset_fresh() -> None:
+    """Start the fresh names again, as each command-line invocation does, so
+    that its output does not depend on what ran before it in the process."""
+    global _counter
+    _counter = itertools.count()
+
+
 # ---------------------------------------------------------------------------
 # free variables
 

@@ -15,9 +15,9 @@ from typing import Optional
 
 from . import cof
 from .printer import print_cof, print_term
-from .semantics import (Context, Env, PermutationBoundExceeded, TermBind,
-                        Value, VU, VPi, VSigma, VPathT, KernelError, convert,
-                        eval_cof, eval_interval, eval_term,
+from .semantics import (K_MAX, Context, Env, PermutationBoundExceeded,
+                        TermBind, Value, VU, VPi, VSigma, VPathT, KernelError,
+                        convert, eval_cof, eval_interval, eval_term,
                         neutral_var, quote, quote_type)
 from .syntax import (Branch, Comp, Decl, Def, Fst, I0, I1, IVar, Interval,
                      Lam, Let, Pair, PApp, PathT, Pi, PLam, Pos, Sigma, Snd,
@@ -167,17 +167,13 @@ class Checker:
                           expected="a function type", actual=_show_type(fty))
                 self.check(sc, a, fty.dom)
                 return fty.cod(eval_term(sc.env, a))
-            case Fst(p):
+            case Fst(p) | Snd(p):
                 pty = self.infer(sc, p)
                 if not isinstance(pty, VSigma):
                     _fail(MISMATCH, "projection from a non-pair", t.pos,
                           expected="a pair type", actual=_show_type(pty))
-                return pty.dom
-            case Snd(p):
-                pty = self.infer(sc, p)
-                if not isinstance(pty, VSigma):
-                    _fail(MISMATCH, "projection from a non-pair", t.pos,
-                          expected="a pair type", actual=_show_type(pty))
+                if isinstance(t, Fst):
+                    return pty.dom
                 return pty.cod(eval_term(sc.env, Fst(p)))
             case PApp(f, r):
                 rv = self._check_interval(sc, r, t.pos)
@@ -380,8 +376,9 @@ class CheckedModule:
         self.types = types
 
 
-def check_module(decls: list[Decl]) -> CheckedModule:
-    scope = Scope()
+def check_module(decls: list[Decl], k_max: int = K_MAX) -> CheckedModule:
+    """Check each declaration in turn; ``k_max`` bounds every stuck comp."""
+    scope = Scope(env=Env(k_max=k_max))
     report = Report()
     values: dict[str, Value] = {}
     types: dict[str, Value] = {}

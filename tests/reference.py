@@ -273,11 +273,11 @@ def convert_by_readback(ctx: Context, ty, v1, v2) -> bool:
 
 
 def fill_derive(p: CompProblem, fresh_dirs: tuple[str, ...],
-                hyps=()):
+                env: Env = Env()):
     """Unbiased filling: comp toward a tuple of fresh variables."""
     return comp_eval(CompProblem(p.dirs, p.line, p.source,
                                  tuple(IVar(j) for j in fresh_dirs), p.tube,
-                                 p.cap), hyps)
+                                 p.cap), env)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 import pytest
-from click.testing import CliRunner
-from conftest import cell
+from conftest import cell, run_cli
 
-from eqctt.cli import main
 from eqctt.cubelab.boxes import (PresheafMap, _product, _xi,
                                  check_equivariant_lifting,
                                  close_cells, enumerate_natural_maps,
@@ -263,9 +261,8 @@ def test_budget_bound_for_subobjects_of_cube3():
     for c in edges:
         assert set(close_cells(X, {1: {c}})[1]) & set(edges) == {c}
     assert 2 ** 19 > 500_000
-    r = CliRunner().invoke(main, ["--json", "--dim", "4", "lab", "lift-check",
-                                  "--map", "1->1", "--nmax", "3",
-                                  "--kmax", "1"])
+    r = run_cli("--json", "--dim", "4", "lab", "lift-check", "--map", "1->1",
+                "--nmax", "3", "--kmax", "1")
     assert r.exit_code == 3 and "budget" in r.stdout
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -235,3 +236,18 @@ def test_ez_exhaustive_small():
                 if not is_iso(m):
                     assert m.dom < m.cod
                 assert e.cod <= e.dom
+
+
+def test_a_member_that_is_no_permutation_is_refused():
+    with pytest.raises(ValueError):
+        GroupAction(2, ((1, 2), (1, 3)))
+    with pytest.raises(ValueError):
+        GroupAction(2, ((1, 2), (1,)))
+
+
+def test_all_of_sigma_n_is_accepted_as_a_group():
+    # n! distinct permutations are the symmetric group, in any order
+    perms = tuple(itertools.permutations(range(1, 5)))[::-1]
+    assert GroupAction(4, perms).perms == perms
+    with pytest.raises(ValueError):
+        GroupAction(4, perms[1:])

@@ -20,9 +20,9 @@ import re
 import tempfile
 
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 
-from eqctt.cli import main
+from eqctt.syntax import fresh
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden.json"
@@ -80,14 +80,14 @@ def invocations() -> list[list[str]]:
 
 def _run(args: list[str]) -> dict:
     if args[-1] not in INLINE:
-        r = CliRunner().invoke(main, args)
+        r = run_cli(*args)
         return {"exit_code": r.exit_code, "stdout": r.stdout}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         pathlib.Path(tmp, args[-1]).write_text(INLINE[args[-1]])
         os.chdir(tmp)
         try:
-            r = CliRunner().invoke(main, args)
+            r = run_cli(*args)
         finally:
             os.chdir(cwd)
     return {"exit_code": r.exit_code, "stdout": r.stdout}
@@ -103,6 +103,18 @@ def golden() -> dict:
 def test_golden_output(golden, monkeypatch, args):
     monkeypatch.chdir(ROOT)
     assert _run(args) == golden[" ".join(args)]
+
+
+@pytest.mark.parametrize("burnt", [9, 99, 999])
+def test_golden_outputs_do_not_depend_on_what_ran_before(golden, monkeypatch,
+                                                         burnt):
+    # every invocation again, in reverse order, each after ``burnt`` fresh
+    # names were made
+    monkeypatch.chdir(ROOT)
+    for args in reversed(invocations()):
+        for _ in range(burnt):
+            fresh()
+        assert _run(args) == golden[" ".join(args)], args
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
 """Every imported name is read: a name imported into a module of the
 package or of the tests and never read there fails this test.  Names in a
 module's ``__all__`` count as read (re-exports), and ``from __future__``
-imports are exempt.  No module of the package imports ``dataclasses``."""
+imports are exempt.  No module of the package imports ``dataclasses``, and
+importing the command line loads nothing outside the standard library."""
 
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -63,3 +67,15 @@ def test_no_module_imports_dataclasses():
             if "dataclasses" in names:
                 importers.append(str(path.relative_to(ROOT)))
     assert importers == []
+
+
+def test_the_command_line_imports_only_the_standard_library():
+    """A dependency would add its import to the set-up of every run."""
+    code = ("import sys; before = set(sys.modules); import eqctt.cli; "
+            "print('\\n'.join(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    loaded = {name.split(".")[0] for name in out.stdout.split()}
+    assert "eqctt" in loaded
+    assert loaded - {"eqctt"} <= sys.stdlib_module_names

@@ -4,7 +4,7 @@ import pytest
 
 from eqctt.kan import CompProblem, comp_eval, transport
 from eqctt.parser import Parser, parse_module
-from eqctt.semantics import (NComp, VNe, VPair, VPLam, convert, do_app,
+from eqctt.semantics import (Env, NComp, VNe, VPair, VPLam, convert, do_app,
                              do_fst, do_papp, eval_term)
 from eqctt.syntax import CEq, I0, I1, TOP, fresh
 from eqctt.typecheck import Checker, check_module
@@ -43,7 +43,7 @@ def test_guard_top_returns_branch_at_target(sig):
     branch_val = sig.env.terms["b"]
     p = _problem(sig, lambda *ivs: A, (I0,), (I1,),
                  ((TOP, lambda *ivs: branch_val),), sig.env.terms["a"])
-    assert comp_eval(p, ()) is branch_val
+    assert comp_eval(p, Env()) is branch_val
 
 
 def test_source_equals_target_returns_cap(sig):
@@ -51,7 +51,7 @@ def test_source_equals_target_returns_cap(sig):
     cap = sig.env.terms["a"]
     p = _problem(sig, lambda *ivs: A, (I0,), (I0,),
                  ((CEq(I0, I1), lambda *ivs: sig.env.terms["b"]),), cap)
-    assert comp_eval(p, ()) is cap
+    assert comp_eval(p, Env()) is cap
 
 
 def test_degenerate_under_hypotheses(sig):
@@ -61,14 +61,14 @@ def test_degenerate_under_hypotheses(sig):
     A = sig.env.terms["A"]
     cap = sig.env.terms["a"]
     p = _problem(sig, lambda *ivs: A, (iv,), (jv,), (), cap)
-    assert isinstance(comp_eval(p, ()), VNe)
-    assert comp_eval(p, (CEq(iv, jv),)) is cap
+    assert isinstance(comp_eval(p, Env()), VNe)
+    assert comp_eval(p, Env(hyps=(CEq(iv, jv),))) is cap
 
 
 def test_neutral_line_sticks(sig):
     A = sig.env.terms["A"]
     v = comp_eval(_problem(sig, lambda *ivs: A, (I0,), (I1,), (),
-                           sig.env.terms["a"]), ())
+                           sig.env.terms["a"]), Env())
     assert isinstance(v, VNe) and isinstance(v.ne, NComp)
 
 
@@ -76,9 +76,9 @@ def test_transport_is_comp_with_empty_tube(sig):
     A = sig.env.terms["A"]
     cap = sig.env.terms["a"]
     # constant line, equal endpoints: transport returns the cap
-    assert transport(("i",), lambda *ivs: A, (I0,), (I0,), cap) is cap
+    assert transport(("i",), lambda *ivs: A, (I0,), (I0,), cap, Env()) is cap
     # neutral line: stuck
-    v = transport(("i",), lambda *ivs: A, (I0,), (I1,), cap)
+    v = transport(("i",), lambda *ivs: A, (I0,), (I1,), cap, Env())
     assert isinstance(v, VNe)
 
 
@@ -91,7 +91,7 @@ def test_fill_then_substitute_source_gives_cap(sig):
     assert isinstance(filler, VNe)
     # the filler at j := source is the cap: rebuild with target = source
     at_src = comp_eval(CompProblem(p.dirs, p.line, p.source, p.source,
-                                   p.tube, p.cap), ())
+                                   p.tube, p.cap), Env())
     assert at_src is cap
 
 
@@ -138,7 +138,8 @@ def test_comp_sigma_first_component_is_transport(sig):
     v = eval_term(sig.env, t)
     assert isinstance(v, VPair)
     A = sig.env.terms["A"]
-    tr = transport(("i",), lambda *ivs: A, (I0,), (I1,), sig.env.terms["a"])
+    tr = transport(("i",), lambda *ivs: A, (I0,), (I1,), sig.env.terms["a"],
+                   Env())
     assert convert(sig.ctx, sig.types["A"], do_fst(v), tr)
 
 

@@ -1,13 +1,10 @@
-import contextlib
 import itertools
 import re
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
-from eqctt import config, semantics, typecheck
-from eqctt.cli import main
+from eqctt import semantics, typecheck
 from eqctt.parser import Parser, parse_module, parse_term
 from eqctt.printer import print_term
 from eqctt.semantics import (NComp, PermutationBoundExceeded, VNe, VU,
@@ -19,7 +16,7 @@ from eqctt.typecheck import Checker, check_module
 
 import reference
 from reference import cof_and, cof_or
-from conftest import CORPUS, corpus_files
+from conftest import CORPUS, corpus_files, run_cli
 from test_acceptance import _corpus_comps, _sigma_transform_ast
 
 
@@ -133,20 +130,18 @@ def test_canonicalize_idempotent(sig):
     assert term_key(c) == term_key(again)
 
 
-@contextlib.contextmanager
-def _k_max(k: int):
-    old = config.CONFIG.k_max
-    config.CONFIG.k_max = k
-    try:
-        yield
-    finally:
-        config.CONFIG.k_max = old
+COMP5 = "comp^5 (i j k l m. A) [] a : (0,0,0,0,0) ~> (1,1,1,1,1)"
 
 
 def test_permutation_bound(sig):
-    with _k_max(4), pytest.raises(PermutationBoundExceeded):
-        comp_value(sig,
-                   "comp^5 (i j k l m. A) [] a : (0,0,0,0,0) ~> (1,1,1,1,1)")
+    # the bound is the checked module's: 4 by default
+    with pytest.raises(PermutationBoundExceeded):
+        comp_value(sig, COMP5)
+    wide = check_module(parse_module(SIG), k_max=5).scope
+    assert isinstance(comp_value(wide, COMP5), VNe)
+    with pytest.raises(PermutationBoundExceeded):
+        comp_value(check_module(parse_module(SIG), k_max=2).scope,
+                   "comp^3 (i j k. A) [] a : (0,0,0) ~> (1,1,1)")
 
 
 def _least_in_orbit(c: Comp) -> Comp:
@@ -213,22 +208,20 @@ def _stuck_comps(draw, nested: bool):
 def test_canonical_form_is_the_least_readback(c):
     # no cofibration in the line mentions a direction: the signature order
     # finds the least of the k! readbacks
-    with _k_max(5):
-        assert (term_key(canonicalize_stuck_comp(c))
-                == term_key(_least_in_orbit(c)))
+    assert (term_key(canonicalize_stuck_comp(c))
+            == term_key(_least_in_orbit(c)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_stuck_comps(nested=True))
 def test_canonical_form_is_an_orbit_invariant(c):
-    with _k_max(5):
-        key = term_key(canonicalize_stuck_comp(c))
-        orbit = [sigma_transform(c, perm)
-                 for perm in itertools.permutations(range(len(c.dirs)))]
-        assert key in {term_key(d) for d in orbit}
-        assert all(term_key(canonicalize_stuck_comp(d)) == key for d in orbit)
-        assert term_key(canonicalize_stuck_comp(
-            canonicalize_stuck_comp(c))) == key
+    key = term_key(canonicalize_stuck_comp(c))
+    orbit = [sigma_transform(c, perm)
+             for perm in itertools.permutations(range(len(c.dirs)))]
+    assert key in {term_key(d) for d in orbit}
+    assert all(term_key(canonicalize_stuck_comp(d)) == key for d in orbit)
+    assert term_key(canonicalize_stuck_comp(
+        canonicalize_stuck_comp(c))) == key
 
 
 @pytest.mark.parametrize("ends", [("0,0,0,0,0,0,0", "1,1,1,1,1,1,1"),
@@ -242,14 +235,12 @@ def test_comp7_builds_at_most_seven_candidates(tmp_path, monkeypatch, ends):
         return sigma_transform(c, perm)
 
     monkeypatch.setattr(semantics, "sigma_transform", counted)
-    monkeypatch.setattr(config.CONFIG, "k_max", config.CONFIG.k_max)
     p = tmp_path / "comp7.ectt"
     p.write_text("postulate A : U0\npostulate a : A\n"
                  "def c : A = comp^7 (d1 d2 d3 d4 d5 d6 d7. A) [] a"
                  f" : ({ends[0]}) ~> ({ends[1]})\n")
     # checking never reads the comp back; normalizing it does
-    r = CliRunner().invoke(main, ["--kmax", "7", "normalize", str(p),
-                                  "--def", "c"])
+    r = run_cli("--kmax", "7", "normalize", str(p), "--def", "c")
     assert r.exit_code == 0, r.output
     assert 0 < len(built) <= 7
 
@@ -718,9 +709,8 @@ def test_convert_agrees_with_readback_on_values(value_scope, pair):
         t = Parser(src).parse_term()
         Checker().check(sc, t, ty)
         vs.append(eval_term(sc.env, t))
-    with _k_max(4):
-        assert convert(sc.ctx, ty, *vs) == reference.convert_by_readback(
-            sc.ctx, ty, *vs)
+    assert convert(sc.ctx, ty, *vs) == reference.convert_by_readback(
+        sc.ctx, ty, *vs)
 
 
 UNREAD_COMP = """postulate A : U0
@@ -745,7 +735,6 @@ def test_a_stuck_comp_no_conversion_reads_is_not_canonicalized(
     monkeypatch.undo()
     p = tmp_path / "c.ectt"
     p.write_text(UNREAD_COMP)
-    r = CliRunner().invoke(main, ["--kmax", "4", "normalize", str(p),
-                                  "--def", "c"])
+    r = run_cli("--kmax", "4", "normalize", str(p), "--def", "c")
     assert r.exit_code == 0, r.output
     assert r.output == "comp^3 (d2 d3 d1. A) [] a : (0, 0, 1) ~> (1, 1, 0)\n"
