@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cache
 
 
 class TableMap:
@@ -225,21 +226,11 @@ def ez_factor(f: CubeMap) -> tuple[CubeMap, CubeMap]:
         return f, cube_identity(f.cod)
     image_mids = sorted({v for v in f.table[1:-1] if 1 <= v <= f.dom})
     d = len(image_mids)
-    # epi e: I^m -> I^d, dual to the inclusion <d> -> <m>
-    e = make_cube_map(f.dom, d, tuple(image_mids))
-    # mono m: I^d -> I^n, dual to the corestriction <n> -> <d>
-    position = {v: i + 1 for i, v in enumerate(image_mids)}
-    mono_mids = []
-    for j in range(1, f.cod + 1):
-        v = f.table[j]
-        if v == 0:
-            mono_mids.append(0)
-        elif v == f.dom + 1:
-            mono_mids.append(d + 1)
-        else:
-            mono_mids.append(position[v])
-    m = make_cube_map(d, f.cod, tuple(mono_mids))
-    return e, m
+    position = {0: 0, f.dom + 1: d + 1,
+                **{v: i + 1 for i, v in enumerate(image_mids)}}
+    return (make_cube_map(f.dom, d, tuple(image_mids)),
+            make_cube_map(d, f.cod, tuple(position[v]
+                                          for v in f.table[1:-1])))
 
 
 def find_section(e: CubeMap) -> CubeMap | None:
@@ -269,8 +260,19 @@ def maps(m: int, n: int) -> range:
     return map_numbers(count, m, n)
 
 
-def split_epis(d: int) -> list[int]:
-    """The non-invertible split epis out of I^d: by ``find_section``, the
-    maps to a lower dimension whose middles are distinct axes of <d>."""
-    return [maps(d, d2)[mids_index(d, mids)] for d2 in range(d)
-            for mids in itertools.permutations(range(1, d + 1), d2)]
+@cache
+def generators(b: int) -> tuple[tuple[int, ...], ...]:
+    """The faces and diagonals I^(b-1) -> I^b, which put an endpoint at an
+    axis or repeat one, the projections I^b -> I^(b-1), which drop an axis,
+    and the adjacent axis transpositions of I^b, by number."""
+    ax = range(1, b + 1)
+    lowering = [[e if k == j else k - (k > j) for k in ax]
+                for j in ax for e in (0, b)]
+    lowering += [[j if k == i else k - (k > i) for k in ax]
+                 for i in ax for j in range(1, i)]
+    return tuple(tuple(maps(m, n)[mids_index(m, t)] for t in ts)
+                 for m, n, ts in (
+        (b - 1, b, lowering),
+        (b, b - 1, [[k + (k >= j) for k in range(1, b)] for j in ax]),
+        (b, b, [[k + (k == j) - (k == j + 1) for k in ax]
+                for j in range(1, b)])))

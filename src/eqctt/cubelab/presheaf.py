@@ -4,8 +4,15 @@ A ``FinPresheaf`` over a site gives, for every site morphism between levels
 <= D, the induced function on cells, built when first read.  A site is the
 module of its category, ``cubes`` or ``simplicial``, which provides
 ``maps(a, b)`` (the numbers of the morphisms dom=a -> cod=b, in hom-set
-order), ``count(a, b)`` (how many) and ``split_epis(d)`` (the numbers of
-the non-invertible split epis out of level d).
+order), ``count(a, b)`` (how many) and ``generators(b)``: the numbers of
+the lowering maps b-1 -> b (monos), the raising maps b -> b-1 (split epis)
+and the symmetries of b (involutions).  Both sites are Eilenberg-Zilber
+categories: every map is a mono after a split epi, a mono into b from lower
+factors through a lowering map, a split epi out of b to lower through a
+raising map, and the symmetries generate the automorphisms of b.  So every
+map is a composite of generators, and as presheaf actions are functorial, a
+check that holds on the generators holds on every map; the checks here read
+only those tables.
 
 Site maps and cells are integers: ``action[f]`` is the table of the map
 numbered f, and a cell at level d is its position in ``levels[d]``, that
@@ -160,10 +167,11 @@ def quotient_by_group(X: FinPresheaf, group: GroupAction,
     """Levelwise orbit sets with the induced action; an orbit is labelled
     by its least member.
 
-    ``level_action(perm, d)`` is the table of a permutation on level d; it
-    must permute each level compatibly with the presheaf action, which is
-    verified, as is well-definedness of the induced action.  By default
-    axis permutations act on a representable (``symmetric_level_action``).
+    ``level_action(perm, d)`` is the table of a permutation on level d
+    (by default ``symmetric_level_action``); it must permute each level and
+    commute with the presheaf action, which is checked for every member on
+    the generators of the site.  An induced table is built, and checked to
+    be well defined, when it is first read.
     """
     if level_action is None:
         level_action = symmetric_level_action(X, group.n)
@@ -172,42 +180,37 @@ def quotient_by_group(X: FinPresheaf, group: GroupAction,
     for d, tables in perm.items():
         if any(-1 in t for t in tables):
             raise ValueError(f"group action does not permute level {d}")
-    homs = [(a, b, f) for a in range(X.D + 1) for b in range(X.D + 1)
-            for f in X.site.maps(a, b)]
-    for a, b, f in homs:
-        ft = X.action[f]
-        for pa, pb in zip(perm[a], perm[b]):
-            if gather(ft, pb) != gather(pa, ft):
-                raise ValueError(
-                    "group action is not equivariant for the "
-                    f"presheaf action at map {f} ({a} -> {b})")
+    for f in (f for d in perm for gens in X.site.generators(d) for f in gens):
+        ft, (_, a, b) = X.action[f], map_of(f)
+        if any(gather(ft, pb) != gather(pa, ft)
+               for pa, pb in zip(perm[a], perm[b])):
+            raise ValueError("group action is not equivariant for the "
+                             f"presheaf action at map {f} ({a} -> {b})")
     orbit: dict[int, list[Cell]] = {}  # cell of X -> cell of the quotient
     first: dict[int, list[Cell]] = {}  # cell of the quotient -> of X
     levels: dict[int, tuple[Label, ...]] = {}
     for d, tables in perm.items():
-        rep = [min(t[c] for t in tables) for c in X.cells(d)]
+        rep = list(map(min, zip(*tables)))  # each cell's least image
         number = {r: i for i, r in enumerate(sorted(set(rep)))}
         orbit[d] = [number[r] for r in rep]
         first[d] = list(map(orbit[d].index, range(len(number))))
         levels[d] = tuple(X.levels[d][r] for r in number)
-    induced: dict[int, Table] = {}  # read at first members, checked on all
-    for a, b, f in homs:
-        image = gather(orbit[a], X.action[f])  # by cell of X
-        t = induced[f] = gather(image, first[b])
+
+    def table(a: int, b: int, i: int) -> Table:  # read at first members
+        image = gather(orbit[a], X.action[X.site.maps(a, b)[i]])
+        t = gather(image, first[b])
         if gather(t, orbit[b]) != image:
             raise ValueError("induced action is not well-defined")
-    return build_presheaf(X.site, X.D, levels,
-                          lambda a, b, i: induced[X.site.maps(a, b)[i]])
+        return t
+    return build_presheaf(X.site, X.D, levels, table)
 
 
 # ---------------------------------------------------------------------------
 # degeneracy structure
 
 def nondegenerate(X: FinPresheaf, d: int) -> tuple[Cell, ...]:
-    """Cells at level d not in the image of any non-invertible split epi."""
-    degenerate: set[Cell] = set()
-    for e in X.site.split_epis(d):
-        degenerate.update(X.action[e])
+    """Cells at level d hit by no raising map, so by no split epi to lower."""
+    degenerate = {c for e in X.site.generators(d)[1] for c in X.action[e]}
     return tuple(c for c in X.cells(d) if c not in degenerate)
 
 
@@ -226,78 +229,68 @@ class IsoResult:
 
 def iso_search(X: FinPresheaf, Y: FinPresheaf,
                budget: int = 500_000) -> IsoResult:
-    """Levelwise bijections commuting with every operator, or a refutation.
+    """The least levelwise bijection commuting with every operator, or a
+    refutation.
 
-    Backtracking over levels in ascending order; candidates are pruned by
-    the already-fixed images of all lower-level restrictions.
+    Backtracking over levels in ascending order and over each level's cells
+    in order, reading only the generators: a cell's candidates are the cells
+    with its images under the lowering maps, a cell w.e for a raising map e
+    goes to phi(w).e, and each symmetry is checked on the cells placed.
     """
     if X.site != Y.site or X.D != Y.D:
         return IsoResult(False, reason="site or truncation mismatch")
-    for d in range(X.D + 1):
-        if len(X.levels[d]) != len(Y.levels[d]):
-            return IsoResult(
-                False,
-                reason=f"level-size mismatch at dimension {d}: "
-                       f"{len(X.levels[d])} vs {len(Y.levels[d])}")
-    # per level b: (a, X's table, Y's table) of each map into b from a < b,
-    # the two tables of each endo of b, and Y's cells by their restrictions
-    down = {b: [(a, X.action[f], Y.action[f])
-                for a in range(b) for f in X.site.maps(a, b)]
-            for b in range(X.D + 1)}
-    endo = {b: [(X.action[f], Y.action[f]) for f in X.site.maps(b, b)]
-            for b in range(X.D + 1)}
-    y_by_sig: dict[int, dict[tuple, list[Cell]]] = {b: {} for b in down}
-    for b, by_sig in y_by_sig.items():
+    for d, (m, n) in enumerate(zip(X.level_sizes(), Y.level_sizes())):
+        if m != n:
+            return IsoResult(False, reason="level-size mismatch at "
+                             f"dimension {d}: {m} vs {n}")
+    gens = [[[(X.action[f], Y.action[f]) for f in fs]
+             for fs in X.site.generators(b)] for b in range(X.D + 1)]
+    by_key: list[dict[tuple, list[Cell]]] = [{} for _ in gens]
+    for b, cells in enumerate(by_key):  # Y's cells by lowering images
         for y in Y.cells(b):
-            by_sig.setdefault(tuple(t[y] for _, _, t in down[b]), []).append(y)
-    phi: dict[int, Table] = {}
+            cells.setdefault(tuple(t[y] for _, t in gens[b][0]), []).append(y)
+    phi: list[list[Cell]] = [[]]  # X's cells' images, by level
+    forced: list[dict[Cell, Cell]] = [{}]  # x = w.e goes to phi(w).e
     nodes = 0
 
-    def assign_level(b: int) -> bool:
+    def place(b: int, x: int) -> bool:
         nonlocal nodes
-        if b > X.D:
-            return True
-        cur: list[Cell] = []  # the images of X's cells 0, 1, ... at level b
-        used: set[Cell] = set()
-
-        def consistent(x: Cell, y: Cell) -> bool:
-            for xt, yt in endo[b]:
-                fx = xt[x]
-                if fx < len(cur) and cur[fx] != yt[y]:
-                    return False
-                for x2, y2 in enumerate(cur):
-                    if xt[x2] == x and yt[y2] != y:
+        if x == len(X.levels[b]):  # on to level b + 1
+            if b == X.D:
+                return True
+            below, force = phi[b], {}
+            for xt, yt in gens[b + 1][1]:
+                for w, c in enumerate(xt):
+                    if force.setdefault(c, yt[below[w]]) != yt[below[w]]:
                         return False
-            return True
-
-        def place(x: int) -> bool:
-            nonlocal nodes
-            if x == len(X.levels[b]):
-                phi[b] = tuple(cur)
-                if assign_level(b + 1):
-                    return True
-                del phi[b]
-                return False
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(
-                    f"iso search exceeded budget {budget}")
-            want_sig = tuple(phi[a][xt[x]] for a, xt, _ in down[b])
-            for y in y_by_sig[b].get(want_sig, []):
-                if y in used or not consistent(x, y):
-                    continue
-                cur.append(y)
-                used.add(y)
-                if place(x + 1):
-                    return True
-                cur.pop()
-                used.discard(y)
+            phi.append([])
+            forced.append(force)
+            if place(b + 1, 0):
+                return True
+            del phi[-1], forced[-1]
             return False
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"iso search exceeded budget {budget}")
+        (lowering, _, symmetries), cur = gens[b], phi[b]
+        cands = by_key[b].get(
+            tuple(phi[b - 1][xt[x]] for xt, _ in lowering), ())
+        if x in forced[b]:
+            cands = [forced[b][x]] if forced[b][x] in cands else []
+        for y in cands:
+            # a symmetry s is an involution: check s.x once it is placed
+            if y in cur or any(xt[x] <= x and yt[y] != (
+                    cur[xt[x]] if xt[x] < x else y) for xt, yt in symmetries):
+                continue
+            cur.append(y)
+            if place(b, x + 1):
+                return True
+            cur.pop()
+        return False
 
-        return place(0)
-
-    if assign_level(0):
-        return IsoResult(True, witness=phi, nodes=nodes)
+    if place(0, 0):
+        return IsoResult(True, witness=dict(enumerate(map(tuple, phi))),
+                         nodes=nodes)
     return IsoResult(False, reason="exhausted all level bijections",
                      nodes=nodes)
 

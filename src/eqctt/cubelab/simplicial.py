@@ -39,12 +39,16 @@ def enumerate_monotone(m: int, n: int) -> list[SimplexMap]:
             itertools.combinations_with_replacement(range(n + 1), m + 1)]
 
 
-def split_epis(d: int) -> list[int]:
-    """The numbers of the surjective monotone maps out of [d] to a lower
-    dimension (every epimorphism of the simplex category is split)."""
-    return [f for d2 in range(d)
-            for f, s in zip(maps(d, d2), enumerate_monotone(d, d2))
-            if len(set(s.table)) == d2 + 1]
+@cache
+def generators(b: int) -> tuple[tuple[int, ...], ...]:
+    """The faces [b-1] -> [b], which skip a vertex, the degeneracies
+    [b] -> [b-1], which repeat one, and no symmetries, by number."""
+    def number(m: int, n: int, t: tuple[int, ...]) -> int:
+        return maps(m, n)[enumerate_monotone(m, n).index(SimplexMap(m, n, t))]
+    return (tuple(number(b - 1, b, tuple(v + (v >= i) for v in range(b)))
+                  for i in range(b + 1) if b),
+            tuple(number(b, b - 1, tuple(v - (v > i) for v in range(b + 1)))
+                  for i in range(b)), ())
 
 
 # This module is the simplex site of ``presheaf.FinPresheaf`` (see

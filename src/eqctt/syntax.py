@@ -308,9 +308,10 @@ _counter = itertools.count()
 
 
 def fresh(hint: str = "x") -> str:
-    """A name no source file can contain (the lexer rejects '%')."""
-    base = hint.split("%")[0] or "x"
-    return f"{base}%{next(_counter)}"
+    """A name no source file can contain (the lexer rejects '%').  Its
+    number follows its digit count, so that names sort in creation order."""
+    base, n = hint.split("%")[0] or "x", str(next(_counter))
+    return f"{base}%{len(n)}{n}"
 
 
 def reset_fresh() -> None:

@@ -1,9 +1,10 @@
 """References that only tests use: brute-force checks, the routes the
 program took on ``CubeMap`` labels before site maps and cells were numbers,
-and the kernel's slower routes before it skipped work that cannot change an
-answer.  Each one is kept to check the closed form, the integer route or the
-shortcut that replaced it.  ``cof_and`` and ``cof_or`` build the
-conjunction and disjunction of any number of cofibrations."""
+the presheaf checks that read every site map before they read only the
+generators, and the kernel's slower routes before it skipped work that
+cannot change an answer.  Each one is kept to check the closed form, the
+integer route or the shortcut that replaced it.  ``cof_and`` and ``cof_or``
+build the conjunction and disjunction of any number of cofibrations."""
 
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ from eqctt.cubelab import cubes, simplicial
 from eqctt.cubelab.boxes import build_open_box
 from eqctt.cubelab.cubes import (CubeMap, compose, cube_identity,
                                  enumerate_hom, make_cube_map)
-from eqctt.cubelab.presheaf import FinPresheaf
+from eqctt.cubelab.presheaf import (BudgetExceeded, FinPresheaf, IsoResult,
+                                    gather)
 from eqctt.cubelab.simplicial import SimplexMap, dual_middles
 
 
@@ -405,6 +407,90 @@ def check_functorial(X: FinPresheaf) -> bool:
                     if gf != tuple(ft[x] for x in act[g]):
                         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# presheaf checks that read every site map
+
+def equivariant_on_all_maps(X: FinPresheaf, perm: dict[int, list]) -> bool:
+    """Whether the permutation tables ``perm[d]`` of each level commute
+    with the table of every site map between levels <= X.D."""
+    return all(gather(X.action[f], pb) == gather(pa, X.action[f])
+               for a in range(X.D + 1) for b in range(X.D + 1)
+               for f in X.site.maps(a, b)
+               for pa, pb in zip(perm[a], perm[b]))
+
+
+def iso_search_all_maps(X: FinPresheaf, Y: FinPresheaf,
+                        budget: int = 500_000) -> IsoResult:
+    """``iso_search`` reading every table a -> b with a <= b: a cell's
+    candidates have its images under every map into its level from below,
+    and every endo of its level is checked on the cells placed."""
+    if X.site != Y.site or X.D != Y.D:
+        return IsoResult(False, reason="site or truncation mismatch")
+    for d in range(X.D + 1):
+        if len(X.levels[d]) != len(Y.levels[d]):
+            return IsoResult(
+                False,
+                reason=f"level-size mismatch at dimension {d}: "
+                       f"{len(X.levels[d])} vs {len(Y.levels[d])}")
+    down = {b: [(a, X.action[f], Y.action[f])
+                for a in range(b) for f in X.site.maps(a, b)]
+            for b in range(X.D + 1)}
+    endo = {b: [(X.action[f], Y.action[f]) for f in X.site.maps(b, b)]
+            for b in range(X.D + 1)}
+    y_by_sig: dict[int, dict[tuple, list[int]]] = {b: {} for b in down}
+    for b, by_sig in y_by_sig.items():
+        for y in Y.cells(b):
+            by_sig.setdefault(tuple(t[y] for _, _, t in down[b]), []).append(y)
+    phi: dict[int, tuple] = {}
+    nodes = 0
+
+    def assign_level(b: int) -> bool:
+        if b > X.D:
+            return True
+        cur: list[int] = []
+        used: set[int] = set()
+
+        def consistent(x: int, y: int) -> bool:
+            for xt, yt in endo[b]:
+                fx = xt[x]
+                if fx < len(cur) and cur[fx] != yt[y]:
+                    return False
+                for x2, y2 in enumerate(cur):
+                    if xt[x2] == x and yt[y2] != y:
+                        return False
+            return True
+
+        def place(x: int) -> bool:
+            nonlocal nodes
+            if x == len(X.levels[b]):
+                phi[b] = tuple(cur)
+                if assign_level(b + 1):
+                    return True
+                del phi[b]
+                return False
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"iso search exceeded budget {budget}")
+            want_sig = tuple(phi[a][xt[x]] for a, xt, _ in down[b])
+            for y in y_by_sig[b].get(want_sig, []):
+                if y in used or not consistent(x, y):
+                    continue
+                cur.append(y)
+                used.add(y)
+                if place(x + 1):
+                    return True
+                cur.pop()
+                used.discard(y)
+            return False
+
+        return place(0)
+
+    if assign_level(0):
+        return IsoResult(True, witness=phi, nodes=nodes)
+    return IsoResult(False, reason="exhausted all level bijections",
+                     nodes=nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -656,6 +656,24 @@ TIED = ("postulate A : U0\npostulate a : A\n"
         "| y = 0 -> d1 d2. a | y = 1 -> d1 d2. a ] a : (x, y) ~> (1, 1)\n")
 
 
+def test_declarations_before_a_tied_comp_do_not_change_its_print(tmp_path):
+    # each postulate makes one fresh name before e's; fresh names sort in
+    # creation order, so the member that prints is the same for every count
+    # (when they sorted as strings, 69 postulates printed (i1, i) ~> (1, 1))
+    head, rest = TIED.split("\n", 1)
+    outputs = set()
+    for n in range(130):
+        p = tmp_path / f"e{n}.ectt"
+        p.write_text(head + "\n" + "".join(
+            f"postulate g{k} : (z : A) -> A\n" for k in range(n)) + rest)
+        r = run("normalize", str(p), "--def", "e", env=NO_ENV)
+        assert r.exit_code == 0
+        outputs.add(r.stdout)
+    assert outputs == {"<i> <i1> comp^2 (d1 d2. A) [i = 0 -> d1 d2. a "
+                       "| i = 1 -> d1 d2. a | i1 = 0 -> d1 d2. a "
+                       "| i1 = 1 -> d1 d2. a] a : (i, i1) ~> (1, 1)\n"}
+
+
 @pytest.mark.parametrize("burnt", [69, 969])
 def test_each_invocation_starts_its_own_fresh_names(tmp_path, burnt):
     p = tmp_path / "tied.ectt"

@@ -9,10 +9,10 @@ from eqctt.cubelab.cubes import (CubeMap, GroupAction, HomSet,
                                  automorphisms, compose, composites,
                                  cube_identity, cube_map, enumerate_hom,
                                  ez_factor, find_section, index, is_iso,
-                                 is_mono, middles)
+                                 is_mono, map_of, middles)
 from eqctt.cubelab.simplicial import SimplexMap, enumerate_monotone
 from reference import (degeneracy, face, invertible_endos,
-                       is_mono_by_probes, number, perm_cube_map,
+                       is_mono_by_probes, perm_cube_map,
                        simplex_compose, simplex_identity, site_maps)
 
 
@@ -141,15 +141,47 @@ def test_find_section_matches_bruteforce():
 
 
 @pytest.mark.parametrize("site", [cubes, simplicial], ids=["cube", "simplex"])
-def test_split_epis_match_bruteforce(site):
-    # non-invertible split epis: maps to a lower level with a section
+def test_generators_match_bruteforce(site):
+    # lowering maps are monos d-1 -> d and raising maps split epis
+    # d -> d-1; every mono into d and every split epi out of d, from or to
+    # a lower level, factors through one, and the symmetries generate the
+    # automorphisms of d
     comp, ident = ((compose, cube_identity) if site is cubes else
                    (simplex_compose, simplex_identity))
+
+    def homs(a, b):
+        return site_maps(site, a, b)
+
+    def label(f):
+        i, a, b = map_of(f)
+        return homs(a, b)[i]
+
+    def mono(f):
+        return all(len({comp(f, g) for g in homs(x, f.dom)})
+                   == site.count(x, f.dom) for x in range(4))
+
+    def split_epi(e):
+        return any(comp(e, s) == ident(e.cod) for s in homs(e.cod, e.dom))
+
     for d in range(4):
-        slow = {number(e) for d2 in range(d) for e in site_maps(site, d, d2)
-                if any(comp(e, s) == ident(d2)
-                       for s in site_maps(site, d2, d))}
-        assert set(site.split_epis(d)) == slow, d
+        lowering, raising, symmetries = (
+            [label(f) for f in gens] for gens in site.generators(d))
+        assert all((g.dom, g.cod) == (d - 1, d) and mono(g) for g in lowering)
+        assert all((p.dom, p.cod) == (d, d - 1) and split_epi(p)
+                   for p in raising)
+        for a in range(d):
+            for m in filter(mono, homs(a, d)):
+                assert any(comp(g, h) == m for g in lowering
+                           for h in homs(a, d - 1)), m
+            for e in filter(split_epi, homs(d, a)):
+                assert any(comp(h, p) == e for p in raising
+                           for h in homs(d - 1, a)), e
+        autos = {f for f in homs(d, d) if any(
+            comp(f, g) == ident(d) == comp(g, f) for g in homs(d, d))}
+        group = {ident(d)}
+        while more := {comp(s, f) for s in symmetries for f in group} - group:
+            group |= more
+        assert set(symmetries) <= autos and group == autos, d
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
+import argparse
 import math
+import random
 
 import pytest
 from conftest import cell
 
+from eqctt.cli import Settings, UsageError, parse_lab_object
 from eqctt.cubelab.cubes import compose, enumerate_hom, full_symmetric, index
 from eqctt.cubelab import cubes, simplicial
 from eqctt.cubelab.presheaf import (build_presheaf, iso_search, nondegenerate,
                                     product, quotient_by_group,
-                                    representable_cube, table_size,
+                                    representable_cube,
+                                    symmetric_level_action, table_size,
                                     terminal_cube)
 from eqctt.cubelab.boxes import close_cells, sub_vertex
-from reference import (check_functorial, label_table, number,
+from reference import (check_functorial, equivariant_on_all_maps,
+                       iso_search_all_maps, label_table, number,
                        perm_cube_map, vertex_cell)
 
 
@@ -64,17 +69,47 @@ def test_table_size_counts_the_action_entries(site):
 
 def test_tables_are_built_when_first_read():
     # T(I^3) acts by I^3's tables of the duals of monotone maps, and its
-    # nondegenerate cells need only the 1 + 3 + 7 split epis of levels 1..3
+    # nondegenerate cells need only the 1 + 2 + 3 raising maps of levels 1..3
     X = representable_cube(3, 3)
     T = simplicial.triangulate(X)
     assert len(X.action) == len(T.action) == 0
     for d in range(4):
         nondegenerate(T, d)
     assert set(T.action) == {e for d in range(4)
-                             for e in simplicial.split_epis(d)}
-    assert len(X.action) == 11
+                             for e in simplicial.generators(d)[1]}
+    assert len(X.action) == 6
     assert sum(len(cubes.maps(a, b)) for a in range(4) for b in range(4)) \
         == 296
+
+
+def test_quotient_reads_only_the_generators():
+    # at D = 3, I^2 has 296 tables; the equivariance check reads the 2 + 5
+    # + 9 lowering maps, the 1 + 2 + 3 raising maps and the 1 + 2 swaps, and
+    # no induced table is built before it is read
+    X = representable_cube(2, 3)
+    Q = quotient_by_group(X, full_symmetric(2))
+    assert set(X.action) == {f for d in range(4)
+                             for gens in cubes.generators(d) for f in gens}
+    assert len(X.action) == 25 and len(Q.action) == 0
+    Q.action[cubes.maps(1, 3)[7]]
+    assert len(Q.action) == 1
+
+
+def test_iso_reads_only_the_generators():
+    # T(I1*I1) and T(I2) have 94 tables a -> b with a <= b each at D = 3,
+    # which the search read when it read every map into a level from below
+    # and every endo; it reads the 2 + 3 + 4 faces and 1 + 2 + 3
+    # degeneracies of each side
+    X, Y = (simplicial.triangulate(P) for P in (
+        product(representable_cube(1, 3), representable_cube(1, 3)),
+        representable_cube(2, 3)))
+    assert iso_search(X, Y).found
+    assert set(X.action) == set(Y.action) == {
+        f for d in range(4) for gens in simplicial.generators(d)
+        for f in gens}
+    assert len(X.action) == 15
+    assert sum(len(simplicial.maps(a, b))
+               for b in range(4) for a in range(b + 1)) == 94
 
 
 def test_a_table_is_built_once():
@@ -177,6 +212,38 @@ def test_quotient_rejects_non_equivariant_action():
         quotient_by_group(X, full_symmetric(2), bogus)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_equivariance_check_matches_the_all_maps_check(n):
+    # the axis permutations of I^n, and the same tables twisted at one level
+    # by a permutation tau of its cells, an axis permutation's or a random
+    # one: the check on the generators refuses exactly the actions that some
+    # site map refuses
+    X, group = representable_cube(n, 2), full_symmetric(n)
+    axes, rng = symmetric_level_action(X, n), random.Random(n)
+    verdicts = []
+    for level in range(3):
+        for tau in [list(axes(q, level)) for q in group.perms] + [
+                rng.sample(X.cells(level), len(X.levels[level]))
+                for _ in range(4)]:
+            back = {c: i for i, c in enumerate(tau)}
+
+            def twisted(p, d):
+                t = axes(p, d)
+                return (t if d != level else
+                        tuple(tau[t[back[c]]] for c in X.cells(d)))
+            perm = {d: [twisted(p, d) for p in group.perms]
+                    for d in range(3)}
+            try:
+                quotient_by_group(X, group, twisted)
+                refused = False
+            except ValueError as e:
+                assert "not equivariant" in str(e)
+                refused = True
+            assert refused != equivariant_on_all_maps(X, perm), (level, tau)
+            verdicts.append(refused)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_vertex_inclusion_commutes_with_quotient():
     # the quotient of the image of the initial (or final) vertex inclusion
     # equals the image of the vertex inclusion into the quotient, levelwise
@@ -222,3 +289,61 @@ def test_iso_search_self():
     X = product(representable_cube(1, 2), representable_cube(1, 2))
     r = iso_search(X, X)
     assert r.found
+
+
+# lab object expressions on both sites; horn needs D >= 2
+LAB_OBJECTS = (
+    "1", "I1", "I2", "I3", "horn", "I1*I1", "I1*I2", "I2*I1", "1*I1",
+    "horn*1", "I1/S1", "I2/S2", "I3/S3", "I2/S2*I1", "I1*I2/S2",
+    "Delta0", "Delta1", "Delta2", "Delta3", "T(1)", "T(I1)", "T(I2)",
+    "T(I3)", "T(I1*I1)", "T(I2/S2)", "T(I3/S3)", "T(horn)",
+    "Delta1*Delta1", "T(I1)*Delta1", "T(I2/S2*I1)", "Delta2*Delta1")
+
+
+def lab_objects(D: int) -> dict:
+    s = Settings(argparse.Namespace(json="0", k_max=None, dim=str(D),
+                                    budget="500000"))
+    out = {}
+    for expr in LAB_OBJECTS:
+        try:
+            out[expr] = parse_lab_object(expr, s)
+        except UsageError:
+            assert "horn" in expr and D < 2
+    return out
+
+
+def loop_and_point(X):
+    """X is Delta1 or I1, whose level d has d + 2 cells, the degeneracies
+    of its two vertices first and last: X with its two vertices glued into
+    one, and one more vertex beside it, whose cell at each level is last."""
+    def table(a, b, i):
+        t = X.action[X.site.maps(a, b)[i]]
+        return tuple(0 if c == len(X.levels[a]) - 1 else c
+                     for c in t[:-1]) + (len(X.levels[a]) - 1,)
+    return build_presheaf(X.site, X.D, {d: range(len(X.levels[d]))
+                                        for d in range(X.D + 1)}, table)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_iso_search_matches_the_all_maps_search(D):
+    objects = lab_objects(D)
+    pairs = [(X, Y) for X in objects.values() for Y in objects.values()]
+    # equal level sizes but no isomorphism: an edge against a loop
+    for X in (simplicial.delta(1, D), representable_cube(1, D)):
+        pairs += [(X, loop_and_point(X)), (loop_and_point(X), X)]
+    found = refuted = 0
+    for X, Y in pairs:
+        r, oracle = iso_search(X, Y), iso_search_all_maps(X, Y)
+        assert (r.found, r.witness, r.reason) == \
+            (oracle.found, oracle.witness, oracle.reason)
+        found += r.found
+        refuted += r.reason == "exhausted all level bijections"
+    assert found >= len(objects) and refuted >= 4
+
+
+def test_an_edge_is_not_a_loop():
+    for X in (simplicial.delta(1, 2), representable_cube(1, 2)):
+        Y = loop_and_point(X)
+        assert check_functorial(Y)
+        assert Y.level_sizes() == X.level_sizes()
+        assert iso_search(X, Y).reason == "exhausted all level bijections"
