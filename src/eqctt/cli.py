@@ -206,10 +206,10 @@ def normalize(s: Settings, a):
         print("file does not type check:", *_report_lines(report),
               sep="\n", file=sys.stderr)
         sys.exit(1)
-    if a.name not in mod.values:
+    if a.name not in mod.ctx.types:
         print(f"error: unknown name {a.name!r}", file=sys.stderr)
         sys.exit(1)
-    nf = print_term(quote(mod.types[a.name], mod.values[a.name]))
+    nf = print_term(quote(mod.ctx.types[a.name], mod.ctx.env.terms[a.name]))
     s.emit({"operation": "normalize",
             "inputs": {"file": a.path, "def": a.name}, "result": nf}, human=nf)
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache
+from functools import cache, partial
+from typing import Callable
 
 
 class TableMap:
@@ -76,11 +77,14 @@ def compose(g: CubeMap, f: CubeMap) -> CubeMap:
     return CubeMap(f.dom, g.cod, tuple(f.table[v] for v in g.table))
 
 
-def count_hom(m: int, n: int, bound: int = 16) -> int:
+HOM_BOUND = 16  # the largest dimension whose maps are enumerated or numbered
+
+
+def count_hom(m: int, n: int) -> int:
     """|Hom(I^m, I^n)| = (m+2)^n, the number of bipointed functions
-    <n> -> <m>; dimensions above ``bound`` are rejected."""
-    if m > bound or n > bound:
-        raise ValueError(f"hom enumeration bound {bound} exceeded")
+    <n> -> <m>; dimensions above ``HOM_BOUND`` are rejected."""
+    if m > HOM_BOUND or n > HOM_BOUND:
+        raise ValueError(f"hom enumeration bound {HOM_BOUND} exceeded")
     return count(m, n)
 
 
@@ -90,9 +94,9 @@ def hom_tables(m: int, n: int):
             for mids in itertools.product(range(m + 2), repeat=n))
 
 
-def enumerate_hom(m: int, n: int, bound: int = 16) -> list[CubeMap]:
+def enumerate_hom(m: int, n: int) -> list[CubeMap]:
     """All bipointed functions <n> -> <m>, in sorted (index) order."""
-    count_hom(m, n, bound)
+    count_hom(m, n)
     return [CubeMap(m, n, t) for t in hom_tables(m, n)]
 
 
@@ -138,35 +142,41 @@ def composites(N: int, m: int, g: int, d: int) -> list[int]:
     return column
 
 
-class HomSet:
-    """The labels of a level of I^cod: Hom(I^dom, I^cod) in index order,
-    each ``CubeMap`` built when it is read."""
-    def __init__(self, dom: int, cod: int):
-        self.dom, self.cod = dom, cod
+class Labels:
+    """The labels of a level, each built from its position when read."""
+    def __init__(self, size: int, label: Callable[[int], object]):
+        self.size, self.label = size, label
 
     def __len__(self) -> int:
-        return count(self.dom, self.cod)
+        return self.size
 
-    def __getitem__(self, i: int) -> CubeMap:
-        if not 0 <= i < len(self):
+    def __getitem__(self, i: int):
+        if not 0 <= i < self.size:
             raise IndexError(i)
-        return cube_map(self.dom, self.cod, i)
+        return self.label(i)
 
 
-def map_numbers(count, a: int, b: int, bound: int = 16) -> range:
+class HomSet(Labels):
+    """The labels of a level of I^cod: Hom(I^dom, I^cod) in index order."""
+    def __init__(self, dom: int, cod: int):
+        super().__init__(count(dom, cod), partial(cube_map, dom, cod))
+        self.dom, self.cod = dom, cod
+
+
+def map_numbers(count, a: int, b: int) -> range:
     """The numbers of a site's maps a -> b, where ``count(a, b)`` maps: the
-    one with index i is (i * w + a) * w + b, w = bound + 1, which does not
-    depend on a truncation."""
-    if a > bound or b > bound:
-        raise ValueError(f"hom enumeration bound {bound} exceeded")
-    w = bound + 1
+    one with index i is (i * w + a) * w + b, w = HOM_BOUND + 1, which does
+    not depend on a truncation."""
+    if a > HOM_BOUND or b > HOM_BOUND:
+        raise ValueError(f"hom enumeration bound {HOM_BOUND} exceeded")
+    w = HOM_BOUND + 1
     return range(a * w + b, (count(a, b) * w + a) * w + b, w * w)
 
 
-def map_of(number: int, bound: int = 16) -> tuple[int, int, int]:
+def map_of(number: int) -> tuple[int, int, int]:
     """The inverse of ``map_numbers``: (i, a, b) for the i-th map a -> b."""
-    rest, b = divmod(number, bound + 1)
-    return (*divmod(rest, bound + 1), b)
+    rest, b = divmod(number, HOM_BOUND + 1)
+    return (*divmod(rest, HOM_BOUND + 1), b)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from types import ModuleType
 from typing import Callable, Hashable, Sequence
 
 from . import cubes
-from .cubes import CubeMap, GroupAction, HomSet, hom_tables, map_of
+from .cubes import (CubeMap, GroupAction, HomSet, Labels, hom_tables,
+                    map_of)
 
 Label = Hashable
 Cell = int
@@ -120,11 +121,14 @@ def terminal_cube(D: int) -> FinPresheaf:
 
 def product(X: FinPresheaf, Y: FinPresheaf) -> FinPresheaf:
     """Cell (i, j) at level d is i * |Y_d| + j, the position of the label
-    pair in sorted order."""
+    pair in sorted order; a pair is built when it is read."""
     if X.site != Y.site or X.D != Y.D:
         raise ValueError("product requires matching site and truncation")
-    levels = {d: tuple((x, y) for x in X.levels[d] for y in Y.levels[d])
-              for d in range(X.D + 1)}
+
+    def pairs(xs: Sequence[Label], ys: Sequence[Label]) -> Labels:
+        return Labels(len(xs) * len(ys),
+                      lambda i: (xs[i // len(ys)], ys[i % len(ys)]))
+    levels = {d: pairs(X.levels[d], Y.levels[d]) for d in range(X.D + 1)}
 
     def table(a: int, b: int, i: int) -> Table:
         f, width = X.site.maps(a, b)[i], len(Y.levels[a])

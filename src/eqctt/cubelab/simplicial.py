@@ -33,10 +33,15 @@ class SimplexMap(cubes.TableMap):
                 f"table={self.table!r})")
 
 
+@cache
+def monotone(m: int, n: int) -> list[tuple[int, ...]]:
+    """The tables of the monotone maps [m] -> [n], in sorted order."""
+    return list(itertools.combinations_with_replacement(range(n + 1), m + 1))
+
+
 def enumerate_monotone(m: int, n: int) -> list[SimplexMap]:
     """All monotone maps [m] -> [n], in sorted order."""
-    return [SimplexMap(m, n, vals) for vals in
-            itertools.combinations_with_replacement(range(n + 1), m + 1)]
+    return [SimplexMap(m, n, t) for t in monotone(m, n)]
 
 
 @cache
@@ -44,7 +49,7 @@ def generators(b: int) -> tuple[tuple[int, ...], ...]:
     """The faces [b-1] -> [b], which skip a vertex, the degeneracies
     [b] -> [b-1], which repeat one, and no symmetries, by number."""
     def number(m: int, n: int, t: tuple[int, ...]) -> int:
-        return maps(m, n)[enumerate_monotone(m, n).index(SimplexMap(m, n, t))]
+        return maps(m, n)[monotone(m, n).index(t)]
     return (tuple(number(b - 1, b, tuple(v + (v >= i) for v in range(b)))
                   for i in range(b + 1) if b),
             tuple(number(b, b - 1, tuple(v - (v > i) for v in range(b + 1)))
@@ -66,8 +71,6 @@ def maps(m: int, n: int) -> range:
 
 def delta(n: int, D: int) -> FinPresheaf:
     """The standard n-simplex, truncated at dimension D."""
-    monotone = cache(lambda m, k: list(
-        itertools.combinations_with_replacement(range(k + 1), m + 1)))
     index = cache(lambda d: {c: i for i, c in enumerate(monotone(d, n))})
     columns = cache(lambda d: list(zip(*monotone(d, n))))  # c[v], by v
 
@@ -91,8 +94,7 @@ def triangulate(X: FinPresheaf) -> FinPresheaf:
     if X.site is not cubes:
         raise ValueError("triangulate expects a cubical set")
 
-    duals = cache(lambda a, b: [  # the cube maps' numbers, by monotone map
-        cubes.maps(a, b)[cubes.mids_index(a, dual_middles(f))]
-        for f in enumerate_monotone(a, b)])
-    return build_presheaf(SIMPLEX, X.D, dict(X.levels),
-                          lambda a, b, i: X.action[duals(a, b)[i]])
+    def table(a: int, b: int, i: int):  # the i-th map acts as its dual
+        dual = dual_middles(SimplexMap(a, b, monotone(a, b)[i]))
+        return X.action[cubes.maps(a, b)[cubes.mids_index(a, dual)]]
+    return build_presheaf(SIMPLEX, X.D, dict(X.levels), table)

@@ -14,12 +14,18 @@ Conversion decides whether the readbacks of two values have equal keys.
 ``term_key`` keys a system as the partial element it denotes, so the keys
 decide equality of systems too.  It compares values, in the readback's own
 order: both sides are applied to one fresh variable or interval, and only
-neutrals are compared as syntax, their stuck comps by key.  A restricted
-context is split into the DNF conjuncts of its restrictions, and under each
-one both values are read back, evaluated again under the interval
-identifications it forces, and compared.  Two rules skip work that cannot
-change the answer: a value converts with itself at once (reflexivity), and
-a conjunct's environment reindexes only the types bound after the first
+neutrals are compared as syntax, their stuck comps by key.
+
+The checker's one ``Context`` holds the telescope of fresh variables, the
+environment of the user's names, whose ``hyps`` are the restrictions, and
+their types.  Under restrictions, conversion is split into the DNF conjuncts
+of their conjunction, and under each one both values are read back,
+evaluated again under the interval identifications it forces (a restriction
+read as a dimension substitution), and compared.  Substituting a conjunct's
+identifications into any restriction makes it hold with no hypotheses, so
+that environment carries none.  Two rules skip work that cannot change the
+answer: a value converts with itself at once (reflexivity), and a
+conjunct's environment reindexes only the types bound after the first
 interval variable it moves, since a type mentions only variables bound
 before it (the suffix rule).
 """
@@ -214,69 +220,71 @@ class IntervalBind:
         self.name = name
 
 
-class CofRestriction:
-    __slots__ = ("cof",)
-
-    def __init__(self, cof: Cof):
-        self.cof = cof
-
-
-Entry = TermBind | IntervalBind | CofRestriction
+Entry = TermBind | IntervalBind
 
 
 class Context:
-    """Telescope of semantic bindings and restrictions."""
-    __slots__ = ("entries",)
+    """The checker's context: ``entries``, the telescope of the fresh
+    variables bound so far; ``env``, the values of the user's names, with the
+    restrictions in ``env.hyps`` and the stuck-comp bound; and ``types``, the
+    types of the user's names."""
+    __slots__ = ("entries", "env", "types")
 
-    def __init__(self, entries: tuple[Entry, ...] = ()):
+    def __init__(self, entries: tuple[Entry, ...] = (), env: Env | None = None,
+                 types: dict[str, Value] | None = None):
         self.entries = entries
+        self.env = Env() if env is None else env
+        self.types = {} if types is None else types
 
-    @property
-    def hyps(self) -> tuple[Cof, ...]:
-        return tuple(e.cof for e in self.entries if isinstance(e, CofRestriction))
+    def bind_term(self, x: str, ty: Value,
+                  postulate: bool = False) -> tuple["Context", VNe]:
+        """Bind ``x`` to a fresh variable, or to itself if a postulate."""
+        v = neutral_var(x if postulate else fresh(x), ty)
+        return Context(self.entries + (TermBind(v.ne.name, ty),),
+                       self.env.bind_term(x, v), {**self.types, x: ty}), v
 
-    def bind_term(self, hint: str, ty: Value) -> tuple["Context", VNe]:
-        x = fresh(hint)
-        v = neutral_var(x, ty)
-        return Context(self.entries + (TermBind(x, ty),)), v
+    def bind_def(self, x: str, ty: Value, v: Value) -> "Context":
+        # a definition unfolds through the environment
+        return Context(self.entries, self.env.bind_term(x, v),
+                       {**self.types, x: ty})
 
-    def bind_ivar(self, hint: str) -> tuple["Context", IVar]:
-        x = fresh(hint)
-        return Context(self.entries + (IntervalBind(x),)), IVar(x)
+    def bind_ivars(self, dirs: tuple[str, ...]) -> tuple["Context",
+                                                         tuple[IVar, ...]]:
+        ivs = tuple(IVar(fresh(d)) for d in dirs)
+        binds = tuple(IntervalBind(iv.name) for iv in ivs)
+        return Context(self.entries + binds, self.env.bind_ivars(dirs, ivs),
+                       self.types), ivs
 
     def restrict(self, phi: Cof) -> "Context":
-        return Context(self.entries + (CofRestriction(phi),))
+        return Context(self.entries, self.env.with_hyp(phi), self.types)
 
-    def env(self, assign: dict[str, Interval] | None = None) -> Env:
-        """The evaluation environment of the telescope.
+    def env_at(self, assign: dict[str, Interval]) -> Env:
+        """The evaluation environment of the telescope, its interval
+        variables sent through ``assign``, a DNF conjunct's assignment.
 
-        With ``assign``, interval variables are sent through the given
-        substitution and the types of term variables are reindexed along it.
-        A type mentions only variables bound before it, so only the types
-        after the first interval variable that ``assign`` moves are
-        reindexed; every earlier one is kept as it is.  It evaluates
-        readbacks again, whose stuck comps ``make_stuck`` bounded when it
-        built them, so it bounds none.
+        The types of term variables are reindexed along it.  A type mentions
+        only variables bound before it, so only the types after the first
+        interval variable that ``assign`` moves are reindexed; every earlier
+        one is kept as it is.  Every restriction holds once the assignment
+        is substituted into it, so the environment carries none.  It
+        evaluates readbacks again, whose stuck comps ``make_stuck`` bounded
+        when it built them, so it bounds none.
         """
-        assign = assign or {}
         terms: dict[str, Value] = {}
         ivals: dict[str, Interval] = {}
-        hyps: list[Cof] = []
         moved = False
         for e in self.entries:
             if isinstance(e, IntervalBind):
                 iv = IVar(e.name)
                 ivals[e.name] = assign.get(e.name, iv)
                 moved = moved or ivals[e.name] != iv
-            elif isinstance(e, TermBind):
+            else:
                 ty = e.ty
                 if moved:
-                    ty = eval_term(Env(dict(terms), dict(ivals), tuple(hyps),
-                                       math.inf), quote_type(ty))
+                    ty = eval_term(Env(dict(terms), dict(ivals), (), math.inf),
+                                   quote_type(ty))
                 terms[e.name] = neutral_var(e.name, ty)
-            else:
-                hyps.append(subst_cof(e.cof, assign) if assign else e.cof)
-        return Env(terms, ivals, tuple(hyps), math.inf)
+        return Env(terms, ivals, (), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +679,7 @@ def convert(ctx: Context, ty: Value, v1: Value, v2: Value) -> bool:
     normalization is idempotent."""
     if v1 is v2:
         return True
-    dnf = cof.conjoin(ctx.hyps)
+    dnf = cof.conjoin(ctx.env.hyps)
     if dnf == ():
         return True  # inconsistent restriction: everything converts
     if dnf == (frozenset(),):
@@ -679,7 +687,7 @@ def convert(ctx: Context, ty: Value, v1: Value, v2: Value) -> bool:
     t1, t2 = quote(ty, v1), quote(ty, v2)
     ty_t = quote_type(ty)
     for conj in dnf:
-        env = ctx.env(cof.assignment(conj))
+        env = ctx.env_at(cof.assignment(conj))
         if not values_equal(eval_term(env, ty_t), eval_term(env, t1),
                             eval_term(env, t2)):
             return False

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from eqctt import cof
 from eqctt.kan import CompProblem, comp_eval
 from eqctt.parser import SyntaxError_
-from eqctt.semantics import (Context, Env, IntervalBind, TermBind, eval_term,
+from eqctt.semantics import (Context, Env, IntervalBind, eval_term,
                              neutral_var, quote, quote_type, terms_equal)
 from eqctt.syntax import (BOT, TOP, App, Branch, CAnd, CBot, Comp, COr, CTop,
                           Fst, Interval, IVar, Lam, Let, PApp, Pair, PathT,
@@ -214,29 +214,28 @@ def tokenize(src: str) -> list[tuple]:
 
 
 def reindexed_env(ctx: Context, assign: dict) -> Env:
-    """``Context.env`` reindexing the type of every term binding."""
+    """``Context.env_at`` reindexing the type of every term binding, under
+    the restrictions with ``assign`` substituted."""
+    hyps = tuple(subst_cof(h, assign) for h in ctx.env.hyps)
     terms: dict = {}
     ivals: dict = {}
-    hyps: list = []
     for e in ctx.entries:
         if isinstance(e, IntervalBind):
             ivals[e.name] = assign.get(e.name, IVar(e.name))
-        elif isinstance(e, TermBind):
+        else:
             ty = e.ty
             if assign:
-                ty = eval_term(Env(dict(terms), dict(ivals), tuple(hyps)),
+                ty = eval_term(Env(dict(terms), dict(ivals), hyps),
                                quote_type(ty))
             terms[e.name] = neutral_var(e.name, ty)
-        else:
-            hyps.append(subst_cof(e.cof, assign) if assign else e.cof)
-    return Env(terms, ivals, tuple(hyps))
+    return Env(terms, ivals, hyps)
 
 
 def convert_by_reevaluation(ctx: Context, ty, v1, v2) -> bool:
     """Conversion with no reflexivity shortcut: under each DNF conjunct of
     the restrictions, both readbacks are evaluated again in the fully
     reindexed environment and read back again."""
-    dnf = cof.to_dnf(cof_and(*ctx.hyps))
+    dnf = cof.to_dnf(cof_and(*ctx.env.hyps))
     if dnf == ():
         return True
     t1, t2 = quote(ty, v1), quote(ty, v2)
@@ -258,7 +257,7 @@ def convert_by_readback(ctx: Context, ty, v1, v2) -> bool:
     restrictions the readbacks of the values evaluated again."""
     if v1 is v2:
         return True
-    dnf = cof.conjoin(ctx.hyps)
+    dnf = cof.conjoin(ctx.env.hyps)
     if dnf == ():
         return True
     t1, t2 = quote(ty, v1), quote(ty, v2)
@@ -266,7 +265,7 @@ def convert_by_readback(ctx: Context, ty, v1, v2) -> bool:
         return terms_equal(t1, t2)
     ty_t = quote_type(ty)
     for conj in dnf:
-        env = ctx.env(cof.assignment(conj))
+        env = ctx.env_at(cof.assignment(conj))
         ty_v = eval_term(env, ty_t)
         if not terms_equal(quote(ty_v, eval_term(env, t1)),
                            quote(ty_v, eval_term(env, t2))):

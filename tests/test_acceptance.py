@@ -46,10 +46,10 @@ def _corpus_comps():
     for decl in parse_module((CORPUS / "comps.ectt").read_text()):
         if not hasattr(decl, "body"):
             continue
-        sc = mod.scope
+        sc = mod.ctx
         body = decl.body
         while isinstance(body, PLam):
-            sc, _ = sc.bind_ivar(body.binder)
+            sc, _ = sc.bind_ivars((body.binder,))
             body = body.body
         if isinstance(body, Comp):
             out.append((decl.name, sc, body))
@@ -95,21 +95,21 @@ def test_criterion_1_comp_equations():
             rc = sc.restrict(g)
             branch_at_t = eval_term(
                 sc.env.bind_ivars(br.dirs, tgt_sem), br.body)
-            assert convert(rc.ctx, ty, v, branch_at_t), (name, "guard")
+            assert convert(rc, ty, v, branch_at_t), (name, "guard")
 
         # (b) substituting target := source yields the cap
         c_src = Comp(c.dirs, c.line, c.source, c.source, c.tube, c.cap)
         ty_src = Checker().check_comp_term(sc, c_src)
         v_src = eval_term(sc.env, c_src)
         cap_v = eval_term(sc.env, c.cap)
-        assert convert(sc.ctx, ty_src, v_src, cap_v), (name, "cap")
+        assert convert(sc, ty_src, v_src, cap_v), (name, "cap")
 
         # (c) every sigma-transform converts with the original
         for perm in itertools.permutations(range(len(c.dirs))):
             c2 = _sigma_transform_ast(c, perm)
             Checker().check_comp_term(sc, c2)
             v2 = eval_term(sc.env, c2)
-            assert convert(sc.ctx, ty, v, v2), (name, "sigma", perm)
+            assert convert(sc, ty, v, v2), (name, "sigma", perm)
         checked += 1
     _timed("1 (comp equation suite)", 10.0, t0, checked >= 10,
            f"{checked} comps, k in {sorted(ks)}")
@@ -349,7 +349,7 @@ def _gen_candidates(scope, rng: random.Random, count: int):
                 fns = [(t, ty) for t, ty in pool if isinstance(ty, VPi)]
                 t1, ty1 = rng.choice(fns)
                 args = [(t, ty) for t, ty in pool
-                        if convert(scope.ctx, VU(0), ty, ty1.dom)]
+                        if convert(scope, VU(0), ty, ty1.dom)]
                 if not args:
                     continue
                 t2, _ = rng.choice(args)
@@ -405,10 +405,10 @@ def _gen_candidates(scope, rng: random.Random, count: int):
                     [Var("A"), Var("C"), PApp(Var("L"), IVar(dirs[0]))])
                 if isinstance(line, PApp) or alpha_eq(line, Var("A")):
                     caps = [(t, ty) for t, ty in pool
-                            if convert(scope.ctx, VU(0), ty, scope.types["a"])]
+                            if convert(scope, VU(0), ty, scope.types["a"])]
                 else:
                     caps = [(t, ty) for t, ty in pool
-                            if convert(scope.ctx, VU(0), ty,
+                            if convert(scope, VU(0), ty,
                                        scope.types["c0"])]
                 if not caps:
                     continue
@@ -440,7 +440,7 @@ def test_criterion_9_nbe_properties():
     t0 = time.time()
     mod = check_module(parse_module(SIG9))
     assert mod.report.ok
-    scope = mod.scope
+    scope = mod.ctx
     rng = random.Random(20260811)
     terms = _gen_candidates(scope, rng, 1000)
     assert len(terms) >= 1000
@@ -456,10 +456,10 @@ def test_criterion_9_nbe_properties():
             continue
         # conversion is an equivalence relation (refl, sym, trans sample)
         v3 = eval_term(scope.env, n2)
-        if not (convert(scope.ctx, ty, v, v) and
-                convert(scope.ctx, ty, v, v2) and
-                convert(scope.ctx, ty, v2, v) and
-                convert(scope.ctx, ty, v, v3)):
+        if not (convert(scope, ty, v, v) and
+                convert(scope, ty, v, v2) and
+                convert(scope, ty, v2, v) and
+                convert(scope, ty, v, v3)):
             violations += 1
             continue
         # substitution commutes with evaluation
@@ -467,7 +467,7 @@ def test_criterion_9_nbe_properties():
         ty_sub = eval_term(sub_env, quote_type(ty))
         lhs = eval_term(scope.env, t_sub)
         rhs = eval_term(sub_env, t)
-        if not convert(scope.ctx, ty_sub, lhs, rhs):
+        if not convert(scope, ty_sub, lhs, rhs):
             violations += 1
     _timed("9 (NbE properties over >= 1000 random well-typed terms)", 120.0,
            t0, violations == 0, f"{len(terms)} terms, {violations} violations")

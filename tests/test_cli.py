@@ -459,6 +459,7 @@ def test_lab_lift_check_nmax_beyond_dim():
 
 
 @pytest.mark.parametrize("args", [("hom-count", "17", "1"),
+                                  ("hom-count", "20", "20"),
                                   ("ez-factor", "--dom", "2", "--cod", "1",
                                    "--table", "x")], ids=" ".join)
 def test_lab_value_errors_are_usage_errors(args):

@@ -23,6 +23,17 @@ def test_hom_counts():
             assert len(enumerate_hom(m, n)) == (m + 2) ** n
 
 
+def test_one_bound_for_counting_and_numbering_maps():
+    top = cubes.HOM_BOUND
+    assert map_of(cubes.maps(top, top)[-1]) == (cubes.count(top, top) - 1,
+                                                top, top)
+    for a, b in ((top + 1, 0), (0, top + 1)):
+        with pytest.raises(ValueError, match=f"bound {top} exceeded"):
+            cubes.count_hom(a, b)
+        with pytest.raises(ValueError, match=f"bound {top} exceeded"):
+            cubes.maps(a, b)
+
+
 def test_points_of_cube():
     # (0, n): 2^n points, each middle to bot or top
     assert len(enumerate_hom(0, 3)) == 8

@@ -24,7 +24,7 @@ postulate p : Path (i. A) a b
 def sig():
     mod = check_module(parse_module(SIG))
     assert mod.report.ok
-    return mod.scope
+    return mod.ctx
 
 
 def _line_const(scope, name):
@@ -56,8 +56,7 @@ def test_source_equals_target_returns_cap(sig):
 
 def test_degenerate_under_hypotheses(sig):
     # source (i) and target (j) coincide under the restriction i = j
-    sc, iv = sig.bind_ivar("i")
-    sc, jv = sc.bind_ivar("j")
+    sc, (iv, jv) = sig.bind_ivars(("i", "j"))
     A = sig.env.terms["A"]
     cap = sig.env.terms["a"]
     p = _problem(sig, lambda *ivs: A, (iv,), (jv,), (), cap)
@@ -108,16 +107,16 @@ def test_comp_pi_rule_applies_tube_pointwise(sig):
     # guard TOP: the Frobenius output applied to an argument converts with
     # the tube applied to that argument at the target
     src = r"comp^1 (i. (x : A) -> A) [ j = 0 -> i. \x. x ] (\x. x) : 0 ~> 1"
-    sc, jv = sig.bind_ivar("j")
+    sc, (jv,) = sig.bind_ivars(("j",))
     t = Parser(src).parse_term()
     ty = Checker().check_comp_term(sc, t)
     v = eval_term(sc.env, t)
     rc = sc.restrict(CEq(jv, I0))
     ident = eval_term(sc.env, Parser(r"\x. x").parse_term())
-    assert convert(rc.ctx, ty, v, ident)
+    assert convert(rc, ty, v, ident)
     # and pointwise at an argument
     got = do_app(v, sc.env.terms["a"])
-    assert convert(rc.ctx, sc.types["A"], got, sc.env.terms["a"])
+    assert convert(rc, sc.types["A"], got, sc.env.terms["a"])
 
 
 def test_comp_pi_degenerate_is_cap_up_to_eta(sig):
@@ -126,7 +125,7 @@ def test_comp_pi_degenerate_is_cap_up_to_eta(sig):
     ty = Checker().check_comp_term(sig, t)
     v = eval_term(sig.env, t)
     ident = eval_term(sig.env, Parser(r"\x. x").parse_term())
-    assert convert(sig.ctx, ty, v, ident)
+    assert convert(sig, ty, v, ident)
 
 
 def test_comp_sigma_first_component_is_transport(sig):
@@ -140,18 +139,18 @@ def test_comp_sigma_first_component_is_transport(sig):
     A = sig.env.terms["A"]
     tr = transport(("i",), lambda *ivs: A, (I0,), (I1,), sig.env.terms["a"],
                    Env())
-    assert convert(sig.ctx, sig.types["A"], do_fst(v), tr)
+    assert convert(sig, sig.types["A"], do_fst(v), tr)
 
 
 def test_comp_sigma_guard_top(sig):
     src = r"comp^1 (i. (y : A) * A) [ j = 0 -> i. (a , b) ] (a , b) : 0 ~> 1"
-    sc, jv = sig.bind_ivar("j")
+    sc, (jv,) = sig.bind_ivars(("j",))
     t = Parser(src).parse_term()
     ty = Checker().check_comp_term(sc, t)
     v = eval_term(sc.env, t)
     rc = sc.restrict(CEq(jv, I0))
     want = eval_term(sc.env, Parser("(a , b)").parse_term())
-    assert convert(rc.ctx, ty, v, want)
+    assert convert(rc, ty, v, want)
 
 
 def test_comp_path_endpoints(sig):
@@ -161,9 +160,9 @@ def test_comp_path_endpoints(sig):
     v = eval_term(sig.env, t)
     assert isinstance(v, VPLam)
     left = do_papp(v, I0)
-    assert convert(sig.ctx, sig.types["A"], left, sig.env.terms["a"])
+    assert convert(sig, sig.types["A"], left, sig.env.terms["a"])
     right = do_papp(v, I1)
-    assert convert(sig.ctx, sig.types["A"], right, sig.env.terms["b"])
+    assert convert(sig, sig.types["A"], right, sig.env.terms["b"])
 
 
 def test_comp_path_degenerate_is_cap_up_to_eta(sig):
@@ -171,7 +170,7 @@ def test_comp_path_degenerate_is_cap_up_to_eta(sig):
     t = Parser(src).parse_term()
     ty = Checker().check_comp_term(sig, t)
     v = eval_term(sig.env, t)
-    assert convert(sig.ctx, ty, v, sig.env.terms["p"])
+    assert convert(sig, ty, v, sig.env.terms["p"])
 
 
 def test_no_regularity(sig):
@@ -181,4 +180,4 @@ def test_no_regularity(sig):
     ty = Checker().check_comp_term(sig, t)
     v = eval_term(sig.env, t)
     assert isinstance(v, VNe)
-    assert not convert(sig.ctx, ty, v, sig.env.terms["a"])
+    assert not convert(sig, ty, v, sig.env.terms["a"])

@@ -1,17 +1,18 @@
+import contextlib
 import itertools
 import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eqctt import semantics, typecheck
+from eqctt import cof, semantics, typecheck
 from eqctt.parser import Parser, parse_module, parse_term
 from eqctt.printer import print_term
 from eqctt.semantics import (NComp, PermutationBoundExceeded, VNe, VU,
                              canonicalize_stuck_comp, convert, eval_term,
                              quote, quote_type, sigma_transform)
 from eqctt.syntax import (App, Branch, CEq, Comp, Def, I0, I1, IVar, PApp, Pi,
-                          PLam, Var, alpha_eq, term_key)
+                          PLam, Var, alpha_eq, subst_cof, term_key)
 from eqctt.typecheck import Checker, check_module
 
 import reference
@@ -34,7 +35,7 @@ postulate f : (x : A) -> A
 def sig():
     mod = check_module(parse_module(SIG))
     assert mod.report.ok
-    return mod.scope
+    return mod.ctx
 
 
 def norm(scope, src: str, ty_src: str) -> str:
@@ -69,36 +70,36 @@ def test_path_endpoints_reduce(sig):
 def test_convert_reflexive(sig):
     ty = sig.types["a"]
     v = sig.env.terms["a"]
-    assert convert(sig.ctx, ty, v, v)
+    assert convert(sig, ty, v, v)
 
 
 def test_convert_distinct_neutrals(sig):
     ty = sig.types["a"]
-    assert not convert(sig.ctx, ty, sig.env.terms["a"], sig.env.terms["b"])
+    assert not convert(sig, ty, sig.env.terms["a"], sig.env.terms["b"])
 
 
 def test_lambda_bodies_differ(sig):
     ty = eval_term(sig.env, parse_term("(x : A) -> A"))
     v1 = eval_term(sig.env, Parser(r"\x. x").parse_term())
     v2 = eval_term(sig.env, Parser(r"\x. a").parse_term())
-    assert not convert(sig.ctx, ty, v1, v2)
+    assert not convert(sig, ty, v1, v2)
 
 
 def test_convert_under_false_restriction(sig):
-    ctx = sig.ctx.restrict(CEq(I0, I1))
+    ctx = sig.restrict(CEq(I0, I1))
     ty = sig.types["a"]
     assert convert(ctx, ty, sig.env.terms["a"], sig.env.terms["b"])
 
 
 def test_convert_under_interval_restriction(sig):
     # under i = 0 the neutral path application reduces to its endpoint
-    sc, iv = sig.bind_ivar("i")
+    sc, (iv,) = sig.bind_ivars(("i",))
     ty = sig.types["a"]
     v1 = eval_term(sc.env, Parser("p @ i").parse_term())
     v2 = sc.env.terms["a"]
-    assert not convert(sc.ctx, ty, v1, v2)
+    assert not convert(sc, ty, v1, v2)
     rc = sc.restrict(CEq(iv, I0))
-    assert convert(rc.ctx, ty, v1, v2)
+    assert convert(rc, ty, v1, v2)
 
 
 def comp_value(scope, src: str):
@@ -137,10 +138,10 @@ def test_permutation_bound(sig):
     # the bound is the checked module's: 4 by default
     with pytest.raises(PermutationBoundExceeded):
         comp_value(sig, COMP5)
-    wide = check_module(parse_module(SIG), k_max=5).scope
+    wide = check_module(parse_module(SIG), k_max=5).ctx
     assert isinstance(comp_value(wide, COMP5), VNe)
     with pytest.raises(PermutationBoundExceeded):
-        comp_value(check_module(parse_module(SIG), k_max=2).scope,
+        comp_value(check_module(parse_module(SIG), k_max=2).ctx,
                    "comp^3 (i j k. A) [] a : (0,0,0) ~> (1,1,1)")
 
 
@@ -269,17 +270,17 @@ def test_equivariance_all_sigma_k3(sig):
         t2 = transform(t, perm)
         ty2 = Checker().check_comp_term(sig, t2)
         v2 = eval_term(sig.env, t2)
-        assert convert(sig.ctx, ty, v, v2), perm
+        assert convert(sig, ty, v, v2), perm
 
 
 @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
 def test_normalization_idempotence_corpus(path):
     mod = check_module(parse_module(path.read_text()))
     assert mod.report.ok
-    for name, v in mod.values.items():
-        ty = mod.types[name]
+    for name, v in mod.ctx.env.terms.items():
+        ty = mod.ctx.types[name]
         n1 = quote(ty, v)
-        v2 = eval_term(mod.scope.env, n1)
+        v2 = eval_term(mod.ctx.env, n1)
         n2 = quote(ty, v2)
         assert alpha_eq(n1, n2), name
 
@@ -287,14 +288,14 @@ def test_normalization_idempotence_corpus(path):
 @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
 def test_conversion_equivalence_on_corpus(path):
     mod = check_module(parse_module(path.read_text()))
-    names = list(mod.values)
+    names = list(mod.ctx.env.terms)
     for name in names:
-        ty, v = mod.types[name], mod.values[name]
-        v2 = eval_term(mod.scope.env, quote(ty, v))
-        assert convert(mod.scope.ctx, ty, v, v2)
-        assert convert(mod.scope.ctx, ty, v2, v)  # symmetry
-        v3 = eval_term(mod.scope.env, quote(ty, v2))
-        assert convert(mod.scope.ctx, ty, v, v3)  # transitivity sample
+        ty, v = mod.ctx.types[name], mod.ctx.env.terms[name]
+        v2 = eval_term(mod.ctx.env, quote(ty, v))
+        assert convert(mod.ctx, ty, v, v2)
+        assert convert(mod.ctx, ty, v2, v)  # symmetry
+        v3 = eval_term(mod.ctx.env, quote(ty, v2))
+        assert convert(mod.ctx, ty, v, v3)  # transitivity sample
 
 
 def test_sigma_transform_of_corpus_comps_has_the_same_key():
@@ -371,12 +372,11 @@ def test_reordered_and_split_systems_convert(src):
 
 def _comps_convert(scope, src1: str, src2: str) -> bool:
     """Do two comps, over the interval variables m and n, convert?"""
-    sc, _ = scope.bind_ivar("m")
-    sc, _ = sc.bind_ivar("n")
+    sc, _ = scope.bind_ivars(("m", "n"))
     t1, t2 = parse_term(src1), parse_term(src2)
     ty = Checker().check_comp_term(sc, t1)
     Checker().check_comp_term(sc, t2)
-    return convert(sc.ctx, ty, eval_term(sc.env, t1), eval_term(sc.env, t2))
+    return convert(sc, ty, eval_term(sc.env, t1), eval_term(sc.env, t2))
 
 
 def _comp_src(k: int, branches) -> str:
@@ -510,9 +510,9 @@ def test_nbe_is_idempotent_on_corpus_defs(path):
     decls = parse_module(path.read_text())
     mod = check_module(decls)
     assert mod.report.ok
-    env = mod.scope.env
+    env = mod.ctx.env
     for name in (d.name for d in decls if isinstance(d, Def)):
-        ty, v = mod.types[name], mod.values[name]
+        ty, v = mod.ctx.types[name], mod.ctx.env.terms[name]
         n1 = quote(ty, v)
         assert term_key(quote(ty, eval_term(env, n1))) == term_key(n1), name
         t1 = quote_type(ty)
@@ -528,20 +528,20 @@ postulate Y : U0
 def _telescope():
     """A : U0, L : Path (i. U0) X Y, m : I, x : L @ m after two postulates."""
     mod = check_module(parse_module(TELESCOPE))
-    sc = mod.scope
+    sc = mod.ctx
     sc, _ = sc.bind_term("A", VU(0))
     sc, lv = sc.bind_term("L", eval_term(sc.env, parse_term(
         "Path (i. U0) X Y", known={"X", "Y"})))
-    sc, m = sc.bind_ivar("m")
+    sc, (m,) = sc.bind_ivars(("m",))
     sc, _ = sc.bind_term("x", semantics.do_papp(lv, m))
-    return sc.ctx, m
+    return sc, m
 
 
 def test_context_env_reindexes_only_after_the_moved_variable():
     ctx, m = _telescope()
     names = [e.name for e in ctx.entries]
     assert names.index(m.name) == 4
-    env = ctx.env({m.name: I0})
+    env = ctx.env_at({m.name: I0})
     assert env.ivals[m.name] == I0
     for e in ctx.entries[:4]:
         assert env.terms[e.name].ty is e.ty
@@ -553,14 +553,14 @@ def test_context_env_reindexes_only_after_the_moved_variable():
 def test_context_env_keeps_every_type_when_nothing_moves():
     ctx, m = _telescope()
     for assign in ({m.name: IVar(m.name)}, {}, {"unbound": I1}):
-        env = ctx.env(assign)
+        env = ctx.env_at(assign)
         for e in ctx.entries:
             if isinstance(e, semantics.TermBind):
                 assert env.terms[e.name].ty is e.ty
 
 
 def test_a_value_converts_with_itself_without_evaluating(sig, monkeypatch):
-    sc, iv = sig.bind_ivar("i")
+    sc, (iv,) = sig.bind_ivars(("i",))
     rc = sc.restrict(cof_or(CEq(iv, I0), CEq(iv, I1)))
     v = eval_term(sc.env, Parser("p @ i").parse_term())
     ty = sig.types["a"]
@@ -568,29 +568,61 @@ def test_a_value_converts_with_itself_without_evaluating(sig, monkeypatch):
     def no_eval(env, t):
         raise AssertionError("conversion evaluated a term")
     monkeypatch.setattr(semantics, "eval_term", no_eval)
-    assert convert(rc.ctx, ty, v, v)
+    assert convert(rc, ty, v, v)
 
 
-def _corpus_conversions(path, monkeypatch) -> list:
-    """Every conversion checking the file makes, with its verdict."""
+@contextlib.contextmanager
+def _recorded_conversions():
+    """The conversions the checker makes in the block, with their
+    verdicts."""
     seen = []
 
     def recording(ctx, ty, v1, v2):
         out = convert(ctx, ty, v1, v2)
         seen.append((ctx, ty, v1, v2, out))
         return out
-    monkeypatch.setattr(typecheck, "convert", recording)
-    check_module(parse_module(path.read_text()))
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(typecheck, "convert", recording)
+        yield seen
+
+
+def _corpus_conversions(path) -> list:
+    """Every conversion checking the file makes, with its verdict."""
+    with _recorded_conversions() as seen:
+        check_module(parse_module(path.read_text()))
     assert seen
     return seen
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.ectt")),
                          ids=lambda p: p.name)
-def test_convert_agrees_with_reevaluation_on_the_corpus(path, monkeypatch):
-    for ctx, ty, v1, v2, out in _corpus_conversions(path, monkeypatch):
+def test_convert_agrees_with_reevaluation_on_the_corpus(path):
+    for ctx, ty, v1, v2, out in _corpus_conversions(path):
         assert reference.convert_by_reevaluation(ctx, ty, v1, v2) == out
+
+
+# ---------------------------------------------------------------------------
+# a restriction holds after its own substitution, so the environment a
+# conjunct's conversion evaluates in needs no hypotheses
+
+def _restrictions_hold(conversions) -> int:
+    """Each restriction of each conversion holds, with no hypotheses, once
+    the assignment of any DNF conjunct of the restrictions is substituted
+    into it; the number of conjuncts."""
+    conjuncts = 0
+    for ctx, *_ in conversions:
+        hyps = ctx.env.hyps
+        for conj in cof.conjoin(hyps) if hyps else ():
+            assign = cof.assignment(conj)
+            for h in hyps:
+                assert cof.entails((), subst_cof(h, assign)), (h, assign)
+            conjuncts += 1
+    return conjuncts
+
+
+def test_restrictions_hold_after_their_substitution_on_the_corpus():
+    assert sum(_restrictions_hold(_corpus_conversions(path))
+               for path in sorted(CORPUS.glob("*.ectt"))) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +631,8 @@ def test_convert_agrees_with_reevaluation_on_the_corpus(path, monkeypatch):
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.ectt")),
                          ids=lambda p: p.name)
-def test_convert_agrees_with_readback_on_the_corpus(path, monkeypatch):
-    for ctx, ty, v1, v2, out in _corpus_conversions(path, monkeypatch):
+def test_convert_agrees_with_readback_on_the_corpus(path):
+    for ctx, ty, v1, v2, out in _corpus_conversions(path):
         assert reference.convert_by_readback(ctx, ty, v1, v2) == out
 
 
@@ -693,8 +725,8 @@ def _value_pairs(draw):
 def value_scope():
     mod = check_module(parse_module(VALUE_SIG))
     assert mod.report.ok
-    sc, _ = mod.scope.bind_ivar("i")
-    sc, _ = sc.bind_term("x", mod.types["a"])
+    sc, _ = mod.ctx.bind_ivars(("i",))
+    sc, _ = sc.bind_term("x", mod.ctx.types["a"])
     return sc
 
 
@@ -709,8 +741,32 @@ def test_convert_agrees_with_readback_on_values(value_scope, pair):
         t = Parser(src).parse_term()
         Checker().check(sc, t, ty)
         vs.append(eval_term(sc.env, t))
-    assert convert(sc.ctx, ty, *vs) == reference.convert_by_readback(
-        sc.ctx, ty, *vs)
+    assert convert(sc, ty, *vs) == reference.convert_by_readback(
+        sc, ty, *vs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_value_pairs())
+def test_restrictions_hold_after_their_substitution_on_values(value_scope,
+                                                              pair):
+    ty_src, t1, t2 = pair
+    sc = value_scope
+    ty = eval_term(sc.env, Parser(ty_src).parse_term())
+    with _recorded_conversions() as seen:
+        for src in (t1, t2):
+            Checker().check(sc, Parser(src).parse_term(), ty)
+    _restrictions_hold(seen)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_systems())
+def test_restrictions_hold_after_their_substitution_on_systems(sig, system):
+    k, branches = system
+    tube = [(r" \/ ".join(ds), body) for ds, body in branches]
+    sc, _ = sig.bind_ivars(("m", "n"))
+    with _recorded_conversions() as seen:
+        Checker().check_comp_term(sc, parse_term(_comp_src(k, tube)))
+    assert _restrictions_hold(seen) > 0
 
 
 UNREAD_COMP = """postulate A : U0
@@ -729,7 +785,7 @@ def test_a_stuck_comp_no_conversion_reads_is_not_canonicalized(
     monkeypatch.setattr(semantics, "sigma_transform", counted)
     mod = check_module(parse_module(UNREAD_COMP))
     assert mod.report.ok
-    v = mod.values["c"]
+    v = mod.ctx.env.terms["c"]
     assert isinstance(v, VNe) and isinstance(v.ne, NComp)
     assert built == []
     monkeypatch.undo()

@@ -2,10 +2,13 @@ import math
 
 import pytest
 
+from eqctt.cubelab import cubes, simplicial
 from eqctt.cubelab.cubes import full_symmetric
 from eqctt.cubelab.presheaf import (iso_search, nondegenerate, product,
                                     quotient_by_group, representable_cube)
-from eqctt.cubelab.simplicial import delta, enumerate_monotone, triangulate
+from eqctt.cubelab.simplicial import (SimplexMap, delta, enumerate_monotone,
+                                      triangulate)
+from conftest import run_cli
 from reference import dualize_simplex_map, simplex_compose, simplex_identity
 
 
@@ -98,3 +101,33 @@ def test_quotient_triangulate_commutes_for_sigma2():
 def test_simplicial_identities_hold_after_triangulation():
     from reference import check_functorial
     assert check_functorial(triangulate(representable_cube(2, 2)))
+
+
+def test_triangulate_dualizes_only_the_maps_it_reads(monkeypatch):
+    dualized = []
+
+    def recorded(f):
+        dualized.append(f)
+        return dual_middles(f)
+    dual_middles = simplicial.dual_middles
+    monkeypatch.setattr(simplicial, "dual_middles", recorded)
+    T = triangulate(representable_cube(2, 3))
+    for i in (4, 1, 4):
+        T.action[simplicial.maps(1, 2)[i]]
+    assert dualized == [SimplexMap(1, 2, (1, 2)), SimplexMap(1, 2, (0, 1))]
+
+
+def test_triangulating_a_product_builds_no_label(monkeypatch):
+    built = []
+
+    def recorded(*args):
+        built.append(args)
+        return cube_map(*args)
+    cube_map = cubes.cube_map
+    monkeypatch.setattr(cubes, "cube_map", recorded)
+    r = run_cli("--dim", "3", "lab", "triangulate", "I1*I1")
+    assert r.exit_code == 0, r.output
+    assert built == []
+    P = product(representable_cube(1, 3), representable_cube(1, 3))
+    assert P.levels[1][5] == (cube_map(1, 1, 1), cube_map(1, 1, 2))
+    assert len(built) == 2

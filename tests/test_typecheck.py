@@ -26,7 +26,7 @@ postulate p : Path (i. A) a b
 def sig():
     mod = check_src(SIG)
     assert mod.report.ok
-    return mod.scope
+    return mod.ctx
 
 
 def test_infer_universe(sig):
@@ -41,7 +41,7 @@ def test_infer_path_application_endpoint(sig):
     # the type is A and the value converts to the left endpoint
     assert print_term(quote_type(ty)) == "A"
     v = eval_term(sig.env, t)
-    assert convert(sig.ctx, ty, v, sig.env.terms["a"])
+    assert convert(sig, ty, v, sig.env.terms["a"])
 
 
 def test_infer_unbound(sig):
@@ -87,7 +87,7 @@ def test_comp_guard_must_live_in_outer_context(sig):
 
 
 def test_comp_cap_tube_disagreement(sig):
-    sc, _ = sig.bind_ivar("m")
+    sc, _ = sig.bind_ivars(("m",))
     ch = Checker()
     t = Parser("comp^1 (i. A) [ m = 0 -> i. b ] a : 0 ~> 1").parse_term()
     with pytest.raises(CheckError) as e:
@@ -96,7 +96,7 @@ def test_comp_cap_tube_disagreement(sig):
 
 
 def test_vacuous_overlap_is_fine(sig):
-    sc, _ = sig.bind_ivar("m")
+    sc, _ = sig.bind_ivars(("m",))
     ch = Checker()
     t = Parser(
         "comp^1 (i. A) [ m = 0 -> i. a | m = 1 -> i. p @ i ] a : 0 ~> 1"
@@ -105,7 +105,7 @@ def test_vacuous_overlap_is_fine(sig):
 
 
 def test_incompatible_system(sig):
-    sc, _ = sig.bind_ivar("m")
+    sc, _ = sig.bind_ivars(("m",))
     ch = Checker()
     t = Parser(
         "comp^1 (i. A) [ m = 0 -> i. a | m = 0 -> i. b ] a : 0 ~> 1"
@@ -113,6 +113,16 @@ def test_incompatible_system(sig):
     with pytest.raises(CheckError) as e:
         ch.check_comp_term(sc, t)
     assert e.value.diag.code == INCOMPATIBLE
+
+
+@pytest.mark.parametrize("binder", ["i", "m"])
+def test_overlap_reads_outer_names_past_another_branch_binder(sig, binder):
+    # branch 2's m is the outer m even where branch 1 binds an m: on the
+    # overlap m = 0 both branches are a
+    sc, _ = sig.bind_ivars(("m",))
+    t = Parser(f"comp^1 (i. A) [ m = 0 -> {binder}. a | m = 0 -> i. p @ m ]"
+               " a : 0 ~> 0").parse_term()
+    Checker().check_comp_term(sc, t)
 
 
 def test_guard_never_holds_is_warning(sig):
@@ -183,12 +193,12 @@ def test_subject_reduction_on_corpus(path):
     # if check succeeds, the readback of the value rechecks at the same type
     mod = check_module(parse_module(path.read_text()))
     assert mod.report.ok
-    base = check_module(parse_module(path.read_text())).scope
-    for name, v in mod.values.items():
-        ty = mod.types[name]
+    base = check_module(parse_module(path.read_text())).ctx
+    for name, v in mod.ctx.env.terms.items():
+        ty = mod.ctx.types[name]
         nf = quote(ty, v)
         ch = Checker()
-        ch.check(mod.scope, nf, ty)
+        ch.check(mod.ctx, nf, ty)
 
 
 def test_diagnostics_totality():
