@@ -23,7 +23,8 @@ from .parser import SyntaxError_, parse_cof, parse_module
 from .printer import print_term
 from .semantics import K_MAX, quote
 from .syntax import reset_fresh
-from .typecheck import check_module
+from .typecheck import (CheckedModule, DeclReport, Diagnostic, Report,
+                        check_module)
 from .cubelab import cubes, simplicial
 from .cubelab.boxes import (PresheafMap, build_open_box,
                             check_equivariant_lifting, horn_box_domain,
@@ -98,11 +99,11 @@ class Settings:
             except argparse.ArgumentTypeError as e:
                 raise UsageError(f"invalid value for {source}: {e}")
 
-    def emit(self, report: dict, human: str) -> None:
-        # sys.stdout is looked up per call, so nothing keeps a buffer that an
-        # in-process caller swaps in for it
+    def emit(self, report: dict, human: str, stderr: bool = False) -> None:
+        # the streams are looked up per call, so nothing keeps a buffer that
+        # an in-process caller swaps in for one
         print(json.dumps(report, sort_keys=True) if self.json else human,
-              file=sys.stdout)
+              file=sys.stderr if stderr and not self.json else sys.stdout)
 
     def charge(self, need: int, what: str,
                unit: str = "action-table entries") -> None:
@@ -110,6 +111,11 @@ class Settings:
         if need > self.budget:
             raise BudgetExceeded(f"{what} needs {need} {unit}, over budget "
                                  f"{self.budget}")
+
+    def charge_representable(self, site, n: int, what: str) -> None:
+        """Charge the representable of dimension ``n`` of ``site``."""
+        self.charge(table_size(site, [site.count(d, n)
+                                      for d in range(self.dim + 1)]), what)
 
     @contextlib.contextmanager
     def budget_exit(self, report: dict):
@@ -157,7 +163,8 @@ def arg(*names: str, **options) -> tuple:
     return names, options
 
 
-def _check_file(path: str, k_max: int):
+def _check_file(path: str, k_max: int) -> CheckedModule:
+    """The checked module; a syntax error is the one declaration's error."""
     try:
         with open(path, encoding="utf-8") as fh:
             src = fh.read()
@@ -167,33 +174,27 @@ def _check_file(path: str, k_max: int):
     try:
         decls = parse_module(src)
     except SyntaxError_ as e:
-        return None, {"file": path, "decls": [
-            {"name": "<parse>", "status": "error",
-             "diagnostics": [{"code": e.code, "message": e.message,
-                              "line": e.pos[0], "col": e.pos[1]}]}]}
-    mod = check_module(decls, k_max)
-    return mod, mod.report.to_json(path)
+        diag = Diagnostic(e.code, e.message, e.pos)
+        return CheckedModule(Report([DeclReport("<parse>", "error", [diag])]),
+                             {})
+    return check_module(decls, k_max)
 
 
-def _report_lines(report: dict):
-    for d in report["decls"]:
-        yield f"{d['name']}: {d['status']}"
-        for diag in d["diagnostics"]:
-            loc = (f"{diag.get('line')}:{diag.get('col')}: "
-                   if "line" in diag else "")
-            yield f"  {loc}{diag['code']}: {diag['message']}"
-            if "expected" in diag:
-                yield f"    expected: {diag['expected']}"
-                yield f"    actual:   {diag['actual']}"
+def _report_lines(report: Report):
+    for d in report.decls:
+        yield f"{d.name}: {d.status}"
+        yield from ("  " + str(diag).replace("\n", "\n  ")
+                    for diag in d.diagnostics)
 
 
 @command("check", arg("path"))
 def check(s: Settings, a):
     """Type check every declaration in an .ectt file."""
-    mod, report = _check_file(a.path, s.k_max)
-    if s.json or report["decls"]:
-        s.emit(report, "\n".join(_report_lines(report)))
-    sys.exit(0 if mod is not None and mod.report.ok else 1)
+    mod = _check_file(a.path, s.k_max)
+    if s.json or mod.report.decls:
+        s.emit(mod.report.to_json(a.path),
+               "\n".join(_report_lines(mod.report)))
+    sys.exit(0 if mod.report.ok else 1)
 
 
 @command("normalize", arg("path"),
@@ -201,17 +202,21 @@ def check(s: Settings, a):
              help="definition to normalize"))
 def normalize(s: Settings, a):
     """Print the eta-long beta-normal form of a definition."""
-    mod, report = _check_file(a.path, s.k_max)
-    if mod is None or not mod.report.ok:
-        print("file does not type check:", *_report_lines(report),
-              sep="\n", file=sys.stderr)
-        sys.exit(1)
-    if a.name not in mod.ctx.types:
-        print(f"error: unknown name {a.name!r}", file=sys.stderr)
-        sys.exit(1)
-    nf = print_term(quote(mod.ctx.types[a.name], mod.ctx.env.terms[a.name]))
-    s.emit({"operation": "normalize",
-            "inputs": {"file": a.path, "def": a.name}, "result": nf}, human=nf)
+    mod = _check_file(a.path, s.k_max)
+    report = {"operation": "normalize",
+              "inputs": {"file": a.path, "def": a.name}}
+    if not mod.report.ok:
+        error = "\n".join(["file does not type check:",
+                           *_report_lines(mod.report)])
+    elif a.name not in mod.sig:
+        error = f"error: unknown name {a.name!r}"
+    else:
+        v, ty = mod.sig[a.name]
+        nf = print_term(quote(ty, v))
+        s.emit({**report, "result": nf}, human=nf)
+        return
+    s.emit({**report, "result": "error", "detail": error}, error, stderr=True)
+    sys.exit(1)
 
 
 @command("cof entails", arg("hyp"), arg("goal"))
@@ -252,10 +257,6 @@ def parse_lab_object(expr: str, s: Settings) -> FinPresheaf:
         pos = m.end()
     toks.append(None)  # where the tokens end: the end, or input none starts
 
-    def charge(site, n: int, what: str) -> None:
-        s.charge(table_size(site, [site.count(d, n) for d in range(D + 1)]),
-                 what)
-
     def closed(X: FinPresheaf) -> FinPresheaf:
         if toks.pop(0) != ")":
             raise UsageError("expected ')'")
@@ -266,20 +267,20 @@ def parse_lab_object(expr: str, s: Settings) -> FinPresheaf:
         if tok is None:
             raise UsageError(f"cannot parse object {expr!r}")
         if tok.startswith("Delta"):
-            charge(simplicial, int(tok[5:]), tok)
+            s.charge_representable(simplicial, int(tok[5:]), tok)
             return delta(int(tok[5:]), D)
         if tok == "T(":
             return _usage_on_value_error(triangulate, closed(obj()))
         if tok == "(":
             X = closed(obj())
         elif tok == "1":
-            charge(cubes, 0, tok)
+            s.charge_representable(cubes, 0, tok)
             X = terminal_cube(D)
         elif tok == "horn":
-            charge(cubes, 2, tok)
+            s.charge_representable(cubes, 2, tok)
             X = _usage_on_value_error(horn_box_domain, D)
         elif tok.startswith("I"):
-            charge(cubes, int(tok[1:]), tok)
+            s.charge_representable(cubes, int(tok[1:]), tok)
             X = representable_cube(int(tok[1:]), D)
         else:
             raise UsageError(f"unexpected {tok!r}")
@@ -452,15 +453,18 @@ def lab_open_box(s: Settings, a):
     """Build an open box and report its levelwise cell counts."""
     D, n, k = s.dim, a.n, a.k
     z = _parse_map(a.zeta, n, k, "zeta")
+    if n + k > D:  # before C of I^n is built, which grows with n
+        raise UsageError("n + k exceeds the truncation bound")
+    report = {"operation": "open-box", "bounds": {"D": D},
+              "inputs": {"n": n, "k": k, "zeta": list(z.table), "sub": a.sub}}
+    with s.budget_exit(report):  # the ambient I^n x I^k, as I^(n+k)
+        s.charge_representable(cubes, n + k, f"I{n + k}")
     C = (sub_empty(n, D) if a.sub == "empty" else sub_full(n, D)
          if a.sub == "full" else sub_vertex(n, D, int(a.sub[1])))
-    dom, amb = _usage_on_value_error(build_open_box, n, k, C, index(z), D)
+    dom, amb = build_open_box(n, k, C, index(z), D)
     inj = all(set(dom.levels[d]) <= set(amb.levels[d]) for d in range(D + 1))
-    s.emit({"operation": "open-box",
-            "inputs": {"n": n, "k": k, "zeta": list(z.table), "sub": a.sub},
-            "bounds": {"D": D},
-            "cell-counts": {"domain": dom.level_sizes(),
-                            "ambient": amb.level_sizes()},
+    s.emit({**report, "cell-counts": {"domain": dom.level_sizes(),
+                                      "ambient": amb.level_sizes()},
             "result": {"levelwise-injective": inj}},
            human=f"dom {dom.level_sizes()} in amb {amb.level_sizes()}")
 

@@ -85,9 +85,8 @@ def _comp_pi(p: CompProblem, env: Env, hint: str) -> Value:
             (g, (lambda *ivs, _u=u: do_app(_u(*ivs), a_tilde(*ivs))))
             for g, u in p.tube)
         cap = do_app(p.cap, a_tilde(*p.source))
-        return comp_eval(
-            CompProblem(p.dirs, cod_line, p.source, p.target, tube, cap),
-            env)
+        return comp_eval(CompProblem(p.dirs, cod_line, p.source, p.target,
+                                     tube, cap), env)
 
     return VLam(result, hint)
 
@@ -101,10 +100,8 @@ def _comp_sigma(p: CompProblem, env: Env) -> Value:
         (g, (lambda *ivs, _u=u: do_fst(_u(*ivs)))) for g, u in p.tube)
 
     def w(*ivs):
-        return comp_eval(
-            CompProblem(p.dirs, dom_line, p.source, ivs, fst_tube,
-                        do_fst(p.cap)),
-            env)
+        return comp_eval(CompProblem(p.dirs, dom_line, p.source, ivs,
+                                     fst_tube, do_fst(p.cap)), env)
 
     def cod_line(*ivs):
         return _as(VSigma, p.line(*ivs)).cod(w(*ivs))
@@ -112,10 +109,8 @@ def _comp_sigma(p: CompProblem, env: Env) -> Value:
     snd_tube = tuple(
         (g, (lambda *ivs, _u=u: do_snd(_u(*ivs)))) for g, u in p.tube)
     c1 = w(*p.target)
-    c2 = comp_eval(
-        CompProblem(p.dirs, cod_line, p.source, p.target, snd_tube,
-                    do_snd(p.cap)),
-        env)
+    c2 = comp_eval(CompProblem(p.dirs, cod_line, p.source, p.target,
+                               snd_tube, do_snd(p.cap)), env)
     return VPair(c1, c2)
 
 
@@ -133,8 +128,7 @@ def _comp_path(p: CompProblem, env: Env, hint: str) -> Value:
             (CEq(jv, I1), lambda *ivs: _as(VPathT, p.line(*ivs)).right),
         )
         cap = do_papp(p.cap, jv)
-        return comp_eval(
-            CompProblem(p.dirs, line, p.source, p.target, tube + extra, cap),
-            env)
+        return comp_eval(CompProblem(p.dirs, line, p.source, p.target,
+                                     tube + extra, cap), env)
 
     return VPLam(result, hint)

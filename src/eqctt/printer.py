@@ -74,12 +74,9 @@ def print_term(t: Term) -> str:
 
 
 def _bind(names, env: dict[str, str], used: set[str]):
-    env2 = dict(env)
-    used2 = set(used)
-    disp = []
+    env2, used2, disp = dict(env), set(used), []
     for x in names:
-        d = _display(x, used2)
-        env2[x] = d
+        d = env2[x] = _display(x, used2)
         used2.add(d)
         disp.append(d)
     return disp, env2, used2

@@ -16,18 +16,21 @@ decide equality of systems too.  It compares values, in the readback's own
 order: both sides are applied to one fresh variable or interval, and only
 neutrals are compared as syntax, their stuck comps by key.
 
-The checker's one ``Context`` holds the telescope of fresh variables, the
-environment of the user's names, whose ``hyps`` are the restrictions, and
-their types.  Under restrictions, conversion is split into the DNF conjuncts
-of their conjunction, and under each one both values are read back,
-evaluated again under the interval identifications it forces (a restriction
-read as a dimension substitution), and compared.  Substituting a conjunct's
+Top-level declarations live once in the module's signature, which every
+``Env`` shares; the checker's one ``Context`` holds only local binders: the
+telescope of fresh variables, the environment of the local names, whose
+``hyps`` are the restrictions, and their types.  A binder copies only local
+names, so its cost depends on local depth, not module size.  Under
+restrictions, conversion is split into the DNF conjuncts of their
+conjunction, and under each one both values are read back, evaluated again
+under the interval identifications it forces (a restriction read as a
+dimension substitution), and compared.  Substituting a conjunct's
 identifications into any restriction makes it hold with no hypotheses, so
 that environment carries none.  Two rules skip work that cannot change the
-answer: a value converts with itself at once (reflexivity), and a
-conjunct's environment reindexes only the types bound after the first
-interval variable it moves, since a type mentions only variables bound
-before it (the suffix rule).
+answer: a value converts with itself at once (reflexivity), and a conjunct's
+environment reindexes only the types bound after the first interval variable
+it moves, since a type mentions only variables bound before it (the suffix
+rule).
 """
 
 from __future__ import annotations
@@ -185,25 +188,27 @@ def neutral_var(name: str, ty: Optional[Value]) -> VNe:
 # environments and contexts
 
 class Env:
-    """Variable values, restrictions, and ``k_max``, the stuck-comp bound."""
-    __slots__ = ("terms", "ivals", "hyps", "k_max")
+    """Local values, restrictions, ``k_max``, the stuck-comp bound, and
+    ``sig``, the module's signature: each top-level name's value and type,
+    shared by reference and looked up after the local names."""
+    __slots__ = ("terms", "ivals", "hyps", "k_max", "sig")
 
     def __init__(self, terms: dict[str, Value] | None = None,
                  ivals: dict[str, Interval] | None = None,
-                 hyps: tuple[Cof, ...] = (), k_max: float = K_MAX):
+                 hyps: tuple[Cof, ...] = (), k_max: float = K_MAX,
+                 sig: dict[str, tuple[Value, Value]] | None = None):
         self.terms = {} if terms is None else terms
         self.ivals = {} if ivals is None else ivals
         self.hyps, self.k_max = hyps, k_max
+        self.sig = {} if sig is None else sig
 
     def bind_term(self, x: str, v: Value) -> "Env":
-        return Env({**self.terms, x: v}, self.ivals, self.hyps, self.k_max)
+        return Env({**self.terms, x: v}, self.ivals, self.hyps, self.k_max,
+                   self.sig)
 
     def bind_ivars(self, xs: tuple[str, ...], rs: tuple[Interval, ...]) -> "Env":
         return Env(self.terms, {**self.ivals, **dict(zip(xs, rs))}, self.hyps,
-                   self.k_max)
-
-    def with_hyp(self, phi: Cof) -> "Env":
-        return Env(self.terms, self.ivals, self.hyps + (phi,), self.k_max)
+                   self.k_max, self.sig)
 
 
 class TermBind:
@@ -225,9 +230,9 @@ Entry = TermBind | IntervalBind
 
 class Context:
     """The checker's context: ``entries``, the telescope of the fresh
-    variables bound so far; ``env``, the values of the user's names, with the
-    restrictions in ``env.hyps`` and the stuck-comp bound; and ``types``, the
-    types of the user's names."""
+    variables bound so far; ``env``, the values of the local names, with the
+    restrictions, the stuck-comp bound and the module's signature; and
+    ``types``, the types of the local names."""
     __slots__ = ("entries", "env", "types")
 
     def __init__(self, entries: tuple[Entry, ...] = (), env: Env | None = None,
@@ -236,15 +241,14 @@ class Context:
         self.env = Env() if env is None else env
         self.types = {} if types is None else types
 
-    def bind_term(self, x: str, ty: Value,
-                  postulate: bool = False) -> tuple["Context", VNe]:
-        """Bind ``x`` to a fresh variable, or to itself if a postulate."""
-        v = neutral_var(x if postulate else fresh(x), ty)
+    def bind_term(self, x: str, ty: Value) -> tuple["Context", VNe]:
+        """Bind ``x`` to a fresh variable."""
+        v = neutral_var(fresh(x), ty)
         return Context(self.entries + (TermBind(v.ne.name, ty),),
                        self.env.bind_term(x, v), {**self.types, x: ty}), v
 
     def bind_def(self, x: str, ty: Value, v: Value) -> "Context":
-        # a definition unfolds through the environment
+        # a local definition unfolds through the environment
         return Context(self.entries, self.env.bind_term(x, v),
                        {**self.types, x: ty})
 
@@ -256,19 +260,22 @@ class Context:
                        self.types), ivs
 
     def restrict(self, phi: Cof) -> "Context":
-        return Context(self.entries, self.env.with_hyp(phi), self.types)
+        e = self.env
+        return Context(self.entries, Env(e.terms, e.ivals, e.hyps + (phi,),
+                                         e.k_max, e.sig), self.types)
 
     def env_at(self, assign: dict[str, Interval]) -> Env:
         """The evaluation environment of the telescope, its interval
         variables sent through ``assign``, a DNF conjunct's assignment.
 
-        The types of term variables are reindexed along it.  A type mentions
-        only variables bound before it, so only the types after the first
-        interval variable that ``assign`` moves are reindexed; every earlier
-        one is kept as it is.  Every restriction holds once the assignment
-        is substituted into it, so the environment carries none.  It
-        evaluates readbacks again, whose stuck comps ``make_stuck`` bounded
-        when it built them, so it bounds none.
+        Only the local binders are walked; top-level names live once in the
+        signature, shared as it is, since a global's type is closed.  A
+        local type mentions only variables bound before it, so only the
+        types after the first interval variable that ``assign`` moves are
+        reindexed; every earlier one is kept as it is.  Every restriction
+        holds once the assignment is substituted into it, so the environment
+        carries none.  It evaluates readbacks again, whose stuck comps
+        ``make_stuck`` bounded when it built them, so it bounds none.
         """
         terms: dict[str, Value] = {}
         ivals: dict[str, Interval] = {}
@@ -281,10 +288,10 @@ class Context:
             else:
                 ty = e.ty
                 if moved:
-                    ty = eval_term(Env(dict(terms), dict(ivals), (), math.inf),
-                                   quote_type(ty))
+                    ty = eval_term(Env(dict(terms), dict(ivals), (), math.inf,
+                                       self.env.sig), quote_type(ty))
                 terms[e.name] = neutral_var(e.name, ty)
-        return Env(terms, ivals, (), math.inf)
+        return Env(terms, ivals, (), math.inf, self.env.sig)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +359,8 @@ def eval_cof(env: Env, phi: Cof) -> Cof:
 def eval_term(env: Env, t: Term) -> Value:
     match t:
         case Var(x):
-            try:
-                return env.terms[x]
+            try:  # a local binder, else a top-level name
+                return env.terms[x] if x in env.terms else env.sig[x][0]
             except KeyError:
                 raise KernelError(f"unbound variable {x!r} during evaluation")
         case U(n):
@@ -423,13 +430,7 @@ def quote(ty: Value, v: Value) -> Term:
             return PLam(i, quote(line(iv), do_papp(v, iv)))
         case VU(_):
             return quote_type(v)
-        case VNe(_, _):
-            if isinstance(v, VNe):
-                return quote_ne(v.ne)[0]
-            raise KernelError(f"non-neutral value {v!r} at neutral type")
-        case None:
-            pass
-    if isinstance(v, VNe):
+    if isinstance(v, VNe):  # at a neutral type, or at none
         return quote_ne(v.ne)[0]
     raise KernelError(f"cannot quote {v!r} at type {ty!r}")
 

@@ -1,16 +1,19 @@
 """Bidirectional type checking of declarations.
 
-The checker works in one ``semantics.Context``: the telescope of fresh
-variables, the environment of the user's names, whose ``hyps`` are the
-restrictions the comp rule enters (a guard, or the two guards of an
-overlap), and the types of those names.  Conversion under restrictions
-substitutes each DNF conjunct's interval identifications, which make every
-restriction hold, so it evaluates with none.  Every failure carries exactly
-one diagnostic with a source position.  The comp rule checks its full
-premise list: the line is a type under the extended context, guards live in
-the outer context and may not mention the bound directions, branches agree
-pairwise on overlaps, and the cap agrees with every branch at the source
-tuple.  A well-typed comp inhabits the line at the *target* tuple.
+``check_module`` writes each declaration that checks once into the module's
+signature, and the checker works in one ``semantics.Context`` of local
+binders: the telescope of fresh variables, the environment of the local
+names, whose ``hyps`` are the restrictions the comp rule enters (a guard, or
+the two guards of an overlap), and the types of those names.  A binder
+copies only local names, so its cost depends on local depth, not module
+size.  Conversion under restrictions substitutes each DNF conjunct's
+interval identifications, which make every restriction hold, so it
+evaluates with none.  Every failure carries exactly one diagnostic with a
+source position.  The comp rule checks its full premise list: the line is a
+type under the extended context, guards live in the outer context and may
+not mention the bound directions, branches agree pairwise on overlaps, and
+the cap agrees with every branch at the source tuple.  A well-typed comp
+inhabits the line at the *target* tuple.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from . import cof
 from .printer import print_cof, print_term
 from .semantics import (K_MAX, Context, Env, PermutationBoundExceeded,
                         Value, VU, VPi, VSigma, VPathT, KernelError, convert,
-                        eval_cof, eval_interval, eval_term, quote, quote_type)
+                        eval_cof, eval_interval, eval_term, neutral_var, quote,
+                        quote_type)
 from .syntax import (Branch, Comp, Decl, Def, Fst, I0, I1, Interval,
                      Lam, Let, Pair, PApp, PathT, Pi, PLam, Pos, Sigma, Snd,
                      Term, U, Var, App, cof_vars, interval_vars)
@@ -105,10 +109,12 @@ class Checker:
 
     def infer(self, ctx: Context, t: Term) -> Value:
         match t:
-            case Var(x):
-                if x not in ctx.types:
+            case Var(x):  # a local binder, else a top-level name
+                if x in ctx.types:
+                    return ctx.types[x]
+                if x not in ctx.env.sig:
                     _fail(UNBOUND, f"unbound identifier {x!r}", t.pos)
-                return ctx.types[x]
+                return ctx.env.sig[x][1]
             case U(n):
                 return VU(n + 1)
             case Pi(x, a, b) | Sigma(x, a, b):
@@ -145,12 +151,8 @@ class Checker:
                     _fail(MISMATCH, "path application of a non-path", t.pos,
                           expected="a path type", actual=_show_type(fty))
                 return fty.line(rv)
-            case Let(x, ann, bound, body):
-                self.check_is_type(ctx, ann)
-                ty = eval_term(ctx.env, ann)
-                self.check(ctx, bound, ty)
-                ctx2 = ctx.bind_def(x, ty, eval_term(ctx.env, bound))
-                return self.infer(ctx2, body)
+            case Let():
+                return self.infer(self._bind_let(ctx, t), t.body)
             case Comp():
                 return self.check_comp_term(ctx, t)
             case Lam() | PLam() | Pair():
@@ -158,6 +160,13 @@ class Checker:
                       "cannot infer a type for this term; add an annotation",
                       t.pos)
         raise TypeError(t)
+
+    def _bind_let(self, ctx: Context, t: Let) -> Context:
+        """Check the bound term of a ``let`` and bind it as a definition."""
+        self.check_is_type(ctx, t.ann)
+        ty = eval_term(ctx.env, t.ann)
+        self.check(ctx, t.bound, ty)
+        return ctx.bind_def(t.binder, ty, eval_term(ctx.env, t.bound))
 
     def check_is_type(self, ctx: Context, t: Term) -> int:
         ty = self.infer(ctx, t)
@@ -204,12 +213,8 @@ class Checker:
                               expected=print_term(quote(want_ty, want)),
                               actual=print_term(quote(want_ty, got)))
                 return
-            case Let(x, ann, bound, body):
-                self.check_is_type(ctx, ann)
-                ty = eval_term(ctx.env, ann)
-                self.check(ctx, bound, ty)
-                ctx2 = ctx.bind_def(x, ty, eval_term(ctx.env, bound))
-                self.check(ctx2, body, expected)
+            case Let():
+                self.check(self._bind_let(ctx, t), t.body, expected)
                 return
         actual = self.infer(ctx, t)
         if not convert(ctx, VU(0), actual, expected):
@@ -293,9 +298,10 @@ class Checker:
 class DeclReport:
     __slots__ = ("name", "status", "diagnostics")
 
-    def __init__(self, name: str, status: str):
+    def __init__(self, name: str, status: str,
+                 diagnostics: list[Diagnostic] | None = None):
         self.name, self.status = name, status  # status: "ok" | "error"
-        self.diagnostics: list[Diagnostic] = []
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def to_json(self) -> dict:
         return {"name": self.name, "status": self.status,
@@ -305,8 +311,8 @@ class DeclReport:
 class Report:
     __slots__ = ("decls",)
 
-    def __init__(self):
-        self.decls: list[DeclReport] = []
+    def __init__(self, decls: list[DeclReport] | None = None):
+        self.decls = [] if decls is None else decls
 
     @property
     def ok(self) -> bool:
@@ -317,42 +323,40 @@ class Report:
 
 
 class CheckedModule:
-    __slots__ = ("report", "ctx")
+    __slots__ = ("report", "sig")
 
-    def __init__(self, report: Report, ctx: Context):
-        self.report, self.ctx = report, ctx  # ctx binds each declaration
+    def __init__(self, report: Report, sig: dict):
+        self.report, self.sig = report, sig  # each declaration that checks
 
 
 def check_module(decls: list[Decl], k_max: int = K_MAX) -> CheckedModule:
-    """Check each declaration in turn; ``k_max`` bounds every stuck comp."""
+    """Check each declaration against those before it, writing each that
+    checks into the signature; ``k_max`` bounds every stuck comp."""
     ctx = Context(env=Env(k_max=k_max))
+    sig = ctx.env.sig
     report = Report()
     for d in decls:
         checker = Checker()
         dr = DeclReport(d.name, "ok")
         report.decls.append(dr)
-        if d.name in ctx.types:
-            dr.status = "error"
-            dr.diagnostics.append(Diagnostic(
-                SYNTAX, f"duplicate declaration of {d.name!r}", d.pos))
-            continue
         try:
+            if d.name in sig:
+                _fail(SYNTAX, f"duplicate declaration of {d.name!r}", d.pos)
             checker.check_is_type(ctx, d.ty)
             ty = eval_term(ctx.env, d.ty)
             if isinstance(d, Def):
                 checker.check(ctx, d.body, ty)
-                ctx = ctx.bind_def(d.name, ty, eval_term(ctx.env, d.body))
-            else:  # a postulate keeps its declared name
-                ctx, _ = ctx.bind_term(d.name, ty, postulate=True)
+                sig[d.name] = eval_term(ctx.env, d.body), ty
+            else:  # a postulate is a variable under its declared name
+                sig[d.name] = neutral_var(d.name, ty), ty
         except CheckError as e:
-            dr.status = "error"
             dr.diagnostics.append(e.diag)
         except PermutationBoundExceeded as e:
-            dr.status = "error"
             dr.diagnostics.append(Diagnostic(PERM_BOUND, str(e), d.pos))
         except KernelError as e:  # a kernel bug surfaced on user input
-            dr.status = "error"
             dr.diagnostics.append(Diagnostic(
                 INTERNAL, f"internal error: {e}", d.pos))
+        if dr.diagnostics:
+            dr.status = "error"
         dr.diagnostics.extend(checker.warnings)
-    return CheckedModule(report, ctx)
+    return CheckedModule(report, sig)

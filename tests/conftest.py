@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from eqctt.cli import main
+from eqctt.semantics import Context, Env
 
 # every run draws the same examples, so a red tier-1 test stays red
 settings.register_profile("deterministic", derandomize=True)
@@ -35,6 +36,12 @@ def checked_comps():
     mod = check_module(parse_module((CORPUS / "comps.ectt").read_text()))
     assert mod.report.ok
     return mod
+
+
+def module_context(mod) -> Context:
+    """The top-level checking context of a checked module: no local binder,
+    and the module's signature."""
+    return Context(env=Env(sig=mod.sig))
 
 
 def cell(X, d: int, label) -> int:

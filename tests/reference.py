@@ -215,8 +215,10 @@ def tokenize(src: str) -> list[tuple]:
 
 def reindexed_env(ctx: Context, assign: dict) -> Env:
     """``Context.env_at`` reindexing the type of every term binding, under
-    the restrictions with ``assign`` substituted."""
+    the restrictions with ``assign`` substituted, over the context's
+    signature."""
     hyps = tuple(subst_cof(h, assign) for h in ctx.env.hyps)
+    sig = ctx.env.sig
     terms: dict = {}
     ivals: dict = {}
     for e in ctx.entries:
@@ -225,10 +227,10 @@ def reindexed_env(ctx: Context, assign: dict) -> Env:
         else:
             ty = e.ty
             if assign:
-                ty = eval_term(Env(dict(terms), dict(ivals), hyps),
+                ty = eval_term(Env(dict(terms), dict(ivals), hyps, sig=sig),
                                quote_type(ty))
             terms[e.name] = neutral_var(e.name, ty)
-    return Env(terms, ivals, hyps)
+    return Env(terms, ivals, hyps, sig=sig)
 
 
 def convert_by_reevaluation(ctx: Context, ty, v1, v2) -> bool:

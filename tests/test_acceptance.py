@@ -22,7 +22,7 @@ from eqctt.syntax import (BOT, Branch, CEq, Comp, Cof, COr, I0, I1, IVar,
                           PLam, Var, alpha_eq)
 from eqctt.typecheck import Checker, check_module
 
-from conftest import CORPUS
+from conftest import CORPUS, module_context
 from reference import cof_and, substitute
 
 
@@ -46,7 +46,7 @@ def _corpus_comps():
     for decl in parse_module((CORPUS / "comps.ectt").read_text()):
         if not hasattr(decl, "body"):
             continue
-        sc = mod.ctx
+        sc = module_context(mod)
         body = decl.body
         while isinstance(body, PLam):
             sc, _ = sc.bind_ivars((body.binder,))
@@ -337,7 +337,7 @@ def _gen_candidates(scope, rng: random.Random, count: int):
     from eqctt.semantics import VPathT, VPi, VSigma
     from eqctt.syntax import (App, Fst, Lam, PApp, Pair, PathT, Pi, Sigma,
                               Snd, TOP)
-    pool = [(Var(n), scope.types[n]) for n in
+    pool = [(Var(n), scope.env.sig[n][1]) for n in
             ("a", "a2", "c0", "f", "g", "pp", "q")]
     out = []
     tries = 0
@@ -405,11 +405,12 @@ def _gen_candidates(scope, rng: random.Random, count: int):
                     [Var("A"), Var("C"), PApp(Var("L"), IVar(dirs[0]))])
                 if isinstance(line, PApp) or alpha_eq(line, Var("A")):
                     caps = [(t, ty) for t, ty in pool
-                            if convert(scope, VU(0), ty, scope.types["a"])]
+                            if convert(scope, VU(0), ty,
+                                       scope.env.sig["a"][1])]
                 else:
                     caps = [(t, ty) for t, ty in pool
                             if convert(scope, VU(0), ty,
-                                       scope.types["c0"])]
+                                       scope.env.sig["c0"][1])]
                 if not caps:
                     continue
                 t1, _ = rng.choice(caps)
@@ -440,12 +441,12 @@ def test_criterion_9_nbe_properties():
     t0 = time.time()
     mod = check_module(parse_module(SIG9))
     assert mod.report.ok
-    scope = mod.ctx
+    scope = module_context(mod)
     rng = random.Random(20260811)
     terms = _gen_candidates(scope, rng, 1000)
     assert len(terms) >= 1000
     violations = 0
-    sub_env = scope.env.bind_term("a", scope.env.terms["a2"])
+    sub_env = scope.env.bind_term("a", scope.env.sig["a2"][0])
     for t, ty in terms:
         v = eval_term(scope.env, t)
         n1 = quote(ty, v)

@@ -201,6 +201,33 @@ def test_normalize_unknown_name(corpus_dir):
     assert r.exit_code == 1
 
 
+@pytest.mark.parametrize("path, name, detail", [
+    ("bad-boundary.ectt", "x", "file does not type check:\nA: ok\na: ok"),
+    ("comps.ectt", "NOPE", "error: unknown name 'NOPE'")])
+def test_normalize_failure_json_report(corpus_dir, path, name, detail):
+    # with --json a failed normalize prints one report; the human form
+    # prints to stderr only
+    f = str(corpus_dir / path)
+    r = run("--json", "normalize", f, "--def", name)
+    assert r.exit_code == 1
+    rep = json.loads(r.stdout)
+    assert rep.pop("detail").startswith(detail)
+    assert rep == {"operation": "normalize", "result": "error",
+                   "inputs": {"file": f, "def": name}}
+    human = run("normalize", f, "--def", name)
+    assert human.exit_code == 1 and human.stdout == ""
+    assert human.output.startswith(detail)
+
+
+def test_normalize_postulate_prints_its_name(tmp_path):
+    p = tmp_path / "p.ectt"
+    p.write_text("postulate A : U0\npostulate a : A\n")
+    for name in ("A", "a"):
+        r = run("normalize", str(p), "--def", name)
+        assert r.exit_code == 0
+        assert r.output == f"{name}\n"
+
+
 def test_normalize_guard_top_prints_branch_at_target(tmp_path):
     p = tmp_path / "t.ectt"
     p.write_text("postulate A : U0\npostulate a : A\n"
@@ -367,6 +394,28 @@ def test_lab_open_box():
     rep = json.loads(r.output)
     assert rep["cell-counts"]["domain"] == [1, 1, 1, 1]
     assert rep["result"]["levelwise-injective"] is True
+
+
+def test_lab_open_box_refuses_n_plus_k_over_D_before_building():
+    # the subobject C of I^40 would not fit in memory
+    t0 = time.perf_counter()
+    r = run("--dim", "3", "lab", "open-box", "--n", "40", "--k", "1",
+            "--zeta", "b", "--sub", "full")
+    assert time.perf_counter() - t0 < 2.0
+    assert r.exit_code == 2
+    assert "Error: n + k exceeds the truncation bound" in r.output
+
+
+def test_lab_open_box_charges_its_ambient_before_building():
+    # I^8 at --dim 8 is over the budget; C of I^7 is never built
+    t0 = time.perf_counter()
+    r = run("--json", "--dim", "8", "lab", "open-box", "--n", "7", "--k",
+            "1", "--zeta", "b", "--sub", "full")
+    assert time.perf_counter() - t0 < 2.0
+    assert r.exit_code == 3
+    rep = json.loads(r.stdout)
+    assert rep["result"] == "budget-exceeded"
+    assert rep["detail"].startswith("I8 needs")
 
 
 def test_lab_quotient():

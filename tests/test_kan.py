@@ -9,6 +9,7 @@ from eqctt.semantics import (Env, NComp, VNe, VPair, VPLam, convert, do_app,
 from eqctt.syntax import CEq, I0, I1, TOP, fresh
 from eqctt.typecheck import Checker, check_module
 
+from conftest import module_context
 from reference import fill_derive
 
 SIG = """
@@ -24,12 +25,11 @@ postulate p : Path (i. A) a b
 def sig():
     mod = check_module(parse_module(SIG))
     assert mod.report.ok
-    return mod.ctx
+    return module_context(mod)
 
 
 def _line_const(scope, name):
-    ty = scope.types[name] if name in scope.types else None
-    v = scope.env.terms[name]
+    v = scope.env.sig[name][0]
     return lambda *ivs: v
 
 
@@ -39,41 +39,41 @@ def _problem(scope, line, src, tgt, tube, cap):
 
 
 def test_guard_top_returns_branch_at_target(sig):
-    A = sig.env.terms["A"]
-    branch_val = sig.env.terms["b"]
+    A = sig.env.sig["A"][0]
+    branch_val = sig.env.sig["b"][0]
     p = _problem(sig, lambda *ivs: A, (I0,), (I1,),
-                 ((TOP, lambda *ivs: branch_val),), sig.env.terms["a"])
+                 ((TOP, lambda *ivs: branch_val),), sig.env.sig["a"][0])
     assert comp_eval(p, Env()) is branch_val
 
 
 def test_source_equals_target_returns_cap(sig):
-    A = sig.env.terms["A"]
-    cap = sig.env.terms["a"]
+    A = sig.env.sig["A"][0]
+    cap = sig.env.sig["a"][0]
     p = _problem(sig, lambda *ivs: A, (I0,), (I0,),
-                 ((CEq(I0, I1), lambda *ivs: sig.env.terms["b"]),), cap)
+                 ((CEq(I0, I1), lambda *ivs: sig.env.sig["b"][0]),), cap)
     assert comp_eval(p, Env()) is cap
 
 
 def test_degenerate_under_hypotheses(sig):
     # source (i) and target (j) coincide under the restriction i = j
     sc, (iv, jv) = sig.bind_ivars(("i", "j"))
-    A = sig.env.terms["A"]
-    cap = sig.env.terms["a"]
+    A = sig.env.sig["A"][0]
+    cap = sig.env.sig["a"][0]
     p = _problem(sig, lambda *ivs: A, (iv,), (jv,), (), cap)
     assert isinstance(comp_eval(p, Env()), VNe)
     assert comp_eval(p, Env(hyps=(CEq(iv, jv),))) is cap
 
 
 def test_neutral_line_sticks(sig):
-    A = sig.env.terms["A"]
+    A = sig.env.sig["A"][0]
     v = comp_eval(_problem(sig, lambda *ivs: A, (I0,), (I1,), (),
-                           sig.env.terms["a"]), Env())
+                           sig.env.sig["a"][0]), Env())
     assert isinstance(v, VNe) and isinstance(v.ne, NComp)
 
 
 def test_transport_is_comp_with_empty_tube(sig):
-    A = sig.env.terms["A"]
-    cap = sig.env.terms["a"]
+    A = sig.env.sig["A"][0]
+    cap = sig.env.sig["a"][0]
     # constant line, equal endpoints: transport returns the cap
     assert transport(("i",), lambda *ivs: A, (I0,), (I0,), cap, Env()) is cap
     # neutral line: stuck
@@ -82,8 +82,8 @@ def test_transport_is_comp_with_empty_tube(sig):
 
 
 def test_fill_then_substitute_source_gives_cap(sig):
-    A = sig.env.terms["A"]
-    cap = sig.env.terms["a"]
+    A = sig.env.sig["A"][0]
+    cap = sig.env.sig["a"][0]
     p = _problem(sig, lambda *ivs: A, (I0,), (I1,), (), cap)
     j = fresh("j")
     filler = fill_derive(p, (j,))
@@ -95,10 +95,10 @@ def test_fill_then_substitute_source_gives_cap(sig):
 
 
 def test_fill_under_guard_is_branch(sig):
-    A = sig.env.terms["A"]
-    bval = sig.env.terms["b"]
+    A = sig.env.sig["A"][0]
+    bval = sig.env.sig["b"][0]
     p = _problem(sig, lambda *ivs: A, (I0,), (I1,),
-                 ((TOP, lambda *ivs: bval),), sig.env.terms["a"])
+                 ((TOP, lambda *ivs: bval),), sig.env.sig["a"][0])
     j = fresh("j")
     assert fill_derive(p, (j,)) is bval
 
@@ -115,8 +115,8 @@ def test_comp_pi_rule_applies_tube_pointwise(sig):
     ident = eval_term(sc.env, Parser(r"\x. x").parse_term())
     assert convert(rc, ty, v, ident)
     # and pointwise at an argument
-    got = do_app(v, sc.env.terms["a"])
-    assert convert(rc, sc.types["A"], got, sc.env.terms["a"])
+    got = do_app(v, sc.env.sig["a"][0])
+    assert convert(rc, sc.env.sig["A"][1], got, sc.env.sig["a"][0])
 
 
 def test_comp_pi_degenerate_is_cap_up_to_eta(sig):
@@ -136,10 +136,10 @@ def test_comp_sigma_first_component_is_transport(sig):
     ty = Checker().check_comp_term(sig, t)
     v = eval_term(sig.env, t)
     assert isinstance(v, VPair)
-    A = sig.env.terms["A"]
-    tr = transport(("i",), lambda *ivs: A, (I0,), (I1,), sig.env.terms["a"],
+    A = sig.env.sig["A"][0]
+    tr = transport(("i",), lambda *ivs: A, (I0,), (I1,), sig.env.sig["a"][0],
                    Env())
-    assert convert(sig, sig.types["A"], do_fst(v), tr)
+    assert convert(sig, sig.env.sig["A"][1], do_fst(v), tr)
 
 
 def test_comp_sigma_guard_top(sig):
@@ -160,9 +160,9 @@ def test_comp_path_endpoints(sig):
     v = eval_term(sig.env, t)
     assert isinstance(v, VPLam)
     left = do_papp(v, I0)
-    assert convert(sig, sig.types["A"], left, sig.env.terms["a"])
+    assert convert(sig, sig.env.sig["A"][1], left, sig.env.sig["a"][0])
     right = do_papp(v, I1)
-    assert convert(sig, sig.types["A"], right, sig.env.terms["b"])
+    assert convert(sig, sig.env.sig["A"][1], right, sig.env.sig["b"][0])
 
 
 def test_comp_path_degenerate_is_cap_up_to_eta(sig):
@@ -170,7 +170,7 @@ def test_comp_path_degenerate_is_cap_up_to_eta(sig):
     t = Parser(src).parse_term()
     ty = Checker().check_comp_term(sig, t)
     v = eval_term(sig.env, t)
-    assert convert(sig, ty, v, sig.env.terms["p"])
+    assert convert(sig, ty, v, sig.env.sig["p"][0])
 
 
 def test_no_regularity(sig):
@@ -180,4 +180,4 @@ def test_no_regularity(sig):
     ty = Checker().check_comp_term(sig, t)
     v = eval_term(sig.env, t)
     assert isinstance(v, VNe)
-    assert not convert(sig, ty, v, sig.env.terms["a"])
+    assert not convert(sig, ty, v, sig.env.sig["a"][0])

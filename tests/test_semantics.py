@@ -8,16 +8,16 @@ from hypothesis import assume, given, settings, strategies as st
 from eqctt import cof, semantics, typecheck
 from eqctt.parser import Parser, parse_module, parse_term
 from eqctt.printer import print_term
-from eqctt.semantics import (NComp, PermutationBoundExceeded, VNe, VU,
-                             canonicalize_stuck_comp, convert, eval_term,
-                             quote, quote_type, sigma_transform)
+from eqctt.semantics import (Context, Env, NComp, PermutationBoundExceeded,
+                             VNe, VU, canonicalize_stuck_comp, convert,
+                             eval_term, quote, quote_type, sigma_transform)
 from eqctt.syntax import (App, Branch, CEq, Comp, Def, I0, I1, IVar, PApp, Pi,
                           PLam, Var, alpha_eq, subst_cof, term_key)
 from eqctt.typecheck import Checker, check_module
 
 import reference
 from reference import cof_and, cof_or
-from conftest import CORPUS, corpus_files, run_cli
+from conftest import CORPUS, corpus_files, module_context, run_cli
 from test_acceptance import _corpus_comps, _sigma_transform_ast
 
 
@@ -35,7 +35,7 @@ postulate f : (x : A) -> A
 def sig():
     mod = check_module(parse_module(SIG))
     assert mod.report.ok
-    return mod.ctx
+    return module_context(mod)
 
 
 def norm(scope, src: str, ty_src: str) -> str:
@@ -49,7 +49,7 @@ def norm(scope, src: str, ty_src: str) -> str:
 def test_beta(sig):
     # beta is an evaluation law; a bare redex does not synthesize a type
     v = eval_term(sig.env, Parser(r"(\x. x) a").parse_term())
-    assert v is sig.env.terms["a"]
+    assert v is sig.env.sig["a"][0]
     assert norm(sig, r"let id : (x : A) -> A = \x. x in id a", "A") == "a"
 
 
@@ -68,14 +68,14 @@ def test_path_endpoints_reduce(sig):
 
 
 def test_convert_reflexive(sig):
-    ty = sig.types["a"]
-    v = sig.env.terms["a"]
+    ty = sig.env.sig["a"][1]
+    v = sig.env.sig["a"][0]
     assert convert(sig, ty, v, v)
 
 
 def test_convert_distinct_neutrals(sig):
-    ty = sig.types["a"]
-    assert not convert(sig, ty, sig.env.terms["a"], sig.env.terms["b"])
+    ty = sig.env.sig["a"][1]
+    assert not convert(sig, ty, sig.env.sig["a"][0], sig.env.sig["b"][0])
 
 
 def test_lambda_bodies_differ(sig):
@@ -87,16 +87,16 @@ def test_lambda_bodies_differ(sig):
 
 def test_convert_under_false_restriction(sig):
     ctx = sig.restrict(CEq(I0, I1))
-    ty = sig.types["a"]
-    assert convert(ctx, ty, sig.env.terms["a"], sig.env.terms["b"])
+    ty = sig.env.sig["a"][1]
+    assert convert(ctx, ty, sig.env.sig["a"][0], sig.env.sig["b"][0])
 
 
 def test_convert_under_interval_restriction(sig):
     # under i = 0 the neutral path application reduces to its endpoint
     sc, (iv,) = sig.bind_ivars(("i",))
-    ty = sig.types["a"]
+    ty = sig.env.sig["a"][1]
     v1 = eval_term(sc.env, Parser("p @ i").parse_term())
-    v2 = sc.env.terms["a"]
+    v2 = sc.env.sig["a"][0]
     assert not convert(sc, ty, v1, v2)
     rc = sc.restrict(CEq(iv, I0))
     assert convert(rc, ty, v1, v2)
@@ -138,11 +138,16 @@ def test_permutation_bound(sig):
     # the bound is the checked module's: 4 by default
     with pytest.raises(PermutationBoundExceeded):
         comp_value(sig, COMP5)
-    wide = check_module(parse_module(SIG), k_max=5).ctx
+    wide = Context(env=Env(k_max=5, sig=sig.env.sig))
     assert isinstance(comp_value(wide, COMP5), VNe)
     with pytest.raises(PermutationBoundExceeded):
-        comp_value(check_module(parse_module(SIG), k_max=2).ctx,
+        comp_value(Context(env=Env(k_max=2, sig=sig.env.sig)),
                    "comp^3 (i j k. A) [] a : (0,0,0) ~> (1,1,1)")
+    # check_module bounds its declarations by its own k_max
+    src = SIG + "def c : A = " + COMP5 + "\n"
+    assert check_module(parse_module(src), k_max=5).report.ok
+    [*_, c] = check_module(parse_module(src)).report.decls
+    assert [d.code for d in c.diagnostics] == [typecheck.PERM_BOUND]
 
 
 def _least_in_orbit(c: Comp) -> Comp:
@@ -277,10 +282,10 @@ def test_equivariance_all_sigma_k3(sig):
 def test_normalization_idempotence_corpus(path):
     mod = check_module(parse_module(path.read_text()))
     assert mod.report.ok
-    for name, v in mod.ctx.env.terms.items():
-        ty = mod.ctx.types[name]
+    env = module_context(mod).env
+    for name, (v, ty) in mod.sig.items():
         n1 = quote(ty, v)
-        v2 = eval_term(mod.ctx.env, n1)
+        v2 = eval_term(env, n1)
         n2 = quote(ty, v2)
         assert alpha_eq(n1, n2), name
 
@@ -288,14 +293,13 @@ def test_normalization_idempotence_corpus(path):
 @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
 def test_conversion_equivalence_on_corpus(path):
     mod = check_module(parse_module(path.read_text()))
-    names = list(mod.ctx.env.terms)
-    for name in names:
-        ty, v = mod.ctx.types[name], mod.ctx.env.terms[name]
-        v2 = eval_term(mod.ctx.env, quote(ty, v))
-        assert convert(mod.ctx, ty, v, v2)
-        assert convert(mod.ctx, ty, v2, v)  # symmetry
-        v3 = eval_term(mod.ctx.env, quote(ty, v2))
-        assert convert(mod.ctx, ty, v, v3)  # transitivity sample
+    ctx = module_context(mod)
+    for name, (v, ty) in mod.sig.items():
+        v2 = eval_term(ctx.env, quote(ty, v))
+        assert convert(ctx, ty, v, v2)
+        assert convert(ctx, ty, v2, v)  # symmetry
+        v3 = eval_term(ctx.env, quote(ty, v2))
+        assert convert(ctx, ty, v, v3)  # transitivity sample
 
 
 def test_sigma_transform_of_corpus_comps_has_the_same_key():
@@ -510,9 +514,9 @@ def test_nbe_is_idempotent_on_corpus_defs(path):
     decls = parse_module(path.read_text())
     mod = check_module(decls)
     assert mod.report.ok
-    env = mod.ctx.env
+    env = module_context(mod).env
     for name in (d.name for d in decls if isinstance(d, Def)):
-        ty, v = mod.ctx.types[name], mod.ctx.env.terms[name]
+        v, ty = mod.sig[name]
         n1 = quote(ty, v)
         assert term_key(quote(ty, eval_term(env, n1))) == term_key(n1), name
         t1 = quote_type(ty)
@@ -526,9 +530,10 @@ postulate Y : U0
 
 
 def _telescope():
-    """A : U0, L : Path (i. U0) X Y, m : I, x : L @ m after two postulates."""
+    """A : U0, L : Path (i. U0) X Y, m : I, x : L @ m after two postulates,
+    which stay in the signature."""
     mod = check_module(parse_module(TELESCOPE))
-    sc = mod.ctx
+    sc = module_context(mod)
     sc, _ = sc.bind_term("A", VU(0))
     sc, lv = sc.bind_term("L", eval_term(sc.env, parse_term(
         "Path (i. U0) X Y", known={"X", "Y"})))
@@ -540,14 +545,18 @@ def _telescope():
 def test_context_env_reindexes_only_after_the_moved_variable():
     ctx, m = _telescope()
     names = [e.name for e in ctx.entries]
-    assert names.index(m.name) == 4
+    assert len(names) == 4 and names.index(m.name) == 2
     env = ctx.env_at({m.name: I0})
     assert env.ivals[m.name] == I0
-    for e in ctx.entries[:4]:
+    for e in ctx.entries[:2]:
         assert env.terms[e.name].ty is e.ty
-    x = ctx.entries[5]
+    x = ctx.entries[3]
     assert x.ty is not env.terms[x.name].ty
     assert term_key(quote_type(env.terms[x.name].ty)) == term_key(Var("X"))
+    # the postulates resolve through the signature, which nothing reindexes
+    for g in ("X", "Y"):
+        assert g not in env.terms
+        assert eval_term(env, Var(g)) is ctx.env.sig[g][0]
 
 
 def test_context_env_keeps_every_type_when_nothing_moves():
@@ -563,7 +572,7 @@ def test_a_value_converts_with_itself_without_evaluating(sig, monkeypatch):
     sc, (iv,) = sig.bind_ivars(("i",))
     rc = sc.restrict(cof_or(CEq(iv, I0), CEq(iv, I1)))
     v = eval_term(sc.env, Parser("p @ i").parse_term())
-    ty = sig.types["a"]
+    ty = sig.env.sig["a"][1]
 
     def no_eval(env, t):
         raise AssertionError("conversion evaluated a term")
@@ -725,8 +734,8 @@ def _value_pairs(draw):
 def value_scope():
     mod = check_module(parse_module(VALUE_SIG))
     assert mod.report.ok
-    sc, _ = mod.ctx.bind_ivars(("i",))
-    sc, _ = sc.bind_term("x", mod.ctx.types["a"])
+    sc, _ = module_context(mod).bind_ivars(("i",))
+    sc, _ = sc.bind_term("x", mod.sig["a"][1])
     return sc
 
 
@@ -785,7 +794,7 @@ def test_a_stuck_comp_no_conversion_reads_is_not_canonicalized(
     monkeypatch.setattr(semantics, "sigma_transform", counted)
     mod = check_module(parse_module(UNREAD_COMP))
     assert mod.report.ok
-    v = mod.ctx.env.terms["c"]
+    v = mod.sig["c"][0]
     assert isinstance(v, VNe) and isinstance(v.ne, NComp)
     assert built == []
     monkeypatch.undo()

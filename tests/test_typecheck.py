@@ -3,11 +3,12 @@ import pytest
 from eqctt.parser import Parser, parse_module
 from eqctt.printer import print_term
 from eqctt.semantics import VU, convert, eval_term, quote, quote_type
+from eqctt.syntax import CEq, I0, Var
 from eqctt.typecheck import (ARITY, BOUNDARY, GUARD_NEVER, INCOMPATIBLE,
                              MISMATCH, PERM_BOUND, UNBOUND, CheckError,
                              Checker, check_module)
 
-from conftest import corpus_files
+from conftest import corpus_files, module_context
 
 
 def check_src(src: str):
@@ -26,7 +27,7 @@ postulate p : Path (i. A) a b
 def sig():
     mod = check_src(SIG)
     assert mod.report.ok
-    return mod.ctx
+    return module_context(mod)
 
 
 def test_infer_universe(sig):
@@ -41,7 +42,7 @@ def test_infer_path_application_endpoint(sig):
     # the type is A and the value converts to the left endpoint
     assert print_term(quote_type(ty)) == "A"
     v = eval_term(sig.env, t)
-    assert convert(sig, ty, v, sig.env.terms["a"])
+    assert convert(sig, ty, v, sig.env.sig["a"][0])
 
 
 def test_infer_unbound(sig):
@@ -67,7 +68,7 @@ def test_check_wrong_endpoint_is_boundary_mismatch(sig):
 def test_lambda_against_non_function(sig):
     ch = Checker()
     with pytest.raises(CheckError) as e:
-        ch.check(sig, Parser(r"\x. x").parse_term(), sig.types["a"])
+        ch.check(sig, Parser(r"\x. x").parse_term(), sig.env.sig["a"][1])
     assert e.value.diag.code == MISMATCH
 
 
@@ -193,12 +194,11 @@ def test_subject_reduction_on_corpus(path):
     # if check succeeds, the readback of the value rechecks at the same type
     mod = check_module(parse_module(path.read_text()))
     assert mod.report.ok
-    base = check_module(parse_module(path.read_text())).ctx
-    for name, v in mod.ctx.env.terms.items():
-        ty = mod.ctx.types[name]
+    ctx = module_context(mod)
+    for name, (v, ty) in mod.sig.items():
         nf = quote(ty, v)
         ch = Checker()
-        ch.check(mod.ctx, nf, ty)
+        ch.check(ctx, nf, ty)
 
 
 def test_diagnostics_totality():
@@ -215,3 +215,61 @@ def test_diagnostics_totality():
         assert decl.status == "error", body
         assert decl.diagnostics, body
         assert decl.diagnostics[0].code, body
+
+
+# ---------------------------------------------------------------------------
+# the module signature: top-level names live once in it, binders are local
+
+SHADOW = r"""
+postulate A : U0
+postulate a : A
+def f : (a : U0) -> U0 = \a. a
+"""
+
+
+def test_a_local_binder_shadows_a_global():
+    # checking the body a at U0 reads the binder, not the postulate a : A
+    mod = check_src(SHADOW)
+    assert mod.report.ok, mod.report.to_json()
+    ctx = module_context(mod)
+    assert print_term(quote(*reversed(mod.sig["f"]))) == r"\a. a"
+    v = eval_term(ctx.env, Parser("f A").parse_term())
+    assert v is mod.sig["A"][0]
+    # and evaluation under a local a reads the local
+    env = ctx.env.bind_term("a", mod.sig["A"][0])
+    assert eval_term(env, Parser("a").parse_term()) is mod.sig["A"][0]
+
+
+def test_a_binder_copies_no_global(monkeypatch):
+    src = "".join(f"postulate a{n} : U0\n" for n in range(1000))
+    src += "def f : (x : a0) -> a0 = \\x. x\n"
+    seen = []
+    infer = Checker.infer
+
+    def recording(self, ctx, t):
+        if isinstance(t, Var) and t.name == "x":
+            seen.append(ctx)
+        return infer(self, ctx, t)
+    monkeypatch.setattr(Checker, "infer", recording)
+    mod = check_src(src)
+    assert mod.report.ok
+    [ctx] = seen
+    assert len(ctx.entries) == 1 and list(ctx.env.terms) == ["x"]
+    assert list(ctx.types) == ["x"]
+    assert ctx.env.sig is mod.sig and len(mod.sig) == 1001  # shared
+
+
+def test_restricted_conversion_resolves_postulates(sig):
+    # the readbacks of p @ i mention the postulate p; under i = 0 they are
+    # evaluated again in the conjunct's environment, which resolves p
+    sc, _ = sig.bind_term("a", sig.env.sig["A"][0])  # shadows the global a
+    sc, (iv,) = sc.bind_ivars(("i",))
+    rc = sc.restrict(CEq(iv, I0))
+    ty = sig.env.sig["A"][0]
+    pi = eval_term(rc.env, Parser("p @ i").parse_term())
+    env = rc.env_at({iv.name: I0})
+    assert "p" not in env.terms
+    assert eval_term(env, quote(ty, pi)) is sig.env.sig["a"][0]
+    assert convert(rc, ty, pi, sig.env.sig["a"][0])
+    assert not convert(rc, ty, pi, eval_term(rc.env, Var("a")))
+    assert not convert(rc, ty, pi, sig.env.sig["b"][0])
